@@ -5,7 +5,7 @@ of signed integers e with 1 <= |e| <= n-1, where e = i encodes the positive
 crossing of the strands at positions i and i+1, and e = -i its inverse.
 
 A permutation braid (a positive braid in which any two strands cross at most
-once, equivalently a left divisor of the half twist D) is stored as the
+once, equivalently a left divisor of the half twist D) is determined by the
 permutation it induces on strand positions: perm[i] is the final position of
 the strand starting at position i, 0-indexed.  Under this encoding:
 
@@ -15,10 +15,26 @@ the strand starting at position i, 0-indexed.  Under this encoding:
   * left divisibility a < b (meaning b = a*c with c positive) is inclusion
     of inversion sets, inv(a) inside inv(b).
 
-The divisors of D form a lattice under left divisibility.  Meet is computed
-by greedily peeling common initial crossings, join through the complement
-anti-isomorphism; both are cross-checked in the test suite against a
-brute-force divisor enumeration built from reduced-word prefixes.
+Internally a permutation braid is a small int, its code: the Lehmer rank of
+the permutation (its index in lexicographic order) plus an offset per strand
+count, 2! + 3! + ... + (n-1)!, so codes of different strand counts never
+collide.  A code is a pure function of (n, perm); no counter or cache state
+enters it.  Per-code data lives in tables filled lazily on first lookup:
+permutation, right and left complement, flip, the start set (bit i set when
+letter i+1 can begin the braid) and the inversion set, both as bitmasks.
+So "a divides b" is inv[a] & ~inv[b] == 0, and a product a*b is simple
+exactly when b divides the right complement of a.  The tables expose
+cache_clear like functools caches and are rebuilt on demand after clearing;
+the SimpleElement value type carries its code next to its permutation.
+Table-driven permutation braids follow the CBraid library (J. C. Cha).
+
+The divisors of D form a lattice under left divisibility.  The meet of two
+simples is found by peeling common first letters off both until none is
+left.  Reversing a permutation is an order-reversing involution of the
+lattice, so it turns meets into joins: the join of a and b is b times the
+left complement that a peel of the mirrored elements leaves.  Both are
+cross-checked in the test suite against a brute-force divisor enumeration
+built from reduced-word prefixes.
 
 The flip tau is conjugation by the half twist, tau(x) = D^-1 x D.  Since D^2
 is central, tau is an involution, so for any exponent k only its parity
@@ -30,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 
 from .errors import (
     BoundExceeded,
@@ -56,21 +73,12 @@ def check_same_strands(a, b) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Permutation-level helpers.  All take and return plain tuples so results can
-# be memoised; the hot lattice operations below are called millions of times
-# during a search, almost always on a small working set of permutations.
+# Permutation-level helpers, used to fill the code tables.
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def _id_perm(n: int) -> Perm:
     return tuple(range(n))
-
-
-@functools.lru_cache(maxsize=None)
-def _w0_perm(n: int) -> Perm:
-    """The order-reversing permutation, i.e. the half twist."""
-    return tuple(range(n - 1, -1, -1))
 
 
 def _perm_inverse(p: Perm) -> Perm:
@@ -85,65 +93,12 @@ def _braid_mul(a: Perm, b: Perm) -> Perm:
     return tuple(b[x] for x in a)
 
 
-@functools.lru_cache(maxsize=None)
-def _inversions(p: Perm) -> frozenset[tuple[int, int]]:
-    """Pairs of strand start positions i < j whose endpoints are reversed."""
-    n = len(p)
-    return frozenset((i, j) for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
-
-
-def _inv_count(p: Perm) -> int:
-    return len(_inversions(p))
-
-
 def _tau_perm(p: Perm) -> Perm:
     """Conjugate by the half twist: w0 o p o w0."""
     n = len(p)
     return tuple(n - 1 - p[n - 1 - i] for i in range(n))
 
 
-def _tau_pow_perm(p: Perm, k: int) -> Perm:
-    return _tau_perm(p) if k % 2 else p
-
-
-@functools.lru_cache(maxsize=None)
-def _meet_perm(a: Perm, b: Perm) -> Perm:
-    """Greatest common left divisor.
-
-    Greedily peels crossings that start both a and b: letter i starts x
-    exactly when x[i] > x[i+1], and any common initial crossing divides the
-    gcd, so peeling until no common initial crossing remains is exact.
-    """
-    n = len(a)
-    pa, pb = list(a), list(b)
-    word = []
-    while True:
-        i = next(
-            (i for i in range(n - 1) if pa[i] > pa[i + 1] and pb[i] > pb[i + 1]),
-            None,
-        )
-        if i is None:
-            break
-        pa[i], pa[i + 1] = pa[i + 1], pa[i]
-        pb[i], pb[i + 1] = pb[i + 1], pb[i]
-        word.append(i)
-    # Rebuild the peeled word as a permutation, tracking value positions so
-    # each crossing is O(1).
-    m = list(range(n))
-    pos = list(range(n))
-    for i in word:
-        pi, pj = pos[i], pos[i + 1]
-        m[pi], m[pj] = i + 1, i
-        pos[i], pos[i + 1] = pj, pi
-    return tuple(m)
-
-
-def _rgcd_perm(a: Perm, b: Perm) -> Perm:
-    """Greatest common right divisor, via d right-divides x iff d^-1 left-divides x^-1."""
-    return _perm_inverse(_meet_perm(_perm_inverse(a), _perm_inverse(b)))
-
-
-@functools.lru_cache(maxsize=None)
 def _rcomp_perm(a: Perm) -> Perm:
     """Right complement a^-1 D, the simple element with a * rcomp(a) = D."""
     n = len(a)
@@ -158,31 +113,173 @@ def _lcomp_perm(a: Perm) -> Perm:
     return tuple(ainv[n - 1 - i] for i in range(n))
 
 
-@functools.lru_cache(maxsize=None)
-def _join_perm(a: Perm, b: Perm) -> Perm:
-    """Least common multiple among simple elements.
-
-    x < y iff rcomp(y) right-divides rcomp(x), so the join is the preimage of
-    the right gcd of the complements.
-    """
-    n = len(a)
-    g = _rgcd_perm(_rcomp_perm(a), _rcomp_perm(b))
-    ginv = _perm_inverse(g)
-    return tuple(ginv[n - 1 - i] for i in range(n))
-
-
-def _left_complement_perm(a: Perm, b: Perm) -> Perm:
-    """The simple c with b * c = join(a, b)."""
-    j = _join_perm(a, b)
-    binv = _perm_inverse(b)
-    return tuple(j[binv[i]] for i in range(len(a)))
-
-
 def _gen_perm(n: int, i: int) -> Perm:
     """Permutation of the generator letter i (1-based)."""
     p = list(range(n))
     p[i - 1], p[i] = p[i], p[i - 1]
     return tuple(p)
+
+
+def _rank(p: Perm) -> int:
+    """Lehmer rank: the index of p among the permutations of len(p) in lexicographic order."""
+    n = len(p)
+    rank = used = 0
+    for i, v in enumerate(p):
+        # digit i counts the values below v not used by earlier positions
+        rank = rank * (n - i) + v - (used & ((1 << v) - 1)).bit_count()
+        used |= 1 << v
+    return rank
+
+
+def _unrank(n: int, rank: int) -> Perm:
+    digits = []
+    for base in range(1, n + 1):
+        rank, digit = divmod(rank, base)
+        digits.append(digit)
+    free = list(range(n))
+    return tuple(free.pop(d) for d in reversed(digits))
+
+
+# ---------------------------------------------------------------------------
+# Code tables.
+# ---------------------------------------------------------------------------
+
+
+class _LazyTable(dict):
+    """A dict whose missing entries are built on first lookup by build(key).
+
+    It exposes cache_clear like a functools cache, so clearing the package's
+    caches clears the tables too.  Every entry is a pure function of its key,
+    so clearing never invalidates a value already handed out.
+    """
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+        self.cache_clear = self.clear
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
+
+
+def _code_of_perm(p: Perm) -> int:
+    code = _OFFSET[len(p)] + _rank(p)
+    _PERM[code] = p
+    return code
+
+
+def _perm_of_code(code: int) -> Perm:
+    n = 2
+    while _OFFSET[n + 1] <= code:
+        n += 1
+    p = _unrank(n, code - _OFFSET[n])
+    _CODE[p] = code
+    return p
+
+
+def _start_set(code: int) -> int:
+    p = _PERM[code]
+    return sum(1 << i for i in range(len(p) - 1) if p[i] > p[i + 1])
+
+
+def _inversion_set(code: int) -> int:
+    p = _PERM[code]
+    n = len(p)
+    return sum(1 << (i * n + j) for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+
+
+def _letter_codes(n: int) -> list[int]:
+    """Index e in 1..n-1 holds the code of letter e; index -e that of lcomp(letter e).
+
+    An inverse letter is D^-1 times the left complement of the generator, so
+    these are the simple factors a word contributes, letter by letter.
+    """
+    codes = [0] * (2 * n - 1)
+    for i in range(1, n):
+        gen = _CODE[_gen_perm(n, i)]
+        codes[i], codes[-i] = gen, _LCOMP[gen]
+    return codes
+
+
+# First code of each strand count: 2! + 3! + ... + (n-1)!.
+_OFFSET = _LazyTable(lambda n: sum(math.factorial(k) for k in range(2, n)))
+_CODE = _LazyTable(_code_of_perm)
+_PERM = _LazyTable(_perm_of_code)
+_RCOMP = _LazyTable(lambda c: _CODE[_rcomp_perm(_PERM[c])])
+_LCOMP = _LazyTable(lambda c: _CODE[_lcomp_perm(_PERM[c])])
+_TAU = _LazyTable(lambda c: _CODE[_tau_perm(_PERM[c])])
+_START = _LazyTable(_start_set)
+_INV = _LazyTable(_inversion_set)
+_LETTERS = _LazyTable(_letter_codes)
+_SIMPLE = _LazyTable(lambda c: SimpleElement(len(_PERM[c]), _PERM[c]))
+
+
+def _identity_code(n: int) -> int:
+    return _OFFSET[n]
+
+
+def _delta_code(n: int) -> int:
+    """The half twist reverses the order, so it has the last rank."""
+    return _OFFSET[n + 1] - 1
+
+
+def _peel(y: int, z: int) -> tuple[int, int]:
+    """Divide the meet m of y and z off the front of both: (m^-1 y, m^-1 z).
+
+    Letter i+1 starts a simple x exactly when x[i] > x[i+1], and any common
+    first letter divides the meet, so peeling common first letters until
+    none is left is exact.  Peeling swaps positions i and i+1, which leaves
+    no first letter at i and can only add first letters at i-1 and i+1.
+    """
+    common = _START[y] & _START[z]
+    if not common:
+        return y, z
+    p, q = list(_PERM[y]), list(_PERM[z])
+    last = len(p) - 2
+    while common:
+        bit = common & -common
+        i = bit.bit_length() - 1
+        p[i], p[i + 1] = p[i + 1], p[i]
+        q[i], q[i + 1] = q[i + 1], q[i]
+        common ^= bit
+        if i and p[i - 1] > p[i] and q[i - 1] > q[i]:
+            common |= bit >> 1
+        if i < last and p[i + 1] > p[i + 2] and q[i + 1] > q[i + 2]:
+            common |= bit << 1
+    return _CODE[tuple(p)], _CODE[tuple(q)]
+
+
+def _mul(a: int, b: int) -> int:
+    """The product a*b, which is simple exactly when b divides rcomp(a)."""
+    if _INV[b] & ~_INV[_RCOMP[a]]:
+        raise NotSimple("product of the given simple elements is not simple")
+    return _CODE[_braid_mul(_PERM[a], _PERM[b])]
+
+
+def _mirror(c: int) -> int:
+    """The reversed permutation: an order-reversing involution of the lattice."""
+    return _CODE[_PERM[c][::-1]]
+
+
+@functools.lru_cache(maxsize=None)
+def _meet(a: int, b: int) -> int:
+    """Greatest common left divisor m: peeling leaves r = m^-1 a, so m = a r^-1."""
+    rest, _ = _peel(a, b)
+    rinv = _perm_inverse(_PERM[rest])
+    return _CODE[tuple(rinv[x] for x in _PERM[a])]
+
+
+@functools.lru_cache(maxsize=None)
+def _left_complement(a: int, b: int) -> int:
+    """The simple c with b * c = join(a, b).
+
+    The join is the mirror of meet(mirror a, mirror b) = m, and as
+    permutations mirror(x) = D x, so peeling m off mirror(b) leaves a z with
+    b = join * z: c is z^-1.
+    """
+    _, z = _peel(_mirror(a), _mirror(b))
+    return _CODE[_perm_inverse(_PERM[z])]
 
 
 # ---------------------------------------------------------------------------
@@ -210,42 +307,47 @@ class BraidWord:
 
 @dataclasses.dataclass(frozen=True)
 class SimpleElement:
-    """A permutation braid, stored as its strand permutation (0-indexed images)."""
+    """A permutation braid: its strand permutation (0-indexed images) and its code."""
 
     n: int
     perm: Perm
+    code: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_strand_count(self.n)
         object.__setattr__(self, "perm", tuple(self.perm))
         if sorted(self.perm) != list(range(self.n)):
             raise InvalidParams(f"{self.perm!r} is not a permutation of 0..{self.n - 1}")
+        object.__setattr__(self, "code", _CODE[self.perm])
 
     def length(self) -> int:
         """Positive word length, i.e. the inversion count of the permutation."""
-        return _inv_count(self.perm)
+        return _INV[self.code].bit_count()
 
     def is_identity(self) -> bool:
-        return self.perm == _id_perm(self.n)
+        return self.code == _identity_code(self.n)
 
     def is_delta(self) -> bool:
-        return self.perm == _w0_perm(self.n)
+        return self.code == _delta_code(self.n)
 
 
 def identity_simple(n: int) -> SimpleElement:
-    return SimpleElement(n, _id_perm(n))
+    check_strand_count(n)
+    return _SIMPLE[_identity_code(n)]
 
 
 def delta(n: int) -> SimpleElement:
     """The half twist, maximum of the lattice of simple elements."""
-    return SimpleElement(n, _w0_perm(n))
+    check_strand_count(n)
+    return _SIMPLE[_delta_code(n)]
 
 
 def generator_simple(n: int, i: int) -> SimpleElement:
     """The simple element of the single letter i."""
+    check_strand_count(n)
     if not 1 <= i <= n - 1:
         raise InvalidParams(f"generator index {i} out of range for {n} strands")
-    return SimpleElement(n, _gen_perm(n, i))
+    return _SIMPLE[_LETTERS[n][i]]
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +408,10 @@ def simple_from_positive_word(w: BraidWord) -> SimpleElement:
         if e < 0:
             raise NegativeLetter(f"letter {e} in a positive word")
         p = _braid_mul(p, _gen_perm(w.n, e))
-    if _inv_count(p) != len(w.letters):
+    s = _SIMPLE[_CODE[p]]
+    if s.length() != len(w.letters):
         raise NotSimple(f"{w.letters!r} crosses some strand pair more than once")
-    return SimpleElement(w.n, p)
+    return s
 
 
 def simple_to_word(s: SimpleElement) -> BraidWord:
@@ -340,47 +443,44 @@ def tau(x: BraidWord | SimpleElement, k: int = 1):
         return x
     if isinstance(x, BraidWord):
         return BraidWord(x.n, tuple((1 if e > 0 else -1) * (x.n - abs(e)) for e in x.letters))
-    return SimpleElement(x.n, _tau_perm(x.perm))
+    return _SIMPLE[_TAU[x.code]]
 
 
 def simple_divides(a: SimpleElement, b: SimpleElement) -> bool:
     """Left divisibility a < b, as inclusion of inversion sets."""
     check_same_strands(a, b)
-    return _inversions(a.perm) <= _inversions(b.perm)
+    return not _INV[a.code] & ~_INV[b.code]
 
 
 def meet(a: SimpleElement, b: SimpleElement) -> SimpleElement:
     """Greatest common left divisor of two simple elements."""
     check_same_strands(a, b)
-    return SimpleElement(a.n, _meet_perm(a.perm, b.perm))
+    return _SIMPLE[_meet(a.code, b.code)]
 
 
 def join(a: SimpleElement, b: SimpleElement) -> SimpleElement:
     """Least common multiple of two simple elements."""
     check_same_strands(a, b)
-    return SimpleElement(a.n, _join_perm(a.perm, b.perm))
+    return _SIMPLE[_mul(b.code, _left_complement(a.code, b.code))]
 
 
 def right_complement(a: SimpleElement) -> SimpleElement:
     """The simple element c with a * c equal to the half twist."""
-    return SimpleElement(a.n, _rcomp_perm(a.perm))
+    return _SIMPLE[_RCOMP[a.code]]
 
 
 def left_complement_simple(a: SimpleElement, b: SimpleElement) -> SimpleElement:
     """The simple c with b * c = join(a, b); trivial exactly when a divides b."""
     check_same_strands(a, b)
-    c = _left_complement_perm(a.perm, b.perm)
-    assert _inv_count(c) == _inv_count(_join_perm(a.perm, b.perm)) - _inv_count(b.perm)
-    return SimpleElement(a.n, c)
+    c = _left_complement(a.code, b.code)
+    _mul(b.code, c)  # raises NotSimple unless b * c is simple
+    return _SIMPLE[c]
 
 
 def simple_product(a: SimpleElement, b: SimpleElement) -> SimpleElement:
     """Product of two simple elements, required to be simple again."""
     check_same_strands(a, b)
-    p = _braid_mul(a.perm, b.perm)
-    if _inv_count(p) != _inv_count(a.perm) + _inv_count(b.perm):
-        raise NotSimple("product of the given simple elements is not simple")
-    return SimpleElement(a.n, p)
+    return _SIMPLE[_mul(a.code, b.code)]
 
 
 def enumerate_simples(n: int, bound: int = SIMPLE_ENUM_BOUND) -> list[SimpleElement]:

@@ -24,10 +24,8 @@ from collections.abc import Iterable, Sequence
 from .braid import BraidWord, word_concat, word_inverse
 from .errors import InvalidParams
 from .instance_io import InstanceFile
-from .normal_form import invert, multiply, normalize
 from .solver import (
     DEFAULT_NODE_CAP,
-    BraidTuple,
     ConjugatorResult,
     Outcome,
     solve_mscp,
@@ -95,13 +93,6 @@ class AttackReport:
     wall_time: float
 
 
-def _centralizes(alpha: BraidTuple, y: BraidWord) -> bool:
-    """Whether conjugation by y fixes every entry of alpha."""
-    yf = normalize(y)
-    yinv = invert(yf)
-    return all(multiply(multiply(yinv, a), yf) == a for a in alpha.entries)
-
-
 def run_attack(
     inst: InstanceFile,
     planted: BraidWord | None = None,
@@ -123,7 +114,8 @@ def run_attack(
     )
     matches = None
     if planted is not None and result.outcome is Outcome.FOUND:
-        matches = _centralizes(alpha, word_concat(result.conjugator, word_inverse(planted)))
+        quotient = word_concat(result.conjugator, word_inverse(planted))
+        matches = verify_conjugator(alpha, alpha, quotient)
     return AttackReport(
         instance=inst,
         planted=planted,

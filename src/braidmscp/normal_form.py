@@ -6,6 +6,13 @@ meaning meet(rcomp(A_i), A_(i+1)) is trivial: A_i already absorbs every
 crossing that could be pulled out of the head of A_(i+1).  The exponent k is
 the infimum of the braid and k + l its supremum.
 
+All of the machinery runs on the integer codes of braid.py: a normal form
+carries the tuple of its factors' codes, set once at construction, and the
+raw layer below takes and returns (power, code tuple) pairs.  A pair (a, b)
+is already left-weighted exactly when no letter starts both rcomp(a) and b,
+one AND of two start-set bitmasks, which is tested before any meet is
+computed.
+
 Normalization rewrites each inverse letter as D^-1 times a left complement,
 pushes the D powers to the front through the flip tau, then restores
 left-weightedness with the local move "transfer meet(rcomp(A), B) from B to
@@ -13,8 +20,8 @@ A".  The move sends (A, D) to (D, tau(A)) and (trivial, B) to (B, trivial),
 so half twists bubble to the front and trivial factors to the back, where
 they are stripped.  Products of two already-weighted sequences only need the
 move combed outward from the junction, which keeps multiplication cheap; the
-conjugation of a normal form by a simple element is memoised because searches
-repeat it heavily.
+conjugation of a normal form by a simple element is memoised on codes because
+searches repeat it heavily.
 """
 
 from __future__ import annotations
@@ -23,19 +30,21 @@ import dataclasses
 import functools
 
 from .braid import (
+    _LCOMP,
+    _LETTERS,
+    _PERM,
+    _RCOMP,
+    _SIMPLE,
+    _START,
+    _TAU,
     BraidWord,
-    Perm,
     SimpleElement,
     _braid_mul,
-    _gen_perm,
-    _id_perm,
-    _lcomp_perm,
-    _left_complement_perm,
-    _meet_perm,
-    _perm_inverse,
-    _rcomp_perm,
-    _tau_pow_perm,
-    _w0_perm,
+    _delta_code,
+    _identity_code,
+    _LazyTable,
+    _left_complement,
+    _peel,
     check_same_strands,
     check_strand_count,
     delta,
@@ -46,11 +55,7 @@ from .braid import (
 )
 from .errors import InvalidParams, NotPositive, StrandMismatch
 
-
-@functools.lru_cache(maxsize=None)
-def _simple(n: int, perm: Perm) -> SimpleElement:
-    """Interned simple elements; hot paths share one object per permutation."""
-    return SimpleElement(n, perm)
+Codes = tuple[int, ...]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,14 +65,17 @@ class NormalForm:
     n: int
     power: int
     factors: tuple[SimpleElement, ...] = ()
+    codes: Codes = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_strand_count(self.n)
         for f in self.factors:
             if f.n != self.n:
                 raise StrandMismatch(f"factor on {f.n} strands in a normal form on {self.n}")
-            if f.is_identity() or f.is_delta():
-                raise InvalidParams("normal form factors must be proper divisors of the half twist")
+        codes = tuple(f.code for f in self.factors)
+        if _identity_code(self.n) in codes or _delta_code(self.n) in codes:
+            raise InvalidParams("normal form factors must be proper divisors of the half twist")
+        object.__setattr__(self, "codes", codes)
 
     @property
     def inf(self) -> int:
@@ -89,21 +97,25 @@ def inf_sup(f: NormalForm) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Normalization machinery on raw permutation sequences.
+# Normalization machinery on raw code sequences.
 # ---------------------------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
-def _fix_pair(a: Perm, b: Perm) -> tuple[Perm, Perm]:
-    """Left-weight one adjacent pair by moving the head of b into a."""
-    h = _meet_perm(_rcomp_perm(a), b)
-    if h == _id_perm(len(a)):
+def _fix_pair(a: int, b: int) -> tuple[int, int]:
+    """Left-weight one adjacent pair by moving the head h = meet(rcomp(a), b) of b into a.
+
+    Peeling h off rcomp(a) leaves rcomp(a*h), so a*h is the left complement
+    of what remains.
+    """
+    y = _RCOMP[a]
+    if not _START[y] & _START[b]:
         return a, b
-    hinv = _perm_inverse(h)
-    return _braid_mul(a, h), tuple(b[hinv[i]] for i in range(len(b)))
+    y, b = _peel(y, b)
+    return _LCOMP[y], b
 
 
-def _comb_back(factors: list[Perm], i: int) -> None:
+def _comb_back(factors: list[int], i: int) -> None:
     """Restore left-weightedness of pairs below i after factor i changed."""
     for k in range(i - 1, -1, -1):
         a, b = _fix_pair(factors[k], factors[k + 1])
@@ -112,31 +124,31 @@ def _comb_back(factors: list[Perm], i: int) -> None:
         factors[k], factors[k + 1] = a, b
 
 
-def _strip(n: int, factors: list[Perm]) -> tuple[int, tuple[Perm, ...]]:
+def _strip(n: int, factors: list[int]) -> tuple[int, Codes]:
     """Absorb leading half twists into the power and drop trailing trivials."""
-    ident = _id_perm(n)
-    w0 = _w0_perm(n)
+    ident = _identity_code(n)
+    top = _delta_code(n)
     lo, hi = 0, len(factors)
-    while lo < hi and factors[lo] == w0:
+    while lo < hi and factors[lo] == top:
         lo += 1
     while lo < hi and factors[hi - 1] == ident:
         hi -= 1
     return lo, tuple(factors[lo:hi])
 
 
-def _prod_normal(n: int, left, right) -> tuple[int, tuple[Perm, ...]]:
+def _prod_normal(n: int, left: Codes, right: Codes) -> tuple[int, Codes]:
     """Left-weight the concatenation of two already left-weighted sequences.
 
     Violations can only start at the junction, so the local move is applied
     there and combed outward until a pair is already weighted.
     """
     if not left or not right:
-        return _strip(n, list(left) + list(right))
-    if _fix_pair(left[-1], right[0]) == (left[-1], right[0]):
+        return _strip(n, [*left, *right])
+    if not _START[_RCOMP[left[-1]]] & _START[right[0]]:
         # Already weighted across the junction; weighted sequences carry no
         # half twists or trivial factors, so there is nothing to strip.
         return 0, (*left, *right)
-    factors = list(left) + list(right)
+    factors = [*left, *right]
     for i in range(len(left) - 1, len(factors) - 1):
         a, b = _fix_pair(factors[i], factors[i + 1])
         if a == factors[i]:
@@ -146,20 +158,26 @@ def _prod_normal(n: int, left, right) -> tuple[int, tuple[Perm, ...]]:
     return _strip(n, factors)
 
 
-def _weight_seq(n: int, seq) -> tuple[int, tuple[Perm, ...]]:
-    """Left-weight an arbitrary sequence of simple factors by insertion."""
-    ident = _id_perm(n)
-    power = 0
-    acc: tuple[Perm, ...] = ()
+def _weight_seq(n: int, seq) -> tuple[int, Codes]:
+    """Left-weight an arbitrary sequence of simple factors, appending one at a time.
+
+    Appending a factor can only break the last pair, so the local move is
+    combed back from there.  Half twists collect at the front, where combing
+    stops, and at most the new last factor can become trivial.
+    """
+    ident = _identity_code(n)
+    factors: list[int] = []
     for p in seq:
         if p == ident:
             continue
-        d, acc = _prod_normal(n, acc, (p,))
-        power += d
-    return power, acc
+        factors.append(p)
+        _comb_back(factors, len(factors) - 1)
+        if factors[-1] == ident:
+            factors.pop()
+    return _strip(n, factors)
 
 
-def _push_half_twists(items: list[tuple[int, Perm]]) -> tuple[int, list[Perm]]:
+def _push_half_twists(items: list[tuple[int, int]]) -> tuple[int, list[int]]:
     """Move the D^d prefixes of a factor sequence to the front.
 
     Each item (d, p) denotes D^d * p; commuting D^d leftwards applies tau^d
@@ -169,20 +187,16 @@ def _push_half_twists(items: list[tuple[int, Perm]]) -> tuple[int, list[Perm]]:
     total = 0
     out = []
     for d, p in reversed(items):
-        out.append(_tau_pow_perm(p, total))
+        out.append(_TAU[p] if total % 2 else p)
         total += d
     out.reverse()
     return total, out
 
 
 @functools.lru_cache(maxsize=1 << 18)
-def _nf_from_raw(n: int, power: int, factors: tuple[Perm, ...]) -> NormalForm:
+def _nf_from_raw(n: int, power: int, codes: Codes) -> NormalForm:
     """Interned normal forms: validation runs once per distinct value."""
-    return NormalForm(n, power, tuple(_simple(n, p) for p in factors))
-
-
-def _wrap(n: int, power: int, factors) -> NormalForm:
-    return _nf_from_raw(n, power, tuple(factors))
+    return NormalForm(n, power, tuple(_SIMPLE[c] for c in codes))
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +207,13 @@ def _wrap(n: int, power: int, factors) -> NormalForm:
 def normalize(w: BraidWord) -> NormalForm:
     """Left normal form of the braid represented by a word.
 
-    A positive letter contributes its own permutation; an inverse letter
+    A positive letter contributes its own simple element; an inverse letter
     contributes D^-1 times the left complement of the generator.
     """
-    items: list[tuple[int, Perm]] = []
-    for e in w.letters:
-        gen = _gen_perm(w.n, abs(e))
-        if e > 0:
-            items.append((0, gen))
-        else:
-            items.append((-1, _lcomp_perm(gen)))
-    power, seq = _push_half_twists(items)
+    letters = _LETTERS[w.n]
+    power, seq = _push_half_twists([(-1 if e < 0 else 0, letters[e]) for e in w.letters])
     extra, factors = _weight_seq(w.n, seq)
-    return _wrap(w.n, power + extra, factors)
+    return _nf_from_raw(w.n, power + extra, factors)
 
 
 def nf_of_simple(s: SimpleElement) -> NormalForm:
@@ -230,56 +238,59 @@ def nf_to_word(f: NormalForm) -> BraidWord:
 def multiply(f: NormalForm, g: NormalForm) -> NormalForm:
     """Normal form of the product fg."""
     check_same_strands(f, g)
-    left = tuple(_tau_pow_perm(a.perm, g.power) for a in f.factors)
-    right = tuple(b.perm for b in g.factors)
-    extra, factors = _prod_normal(f.n, left, right)
-    return _wrap(f.n, f.power + g.power + extra, factors)
+    left = tuple(_TAU[a] for a in f.codes) if g.power % 2 else f.codes
+    extra, codes = _prod_normal(f.n, left, g.codes)
+    return _nf_from_raw(f.n, f.power + g.power + extra, codes)
 
 
 def invert(f: NormalForm) -> NormalForm:
-    """Normal form of the inverse: reversed left complements and negated power."""
-    items = [(-1, _lcomp_perm(a.perm)) for a in reversed(f.factors)]
-    items.append((-f.power, _id_perm(f.n)))
-    power, seq = _push_half_twists(items)
-    extra, factors = _weight_seq(f.n, seq)
-    return _wrap(f.n, power + extra, factors)
+    """Normal form of the inverse.
+
+    A_i^-1 = D^-1 lcomp(A_i), so (D^k A_1 .. A_l)^-1 is D^-(k+l) times the
+    left complements in reverse order, A_i flipped k+i-1 times by the half
+    twists moved past it.  That sequence is already left-weighted: for a
+    weighted pair (A, B), rcomp(lcomp B) = B and lcomp A = tau(rcomp A), so
+    meet(rcomp(tau lcomp B), lcomp A) = tau meet(B, rcomp A) is trivial.
+    Nor has it a trivial or half-twist factor.
+    """
+    k = f.power
+    codes = tuple(
+        _TAU[_LCOMP[a]] if (k + i) % 2 else _LCOMP[a]
+        for i, a in reversed(list(enumerate(f.codes)))
+    )
+    return _nf_from_raw(f.n, -k - len(codes), codes)
 
 
 @functools.lru_cache(maxsize=1 << 18)
-def _conj_raw(n: int, power: int, factors: tuple[Perm, ...], s: Perm) -> tuple[int, tuple[Perm, ...]]:
+def _conj_raw(n: int, power: int, codes: Codes, s: int) -> tuple[int, Codes]:
     """Conjugate D^power A_1..A_l by the simple s, as raw data.
 
     s^-1 D^k A.. s = D^(k-1) tau^k(lcomp(s)) A_1 .. A_l s, so the result is
     two junction products around the existing weighted sequence.
     """
-    if s == _id_perm(n):
-        return power, factors
-    if s == _w0_perm(n):
-        return power, tuple(_tau_pow_perm(p, 1) for p in factors)
-    head = _tau_pow_perm(_lcomp_perm(s), power)
-    d1, seq = _prod_normal(n, (head,), factors)
+    if s == _identity_code(n):
+        return power, codes
+    if s == _delta_code(n):
+        return power, tuple(_TAU[a] for a in codes)
+    head = _TAU[_LCOMP[s]] if power % 2 else _LCOMP[s]
+    d1, seq = _prod_normal(n, (head,), codes)
     d2, seq = _prod_normal(n, seq, (s,))
     return power - 1 + d1 + d2, seq
-
-
-@functools.lru_cache(maxsize=1 << 18)
-def _conjugate_cached(f: NormalForm, s_perm: Perm) -> NormalForm:
-    power, factors = _conj_raw(f.n, f.power, tuple(a.perm for a in f.factors), s_perm)
-    return _wrap(f.n, power, factors)
 
 
 def conjugate(f: NormalForm, s: SimpleElement) -> NormalForm:
     """Normal form of s^-1 f s."""
     check_same_strands(f, s)
-    return _conjugate_cached(f, s.perm)
+    power, codes = _conj_raw(f.n, f.power, f.codes, s.code)
+    return _nf_from_raw(f.n, power, codes)
 
 
 @functools.lru_cache(maxsize=1 << 18)
-def _positive_times_simple(n: int, factors: tuple[Perm, ...], s: Perm) -> tuple[int, tuple[Perm, ...]]:
+def _positive_times_simple(n: int, codes: Codes, s: int) -> tuple[int, Codes]:
     """Weighted factors of (A_1..A_l) * s; memoised for the conjugator ascent."""
-    if s == _id_perm(n):
-        return 0, factors
-    return _prod_normal(n, factors, (s,))
+    if s == _identity_code(n):
+        return 0, codes
+    return _prod_normal(n, codes, (s,))
 
 
 def simple_prefix_of_positive(s: SimpleElement, p: NormalForm) -> bool:
@@ -309,37 +320,31 @@ def lcm_complement(s: SimpleElement, p: NormalForm) -> SimpleElement:
     if p.power < 0:
         raise NotPositive(f"braid has infimum {p.power} < 0")
     if p.power >= 1:
-        return _simple(s.n, _id_perm(s.n))
-    c = s.perm
-    for factor in p.factors:
-        c = _left_complement_perm(c, factor.perm)
-    return _simple(s.n, c)
+        return _SIMPLE[_identity_code(s.n)]
+    c = s.code
+    for a in p.codes:
+        c = _left_complement(c, a)
+    return _SIMPLE[c]
 
 
-def strand_permutation(f: NormalForm) -> Perm:
+def strand_permutation(f: NormalForm) -> tuple[int, ...]:
     """Underlying permutation of the braid (image in the symmetric group)."""
-    p = _w0_perm(f.n) if f.power % 2 else _id_perm(f.n)
-    for factor in f.factors:
-        p = _braid_mul(p, factor.perm)
+    p = _PERM[_delta_code(f.n) if f.power % 2 else _identity_code(f.n)]
+    for a in f.codes:
+        p = _braid_mul(p, _PERM[a])
     return p
 
 
-@functools.lru_cache(maxsize=None)
-def _canonical_word_text(n: int, perm: Perm) -> str:
-    return word_to_text(simple_to_word(_simple(n, perm)))
+_WORD_TEXT = _LazyTable(lambda c: word_to_text(simple_to_word(_SIMPLE[c])))
 
 
-@functools.lru_cache(maxsize=1 << 18)
 def nf_key(f: NormalForm) -> str:
     """Canonical serialization "D^k | w1 | w2 | ..." used as a hash key."""
-    parts = [f"D^{f.power}"]
-    parts.extend(_canonical_word_text(f.n, factor.perm) for factor in f.factors)
-    return " | ".join(parts)
+    return " | ".join([f"D^{f.power}", *(_WORD_TEXT[a] for a in f.codes)])
 
 
 def validate_normal_form(f: NormalForm) -> None:
     """Assert the left-weightedness invariant; test and debugging aid."""
-    ident = _id_perm(f.n)
-    for a, b in zip(f.factors, f.factors[1:]):
-        if _meet_perm(_rcomp_perm(a.perm), b.perm) != ident:
-            raise AssertionError(f"factors {a.perm} | {b.perm} are not left-weighted")
+    for a, b in zip(f.codes, f.codes[1:]):
+        if _fix_pair(a, b) != (a, b):
+            raise AssertionError(f"factors {_PERM[a]} | {_PERM[b]} are not left-weighted")

@@ -26,15 +26,15 @@ import enum
 from collections import deque
 
 from .braid import (
+    _INV,
+    _LETTERS,
+    _SIMPLE,
+    _TAU,
     BraidWord,
-    Perm,
     SimpleElement,
-    _gen_perm,
-    _id_perm,
-    _inv_count,
-    _inversions,
-    _left_complement_perm,
-    _tau_pow_perm,
+    _identity_code,
+    _left_complement,
+    _mul,
     check_same_strands,
     simple_to_word,
     word_concat,
@@ -48,9 +48,9 @@ from .errors import (
     VerificationFailed,
 )
 from .normal_form import (
+    Codes,
     NormalForm,
     _positive_times_simple,
-    _simple,
     conjugate,
     invert,
     multiply,
@@ -95,6 +95,11 @@ def tuple_key(t: BraidTuple) -> str:
     return " ; ".join(nf_key(e) for e in t.entries)
 
 
+def _code_key(t: BraidTuple) -> tuple[tuple[int, Codes], ...]:
+    """The tuple's value as ints: equal exactly when the tuple_key strings are."""
+    return tuple((e.power, e.codes) for e in t.entries)
+
+
 def meets_floor(t: BraidTuple, floor: InfFloor) -> bool:
     """Whether every entry has infimum at least the floor value."""
     if len(floor) != t.r:
@@ -107,8 +112,8 @@ def conjugate_tuple(t: BraidTuple, s: SimpleElement) -> BraidTuple:
     return BraidTuple(t.n, tuple(conjugate(e, s) for e in t.entries))
 
 
-def _active_entries(t: BraidTuple, floor: InfFloor) -> list[tuple[int, tuple[Perm, ...]]]:
-    """Floor parity and positive-part factors of the entries sitting on the floor.
+def _active_entries(t: BraidTuple, floor: InfFloor) -> list[tuple[int, Codes]]:
+    """Floor parity and positive-part factor codes of the entries sitting on the floor.
 
     Conjugating by a simple element lowers an infimum by at most one, so
     entries strictly above the floor can never fall below it and are skipped.
@@ -117,53 +122,46 @@ def _active_entries(t: BraidTuple, floor: InfFloor) -> list[tuple[int, tuple[Per
     """
     if not meets_floor(t, floor):
         raise NotInFloor("tuple does not satisfy the required infimum floor")
-    return [
-        (j % 2, tuple(f.perm for f in e.factors))
-        for e, j in zip(t.entries, floor)
-        if e.inf == j
-    ]
+    return [(j % 2, e.codes) for e, j in zip(t.entries, floor) if e.inf == j]
 
 
-def _passes(n: int, parity: int, pfactors: tuple[Perm, ...], s: Perm) -> bool:
+def _passes(n: int, parity: int, pcodes: Codes, s: int) -> bool:
     """Whether tau^parity(s) left-divides (positive part) * s."""
-    ts = _tau_pow_perm(s, parity)
-    power, factors = _positive_times_simple(n, pfactors, s)
+    ts = _TAU[s] if parity else s
+    power, factors = _positive_times_simple(n, pcodes, s)
     if power >= 1:
         return True
     if not factors:
-        return ts == _id_perm(n)
-    return _inversions(ts) <= _inversions(factors[0])
+        return ts == _identity_code(n)
+    return not _INV[ts] & ~_INV[factors[0]]
 
 
-def _ascend(n: int, parity: int, pfactors: tuple[Perm, ...], s: Perm) -> Perm:
+def _ascend(n: int, parity: int, pcodes: Codes, s: int) -> int:
     """Grow s by the complement the rejecting entry forces: s * s' where
     (p s) s' is the lcm of tau^parity(s) and p s."""
-    ts = _tau_pow_perm(s, parity)
-    power, factors = _positive_times_simple(n, pfactors, s)
-    assert power == 0  # a rejecting entry cannot have the half twist as prefix
-    c = ts
-    for f in factors:
-        c = _left_complement_perm(c, f)
-    grown = tuple(c[x] for x in s)
-    if _inv_count(grown) != _inv_count(s) + _inv_count(c):
-        raise NotSimple("conjugator ascent left the simple elements")
-    return grown
+    power, factors = _positive_times_simple(n, pcodes, s)
+    if power != 0:
+        raise NotSimple("a rejecting entry cannot have the half twist as a prefix of p*s")
+    c = _TAU[s] if parity else s
+    for a in factors:
+        c = _left_complement(c, a)
+    return _mul(s, c)
 
 
 def conjugation_keeps_floor(s: SimpleElement, t: BraidTuple, floor: InfFloor) -> bool:
     """Whether conjugating every entry by s keeps all infima at the floor or above."""
     check_same_strands(t, s)
     return all(
-        _passes(t.n, parity, pfactors, s.perm)
-        for parity, pfactors in _active_entries(t, floor)
+        _passes(t.n, parity, pcodes, s.code)
+        for parity, pcodes in _active_entries(t, floor)
     )
 
 
-def _minimal_conjugator_perm(n: int, active, i: int) -> Perm:
-    s = _gen_perm(n, i)
+def _minimal_conjugator_code(n: int, active, i: int) -> int:
+    s = _LETTERS[n][i]
     for _ in range(n * (n - 1) // 2 + 1):
         rejection = next(
-            ((parity, pf) for parity, pf in active if not _passes(n, parity, pf, s)),
+            ((parity, pcodes) for parity, pcodes in active if not _passes(n, parity, pcodes, s)),
             None,
         )
         if rejection is None:
@@ -184,7 +182,7 @@ def minimal_conjugator(i: int, t: BraidTuple, floor: InfFloor) -> SimpleElement:
     if not 1 <= i <= t.n - 1:
         raise InvalidParams(f"generator index {i} out of range for {t.n} strands")
     active = _active_entries(t, floor)
-    return _simple(t.n, _minimal_conjugator_perm(t.n, active, i))
+    return _SIMPLE[_minimal_conjugator_code(t.n, active, i)]
 
 
 def minimal_conjugator_set(t: BraidTuple, floor: InfFloor) -> list[SimpleElement]:
@@ -194,15 +192,15 @@ def minimal_conjugator_set(t: BraidTuple, floor: InfFloor) -> list[SimpleElement
     strictly divisible by another, preserving ascending generator order.
     """
     active = _active_entries(t, floor)
-    found: list[Perm] = []
+    found: list[int] = []
     for i in range(1, t.n):
-        r_i = _minimal_conjugator_perm(t.n, active, i)
+        r_i = _minimal_conjugator_code(t.n, active, i)
         if r_i not in found:
             found.append(r_i)
     return [
-        _simple(t.n, s)
+        _SIMPLE[s]
         for s in found
-        if not any(o != s and _inversions(o) <= _inversions(s) for o in found)
+        if not any(o != s and not _INV[o] & ~_INV[s] for o in found)
     ]
 
 
@@ -279,9 +277,11 @@ def summit_search(
     """Breadth-first search from alpha for beta among floor-respecting conjugates.
 
     Expands each tuple by its minimal conjugator set in ascending generator
-    order, so sequential runs are deterministic.  Exhausting the frontier
-    without meeting beta proves the tuples are not conjugate within the
-    floor; exceeding node_cap aborts without a verdict.
+    order, so sequential runs are deterministic.  Visited tuples are
+    deduplicated on their factor codes; the tuple_key string that names a
+    node in the graph is built once, when the node is stored.  Exhausting
+    the frontier without meeting beta proves the tuples are not conjugate
+    within the floor; exceeding node_cap aborts without a verdict.
     """
     _check_pair(alpha, beta)
     if node_cap < 1:
@@ -292,34 +292,36 @@ def summit_search(
 
     counters = SearchCounters()
     root = tuple_key(alpha)
-    target = tuple_key(beta)
+    target = _code_key(beta)
     graph = SummitGraph(root=root, nodes={root: SummitNode(alpha, None, None)}, counters=counters)
 
     def result(outcome, conjugator=None, reason=None):
         return ConjugatorResult(outcome, conjugator, reason, graph)
 
-    if root == target:
+    seen = {_code_key(alpha)}
+    if target in seen:  # alpha is beta
         return result(Outcome.FOUND, BraidWord(alpha.n, ()))
 
-    queue = deque([root])
+    queue = deque([(root, alpha)])
     while queue:
-        key = queue.popleft()
-        current = graph.nodes[key].tuple
+        key, current = queue.popleft()
         moves = minimal_conjugator_set(current, floor)
         counters.nodes_expanded += 1
         counters.minimal_set_sizes.append(len(moves))
         for s in moves:
             counters.conjugations += 1
             neighbour = conjugate_tuple(current, s)
-            nkey = tuple_key(neighbour)
-            if nkey in graph.nodes:
+            codes = _code_key(neighbour)
+            if codes in seen:
                 continue
             if len(graph.nodes) >= node_cap:
                 return result(Outcome.ABORTED, reason=f"node cap {node_cap} exceeded")
+            seen.add(codes)
+            nkey = tuple_key(neighbour)
             graph.nodes[nkey] = SummitNode(neighbour, key, s)
-            if nkey == target:
+            if codes == target:
                 return result(Outcome.FOUND, _reconstruct(graph, nkey))
-            queue.append(nkey)
+            queue.append((nkey, neighbour))
     return result(Outcome.NOT_CONJUGATE)
 
 

@@ -91,3 +91,44 @@ def brute_join(a: Perm, b: Perm) -> Perm:
     best = min(multiples, key=inv_count)
     assert all(best in divisor_perms(m) for m in multiples), "join is not a lattice join"
     return best
+
+
+def floor_component(alpha, floor) -> set[str]:
+    """Keys of every tuple reachable from alpha through the floor set.
+
+    Breadth-first over conjugation by all n! simple elements, done at word
+    level and renormalized, keeping only tuples whose entries all have
+    infimum at least the floor.  Conjugate tuples of the floor set are joined
+    by such chains, so a tuple missing from the result is not conjugate to
+    alpha within the floor, and a complete search from alpha visits exactly
+    this set when it finds no match.
+    """
+    from braidmscp import (
+        BraidTuple,
+        enumerate_simples,
+        meets_floor,
+        nf_to_word,
+        normalize,
+        simple_to_word,
+        tuple_key,
+        word_concat,
+        word_inverse,
+    )
+
+    words = [simple_to_word(s) for s in enumerate_simples(alpha.n)]
+    seen = {tuple_key(alpha): alpha}
+    frontier = [alpha]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            entries = [nf_to_word(e) for e in t.entries]
+            for sw in words:
+                u = BraidTuple(
+                    t.n, tuple(normalize(word_concat(word_inverse(sw), w, sw)) for w in entries)
+                )
+                key = tuple_key(u)
+                if key not in seen and meets_floor(u, floor):
+                    seen[key] = u
+                    nxt.append(u)
+        frontier = nxt
+    return set(seen)

@@ -1,0 +1,121 @@
+"""The integer-coded kernel: code tables and the one-pair left-weighting move.
+
+Simple elements are coded by Lehmer rank plus a per-strand-count offset, and
+each code's complements, flip, start set and inversion set come from lazily
+filled tables.  These tests pin the tables to the permutation functions and
+the left-weighting move to the brute-force meet of tests/oracle.py.
+"""
+
+import itertools
+import math
+import sys
+
+import pytest
+
+import oracle
+from braidmscp import BraidWord, SimpleElement, conjugate, generator_simple, normalize
+from braidmscp.braid import (
+    _INV,
+    _LCOMP,
+    _OFFSET,
+    _PERM,
+    _RCOMP,
+    _START,
+    _TAU,
+    _braid_mul,
+    _lcomp_perm,
+    _perm_inverse,
+    _rcomp_perm,
+    _tau_perm,
+)
+from braidmscp.normal_form import _fix_pair
+
+
+def perms(n):
+    return list(itertools.permutations(range(n)))
+
+
+class TestCodes:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_round_trip_and_lexicographic_rank(self, n):
+        for rank, p in enumerate(perms(n)):
+            code = SimpleElement(n, p).code
+            assert code == _OFFSET[n] + rank
+            assert _PERM[code] == p
+            assert SimpleElement(n, _PERM[code]).code == code
+
+    def test_strand_counts_use_disjoint_ranges(self):
+        for n in range(2, 8):
+            assert _OFFSET[n + 1] - _OFFSET[n] == math.factorial(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_complement_and_flip_tables(self, n):
+        for p in perms(n):
+            code = SimpleElement(n, p).code
+            assert _PERM[_RCOMP[code]] == _rcomp_perm(p)
+            assert _PERM[_LCOMP[code]] == _lcomp_perm(p)
+            assert _PERM[_TAU[code]] == _tau_perm(p)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_start_and_inversion_sets(self, n):
+        gens = [generator_simple(n, i).perm for i in range(1, n)]
+        for p in perms(n):
+            code = SimpleElement(n, p).code
+            starts = {i for i, g in enumerate(gens) if oracle.brute_divides(g, p)}
+            assert {i for i in range(n - 1) if _START[code] >> i & 1} == starts
+            assert _INV[code].bit_count() == oracle.inv_count(p)
+        for a, b in itertools.product(perms(n), repeat=2):
+            ca, cb = SimpleElement(n, a).code, SimpleElement(n, b).code
+            assert (not _INV[ca] & ~_INV[cb]) == oracle.brute_divides(a, b)
+
+
+def weighted_by_oracle(a, b):
+    """The left-weighted pair (a h, h^-1 b) for h = meet(rcomp(a), b), by brute force."""
+    h = oracle.brute_meet(_rcomp_perm(a), b)
+    hinv = _perm_inverse(h)
+    return h, _braid_mul(a, h), tuple(b[hinv[i]] for i in range(len(b)))
+
+
+class TestLeftWeighting:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_fix_pair_against_brute_meet(self, n):
+        ident = tuple(range(n))
+        for a, b in itertools.product(perms(n), repeat=2):
+            ca, cb = SimpleElement(n, a).code, SimpleElement(n, b).code
+            h, wa, wb = weighted_by_oracle(a, b)
+            fa, fb = _fix_pair(ca, cb)
+            assert (_PERM[fa], _PERM[fb]) == (wa, wb)
+            # the start-set fast path reports "already weighted" exactly
+            # when the meet is trivial
+            assert (not _START[_RCOMP[ca]] & _START[cb]) == (h == ident)
+
+
+def package_caches():
+    """Module-level functools caches and tables, found the way a cold start finds them."""
+    found = {}
+    modules = [m for name, m in sys.modules.items() if name.startswith("braidmscp.")]
+    for module in modules:
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                found[id(obj)] = obj
+    return list(found.values())
+
+
+class TestColdStart:
+    def test_clearing_empties_every_table(self):
+        normalize(BraidWord(5, (1, -2, 3, 4, -1)))
+        caches = package_caches()
+        tables = [c for c in caches if isinstance(c, dict)]
+        assert len(tables) >= 8
+        for cache in caches:
+            cache.cache_clear()
+        assert all(not table for table in tables)
+
+    def test_live_values_survive_clearing(self):
+        f = normalize(BraidWord(5, (1, -2, 3, 4, -1, 2)))
+        s = generator_simple(5, 3)
+        expected = conjugate(f, s)
+        for cache in package_caches():
+            cache.cache_clear()
+        assert conjugate(f, s) == expected
+        assert normalize(BraidWord(5, (1, -2, 3, 4, -1, 2))) == f

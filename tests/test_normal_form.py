@@ -272,6 +272,7 @@ class TestGroupLaws:
     @given(words())
     def test_inverse_laws(self, w):
         f = normalize(w)
+        validate_normal_form(invert(f))
         assert multiply(f, invert(f)).is_identity()
         assert multiply(invert(f), f).is_identity()
         assert invert(invert(f)) == f

@@ -2,26 +2,31 @@ import random
 
 import pytest
 
+import oracle
 from braidmscp import (
     BraidWord,
     InvalidParams,
     LengthMismatch,
     NotInFloor,
+    NotSimple,
     Outcome,
     StrandMismatch,
     conjugate_tuple,
     conjugation_keeps_floor,
     delta,
     enumerate_simples,
+    exponent_sum,
     generator_simple,
     inf_vector,
     meets_floor,
     minimal_conjugator,
     minimal_conjugator_set,
+    nf_to_word,
     simple_divides,
     simple_from_positive_word,
     simple_to_word,
     solve_mscp,
+    strand_permutation,
     summit_search,
     tuple_from_words,
     tuple_key,
@@ -29,6 +34,7 @@ from braidmscp import (
     word_concat,
     word_inverse,
 )
+from braidmscp.solver import _ascend
 
 
 def words_tuple(n, *letter_lists):
@@ -189,6 +195,15 @@ class TestMinimalConjugators:
             }
             assert set(minimal_conjugator_set(t, floor)) == minimal
 
+    def test_ascent_rejects_half_twist_prefix(self):
+        # p * s = (s1 s2) s1 is the half twist, so p * s has D as a prefix and
+        # every tau(s) divides it: such an entry can never reject s
+        p = simple_from_positive_word(BraidWord(3, (1, 2)))
+        s = generator_simple(3, 1)
+        for parity in (0, 1):
+            with pytest.raises(NotSimple):
+                _ascend(3, parity, (p.code,), s.code)
+
     def test_no_proper_prefix_works(self):
         rng = random.Random(26)
         for _ in range(60):
@@ -229,6 +244,31 @@ class TestSummitSearch:
         res = summit_search(alpha, beta, (0,))
         assert res.outcome is Outcome.NOT_CONJUGATE
         assert set(res.graph.nodes) == {tuple_key(words_tuple(3, (1,))), tuple_key(words_tuple(3, (2,)))}
+
+    # n = 3 pairs with equal exponent sums and equal permutations that are
+    # not conjugate, found by brute force over words of length up to 4.
+    NON_CONJUGATE = [
+        [(1, 1, 2, 2)], [(1, 1, 1, 1)],
+        [(1, 1, 2, 2)], [(2, 2, 2, 2)],
+        [(2, -1, -1, -1)], [(2, -1, -2, -2)],
+        [(1, -2, -1, -1)], [(1, -2, -2, -2)],
+        [(-1, -1, -2)], [(-2, -2, -2)],
+        [(1, 1, 2, 2), (1, -2)], [(1, 1, 1, 1), (1, -2)],
+    ]
+
+    @pytest.mark.parametrize("k", range(len(NON_CONJUGATE) // 2))
+    def test_not_conjugate_after_exhaustive_search(self, k):
+        alpha_letters, beta_letters = self.NON_CONJUGATE[2 * k], self.NON_CONJUGATE[2 * k + 1]
+        alpha, beta = words_tuple(3, *alpha_letters), words_tuple(3, *beta_letters)
+        for a, b in zip(alpha.entries, beta.entries):
+            assert exponent_sum(nf_to_word(a)) == exponent_sum(nf_to_word(b))
+            assert strand_permutation(a) == strand_permutation(b)
+        floor = tuple(min(a.inf, b.inf) for a, b in zip(alpha.entries, beta.entries))
+        component = oracle.floor_component(alpha, floor)
+        assert tuple_key(beta) not in component
+        res = solve_mscp(alpha, beta)
+        assert res.outcome is Outcome.NOT_CONJUGATE
+        assert set(res.graph.nodes) == component
 
     def test_node_cap(self):
         alpha, beta = words_tuple(3, (1,)), words_tuple(3, (2,))
