@@ -213,15 +213,10 @@ _START = _LazyTable(_start_set)
 _INV = _LazyTable(_inversion_set)
 _LETTERS = _LazyTable(_letter_codes)
 _SIMPLE = _LazyTable(lambda c: SimpleElement(len(_PERM[c]), _PERM[c]))
-
-
-def _identity_code(n: int) -> int:
-    return _OFFSET[n]
-
-
-def _delta_code(n: int) -> int:
-    """The half twist reverses the order, so it has the last rank."""
-    return _OFFSET[n + 1] - 1
+# Codes of the identity and the half twist per strand count: the identity has
+# the first rank and the half twist, which reverses the order, the last.
+_IDENTITY = _LazyTable(lambda n: _OFFSET[n])
+_DELTA = _LazyTable(lambda n: _OFFSET[n + 1] - 1)
 
 
 def _peel(y: int, z: int) -> tuple[int, int]:
@@ -325,21 +320,21 @@ class SimpleElement:
         return _INV[self.code].bit_count()
 
     def is_identity(self) -> bool:
-        return self.code == _identity_code(self.n)
+        return self.code == _IDENTITY[self.n]
 
     def is_delta(self) -> bool:
-        return self.code == _delta_code(self.n)
+        return self.code == _DELTA[self.n]
 
 
 def identity_simple(n: int) -> SimpleElement:
     check_strand_count(n)
-    return _SIMPLE[_identity_code(n)]
+    return _SIMPLE[_IDENTITY[n]]
 
 
 def delta(n: int) -> SimpleElement:
     """The half twist, maximum of the lattice of simple elements."""
     check_strand_count(n)
-    return _SIMPLE[_delta_code(n)]
+    return _SIMPLE[_DELTA[n]]
 
 
 def generator_simple(n: int, i: int) -> SimpleElement:

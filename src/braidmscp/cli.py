@@ -9,6 +9,7 @@ any kind (flags, files, words).  Output is machine-parseable plain text;
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -33,7 +34,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves no state in it."""
     parser = _Parser(prog="braidmscp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -16,10 +16,12 @@ seed as seed + trial index.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 import statistics
 import time
 from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 from .braid import BraidWord, word_concat, word_inverse
 from .errors import InvalidParams
@@ -98,10 +100,12 @@ def run_attack(
     planted: BraidWord | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> AttackReport:
-    """Solve one instance, verify the result, and compare with a planted key.
+    """Solve one instance and compare the result with a planted key.
 
-    The planted comparison tests the conjugation action, not word equality:
-    the recovered x' matches up to centralizer freedom when x' * planted^-1
+    A found conjugator is verified once, by solve_mscp, which raises
+    VerificationFailed rather than return one that fails.  The planted
+    comparison tests the conjugation action, not word equality: the
+    recovered x' matches up to centralizer freedom when x' * planted^-1
     commutes with every alpha entry.
     """
     alpha = tuple_from_words(inst.n, inst.alpha)
@@ -109,11 +113,9 @@ def run_attack(
     start = time.perf_counter()
     result = solve_mscp(alpha, beta, node_cap)
     wall = time.perf_counter() - start
-    recovered = result.outcome is Outcome.FOUND and verify_conjugator(
-        alpha, beta, result.conjugator
-    )
+    recovered = result.outcome is Outcome.FOUND
     matches = None
-    if planted is not None and result.outcome is Outcome.FOUND:
+    if planted is not None and recovered:
         quotient = word_concat(result.conjugator, word_inverse(planted))
         matches = verify_conjugator(alpha, alpha, quotient)
     return AttackReport(
@@ -142,22 +144,40 @@ class PointStats:
     median_wall_time: float
 
 
-def run_point(params: GenParams, trials: int, node_cap: int = DEFAULT_NODE_CAP) -> PointStats:
-    """Run seeded trials at one parameter point; trial k uses seed + k."""
-    reports = []
-    for k in range(trials):
-        trial_params = dataclasses.replace(params, seed=params.seed + k)
-        inst, planted = gen_instance(trial_params)
-        reports.append(run_attack(inst, planted, node_cap))
+class _Trial(NamedTuple):
+    """One trial's outcome, small enough to send back from a worker process."""
+
+    found: bool
+    recovered: bool
+    matched: bool
+    nodes: int
+    conjugations: int
+    wall_time: float
+
+
+def _run_trial(params: GenParams, node_cap: int) -> _Trial:
+    inst, planted = gen_instance(params)
+    rep = run_attack(inst, planted, node_cap)
+    return _Trial(
+        rep.result.outcome is Outcome.FOUND,
+        rep.recovered_ok,
+        bool(rep.matches_planted),
+        rep.nodes,
+        rep.conjugations,
+        rep.wall_time,
+    )
+
+
+def _point_stats(params: GenParams, done: Sequence[_Trial]) -> PointStats:
     return PointStats(
         params=params,
-        trials=trials,
-        found=sum(1 for rep in reports if rep.result.outcome is Outcome.FOUND),
-        recovered=sum(1 for rep in reports if rep.recovered_ok),
-        matched=sum(1 for rep in reports if rep.matches_planted),
-        median_nodes=statistics.median(r.nodes for r in reports) if reports else 0.0,
-        median_conjugations=statistics.median(r.conjugations for r in reports) if reports else 0.0,
-        median_wall_time=statistics.median(r.wall_time for r in reports) if reports else 0.0,
+        trials=len(done),
+        found=sum(t.found for t in done),
+        recovered=sum(t.recovered for t in done),
+        matched=sum(t.matched for t in done),
+        median_nodes=statistics.median(t.nodes for t in done),
+        median_conjugations=statistics.median(t.conjugations for t in done),
+        median_wall_time=statistics.median(t.wall_time for t in done),
     )
 
 
@@ -167,22 +187,29 @@ def batch_stats(
     node_cap: int = DEFAULT_NODE_CAP,
     jobs: int = 1,
 ) -> list[PointStats]:
-    """Aggregate seeded attacks over a parameter sweep, order-stable by point."""
+    """Aggregate seeded attacks over a parameter sweep, order-stable by point.
+
+    Trial k of a point uses seed + k.  With jobs > 1 the trials of all
+    points are spread over a pool of worker processes, so a single point
+    runs in parallel too; results come back in submission order and are
+    aggregated per point.
+    """
     points = list(points)
     if trials < 0:
         raise InvalidParams("trials must be non-negative")
     if trials == 0:
         return []
-    if jobs > 1 and len(points) > 1:
+    tasks = [dataclasses.replace(p, seed=p.seed + k) for p in points for k in range(trials)]
+    if jobs > 1 and len(tasks) > 1:
+        import multiprocessing  # only a parallel run pays for these imports
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_point_task, [(p, trials, node_cap) for p in points]))
-    return [run_point(p, trials, node_cap) for p in points]
-
-
-def _run_point_task(task: tuple[GenParams, int, int]) -> PointStats:
-    return run_point(*task)
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), mp_context=context) as pool:
+            done = list(pool.map(_run_trial, tasks, itertools.repeat(node_cap)))
+    else:
+        done = [_run_trial(t, node_cap) for t in tasks]
+    return [_point_stats(p, done[i * trials:(i + 1) * trials]) for i, p in enumerate(points)]
 
 
 REPORT_COLUMNS = (

@@ -29,6 +29,7 @@ from .errors import (
     InstanceSyntaxError,
     InvalidParams,
 )
+from .normal_form import _WORD_TEXT
 from .solver import SummitGraph
 
 
@@ -188,33 +189,25 @@ def export_graph(graph: SummitGraph, format: str = "edgelist") -> str:
 
     Edge list: one "src dst word" triple per line, in discovery order.
     DOT: a digraph whose nodes are key hashes and whose edges carry the
-    conjugator word as label.
+    conjugator word as label.  Each node's key is hashed once, and edge
+    words come from the per-code word-text table.
     """
-    if format == "edgelist":
-        lines = []
-        for key, node in graph.nodes.items():
-            if node.parent is not None:
-                word = word_to_text(_edge_word(node))
-                lines.append(f"{key_hash(node.parent)} {key_hash(key)} {word}")
-        return "\n".join(lines) + ("\n" if lines else "")
-    if format == "dot":
-        lines = ["digraph summit {"]
-        for key in graph.nodes:
-            mark = ' [shape=doublecircle]' if key == graph.root else ""
-            lines.append(f'  "{key_hash(key)}"{mark};')
-        for key, node in graph.nodes.items():
-            if node.parent is not None:
-                word = word_to_text(_edge_word(node))
-                lines.append(f'  "{key_hash(node.parent)}" -> "{key_hash(key)}" [label="{word}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    raise InvalidParams(f"unknown graph format {format!r}")
-
-
-def _edge_word(node) -> BraidWord:
-    from .braid import simple_to_word
-
-    return simple_to_word(node.edge)
+    if format not in ("edgelist", "dot"):
+        raise InvalidParams(f"unknown graph format {format!r}")
+    dot = format == "dot"
+    hashes: dict[str, str] = {}
+    node_lines, edge_lines = [], []
+    for key, node in graph.nodes.items():  # a parent is stored before its children
+        h = hashes[key] = key_hash(key)
+        if dot:
+            mark = " [shape=doublecircle]" if key == graph.root else ""
+            node_lines.append(f'  "{h}"{mark};')
+        if node.parent is not None:
+            src, word = hashes[node.parent], _WORD_TEXT[node.edge.code]
+            edge_lines.append(f'  "{src}" -> "{h}" [label="{word}"];' if dot else f"{src} {h} {word}")
+    if dot:
+        return "\n".join(["digraph summit {", *node_lines, *edge_lines, "}"]) + "\n"
+    return "\n".join(edge_lines) + ("\n" if edge_lines else "")
 
 
 def counters_report(graph: SummitGraph) -> str:

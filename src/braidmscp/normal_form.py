@@ -30,6 +30,8 @@ import dataclasses
 import functools
 
 from .braid import (
+    _DELTA,
+    _IDENTITY,
     _LCOMP,
     _LETTERS,
     _PERM,
@@ -40,8 +42,6 @@ from .braid import (
     BraidWord,
     SimpleElement,
     _braid_mul,
-    _delta_code,
-    _identity_code,
     _LazyTable,
     _left_complement,
     _peel,
@@ -73,7 +73,7 @@ class NormalForm:
             if f.n != self.n:
                 raise StrandMismatch(f"factor on {f.n} strands in a normal form on {self.n}")
         codes = tuple(f.code for f in self.factors)
-        if _identity_code(self.n) in codes or _delta_code(self.n) in codes:
+        if _IDENTITY[self.n] in codes or _DELTA[self.n] in codes:
             raise InvalidParams("normal form factors must be proper divisors of the half twist")
         object.__setattr__(self, "codes", codes)
 
@@ -126,8 +126,8 @@ def _comb_back(factors: list[int], i: int) -> None:
 
 def _strip(n: int, factors: list[int]) -> tuple[int, Codes]:
     """Absorb leading half twists into the power and drop trailing trivials."""
-    ident = _identity_code(n)
-    top = _delta_code(n)
+    ident = _IDENTITY[n]
+    top = _DELTA[n]
     lo, hi = 0, len(factors)
     while lo < hi and factors[lo] == top:
         lo += 1
@@ -165,7 +165,7 @@ def _weight_seq(n: int, seq) -> tuple[int, Codes]:
     combed back from there.  Half twists collect at the front, where combing
     stops, and at most the new last factor can become trivial.
     """
-    ident = _identity_code(n)
+    ident = _IDENTITY[n]
     factors: list[int] = []
     for p in seq:
         if p == ident:
@@ -268,9 +268,9 @@ def _conj_raw(n: int, power: int, codes: Codes, s: int) -> tuple[int, Codes]:
     s^-1 D^k A.. s = D^(k-1) tau^k(lcomp(s)) A_1 .. A_l s, so the result is
     two junction products around the existing weighted sequence.
     """
-    if s == _identity_code(n):
+    if s == _IDENTITY[n]:
         return power, codes
-    if s == _delta_code(n):
+    if s == _DELTA[n]:
         return power, tuple(_TAU[a] for a in codes)
     head = _TAU[_LCOMP[s]] if power % 2 else _LCOMP[s]
     d1, seq = _prod_normal(n, (head,), codes)
@@ -288,7 +288,7 @@ def conjugate(f: NormalForm, s: SimpleElement) -> NormalForm:
 @functools.lru_cache(maxsize=1 << 18)
 def _positive_times_simple(n: int, codes: Codes, s: int) -> tuple[int, Codes]:
     """Weighted factors of (A_1..A_l) * s; memoised for the conjugator ascent."""
-    if s == _identity_code(n):
+    if s == _IDENTITY[n]:
         return 0, codes
     return _prod_normal(n, codes, (s,))
 
@@ -320,7 +320,7 @@ def lcm_complement(s: SimpleElement, p: NormalForm) -> SimpleElement:
     if p.power < 0:
         raise NotPositive(f"braid has infimum {p.power} < 0")
     if p.power >= 1:
-        return _SIMPLE[_identity_code(s.n)]
+        return _SIMPLE[_IDENTITY[s.n]]
     c = s.code
     for a in p.codes:
         c = _left_complement(c, a)
@@ -329,18 +329,23 @@ def lcm_complement(s: SimpleElement, p: NormalForm) -> SimpleElement:
 
 def strand_permutation(f: NormalForm) -> tuple[int, ...]:
     """Underlying permutation of the braid (image in the symmetric group)."""
-    p = _PERM[_delta_code(f.n) if f.power % 2 else _identity_code(f.n)]
+    p = _PERM[_DELTA[f.n] if f.power % 2 else _IDENTITY[f.n]]
     for a in f.codes:
         p = _braid_mul(p, _PERM[a])
     return p
 
 
+# The word text of each simple element's canonical word, by code.
 _WORD_TEXT = _LazyTable(lambda c: word_to_text(simple_to_word(_SIMPLE[c])))
+
+
+def _raw_key(power: int, codes: Codes) -> str:
+    return " | ".join([f"D^{power}", *(_WORD_TEXT[a] for a in codes)])
 
 
 def nf_key(f: NormalForm) -> str:
     """Canonical serialization "D^k | w1 | w2 | ..." used as a hash key."""
-    return " | ".join([f"D^{f.power}", *(_WORD_TEXT[a] for a in f.codes)])
+    return _raw_key(f.power, f.codes)
 
 
 def validate_normal_form(f: NormalForm) -> None:

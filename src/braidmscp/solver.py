@@ -26,13 +26,13 @@ import enum
 from collections import deque
 
 from .braid import (
+    _IDENTITY,
     _INV,
     _LETTERS,
     _SIMPLE,
     _TAU,
     BraidWord,
     SimpleElement,
-    _identity_code,
     _left_complement,
     _mul,
     check_same_strands,
@@ -50,15 +50,19 @@ from .errors import (
 from .normal_form import (
     Codes,
     NormalForm,
+    _conj_raw,
+    _nf_from_raw,
     _positive_times_simple,
+    _raw_key,
     conjugate,
     invert,
     multiply,
-    nf_key,
     normalize,
 )
 
 InfFloor = tuple[int, ...]
+# A tuple's value as ints: per entry, its half-twist power and factor codes.
+Entries = tuple[tuple[int, Codes], ...]
 
 DEFAULT_NODE_CAP = 10**6
 
@@ -92,11 +96,16 @@ def inf_vector(t: BraidTuple) -> InfFloor:
 
 def tuple_key(t: BraidTuple) -> str:
     """Canonical serialization; sound dedup key by uniqueness of normal forms."""
-    return " ; ".join(nf_key(e) for e in t.entries)
+    return _entries_key(_code_key(t))
 
 
-def _code_key(t: BraidTuple) -> tuple[tuple[int, Codes], ...]:
-    """The tuple's value as ints: equal exactly when the tuple_key strings are."""
+def _entries_key(entries: Entries) -> str:
+    """The tuple_key string of a tuple given as raw entries."""
+    return " ; ".join(_raw_key(power, codes) for power, codes in entries)
+
+
+def _code_key(t: BraidTuple) -> Entries:
+    """The tuple's raw entries: equal exactly when the tuple_key strings are."""
     return tuple((e.power, e.codes) for e in t.entries)
 
 
@@ -112,17 +121,22 @@ def conjugate_tuple(t: BraidTuple, s: SimpleElement) -> BraidTuple:
     return BraidTuple(t.n, tuple(conjugate(e, s) for e in t.entries))
 
 
-def _active_entries(t: BraidTuple, floor: InfFloor) -> list[tuple[int, Codes]]:
+def _active(entries: Entries, floor: InfFloor) -> list[tuple[int, Codes]]:
     """Floor parity and positive-part factor codes of the entries sitting on the floor.
 
     Conjugating by a simple element lowers an infimum by at most one, so
     entries strictly above the floor can never fall below it and are skipped.
     For an entry D^j p with j on the floor, the conjugate keeps the floor
     exactly when tau^j(s) divides p*s, so only the positive part p matters.
+    The entries must already meet the floor.
     """
+    return [(j % 2, codes) for (power, codes), j in zip(entries, floor) if power == j]
+
+
+def _active_entries(t: BraidTuple, floor: InfFloor) -> list[tuple[int, Codes]]:
     if not meets_floor(t, floor):
         raise NotInFloor("tuple does not satisfy the required infimum floor")
-    return [(j % 2, e.codes) for e, j in zip(t.entries, floor) if e.inf == j]
+    return _active(_code_key(t), floor)
 
 
 def _passes(n: int, parity: int, pcodes: Codes, s: int) -> bool:
@@ -132,7 +146,7 @@ def _passes(n: int, parity: int, pcodes: Codes, s: int) -> bool:
     if power >= 1:
         return True
     if not factors:
-        return ts == _identity_code(n)
+        return ts == _IDENTITY[n]
     return not _INV[ts] & ~_INV[factors[0]]
 
 
@@ -185,23 +199,22 @@ def minimal_conjugator(i: int, t: BraidTuple, floor: InfFloor) -> SimpleElement:
     return _SIMPLE[_minimal_conjugator_code(t.n, active, i)]
 
 
+def _minimal_codes(n: int, active) -> list[int]:
+    found: list[int] = []
+    for i in range(1, n):
+        r_i = _minimal_conjugator_code(n, active, i)
+        if r_i not in found:
+            found.append(r_i)
+    return [s for s in found if not any(o != s and not _INV[o] & ~_INV[s] for o in found)]
+
+
 def minimal_conjugator_set(t: BraidTuple, floor: InfFloor) -> list[SimpleElement]:
     """The distinct minimal floor-keeping conjugators, at most n-1 of them.
 
     Deduplicates the per-generator minima and defensively drops any element
     strictly divisible by another, preserving ascending generator order.
     """
-    active = _active_entries(t, floor)
-    found: list[int] = []
-    for i in range(1, t.n):
-        r_i = _minimal_conjugator_code(t.n, active, i)
-        if r_i not in found:
-            found.append(r_i)
-    return [
-        _SIMPLE[s]
-        for s in found
-        if not any(o != s and not _INV[o] & ~_INV[s] for o in found)
-    ]
+    return [_SIMPLE[s] for s in _minimal_codes(t.n, _active_entries(t, floor))]
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +229,22 @@ class SearchCounters:
     minimal_set_sizes: list[int] = dataclasses.field(default_factory=list)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class SummitNode:
-    tuple: BraidTuple
+    """A visited tuple as raw entries, with its parent's key and the edge from it.
+
+    The root has neither parent nor edge.  The BraidTuple is built on
+    demand from interned normal forms.
+    """
+
+    n: int
+    entries: Entries
     parent: str | None
     edge: SimpleElement | None
+
+    @property
+    def tuple(self) -> BraidTuple:
+        return BraidTuple(self.n, tuple(_nf_from_raw(self.n, p, c) for p, c in self.entries))
 
 
 @dataclasses.dataclass
@@ -258,7 +282,7 @@ def _reconstruct(graph: SummitGraph, key: str) -> BraidWord:
         edges.append(node.edge)
         node = graph.nodes[node.parent]
     edges.reverse()
-    n = graph.nodes[graph.root].tuple.n
+    n = graph.nodes[graph.root].n
     return word_concat(BraidWord(n, ()), *(simple_to_word(s) for s in edges))
 
 
@@ -277,11 +301,14 @@ def summit_search(
     """Breadth-first search from alpha for beta among floor-respecting conjugates.
 
     Expands each tuple by its minimal conjugator set in ascending generator
-    order, so sequential runs are deterministic.  Visited tuples are
-    deduplicated on their factor codes; the tuple_key string that names a
-    node in the graph is built once, when the node is stored.  Exhausting
-    the frontier without meeting beta proves the tuples are not conjugate
-    within the floor; exceeding node_cap aborts without a verdict.
+    order, so sequential runs are deterministic.  The search runs on raw
+    entries, (power, factor codes) per entry: the floor is validated once,
+    here, since every minimal conjugator keeps it; a child is conjugated
+    entry by entry on codes and deduplicated on those before anything else
+    is built; and only a new node gets its tuple_key string, which names it
+    in the graph.  No NormalForm or BraidTuple is built during the search.
+    Exhausting the frontier without meeting beta proves the tuples are not
+    conjugate within the floor; exceeding node_cap aborts without a verdict.
     """
     _check_pair(alpha, beta)
     if node_cap < 1:
@@ -290,38 +317,40 @@ def summit_search(
         if not meets_floor(t, floor):
             raise NotInFloor("both tuples must satisfy the infimum floor")
 
+    n = alpha.n
     counters = SearchCounters()
-    root = tuple_key(alpha)
+    start = _code_key(alpha)
     target = _code_key(beta)
-    graph = SummitGraph(root=root, nodes={root: SummitNode(alpha, None, None)}, counters=counters)
+    root = _entries_key(start)
+    nodes = {root: SummitNode(n, start, None, None)}
+    graph = SummitGraph(root=root, nodes=nodes, counters=counters)
 
     def result(outcome, conjugator=None, reason=None):
         return ConjugatorResult(outcome, conjugator, reason, graph)
 
-    seen = {_code_key(alpha)}
-    if target in seen:  # alpha is beta
-        return result(Outcome.FOUND, BraidWord(alpha.n, ()))
+    if start == target:  # alpha is beta
+        return result(Outcome.FOUND, BraidWord(n, ()))
 
-    queue = deque([(root, alpha)])
+    seen = {start}
+    queue = deque([(root, start)])
     while queue:
-        key, current = queue.popleft()
-        moves = minimal_conjugator_set(current, floor)
+        key, entries = queue.popleft()
+        moves = _minimal_codes(n, _active(entries, floor))
         counters.nodes_expanded += 1
         counters.minimal_set_sizes.append(len(moves))
         for s in moves:
             counters.conjugations += 1
-            neighbour = conjugate_tuple(current, s)
-            codes = _code_key(neighbour)
-            if codes in seen:
+            child = tuple(_conj_raw(n, power, codes, s) for power, codes in entries)
+            if child in seen:
                 continue
-            if len(graph.nodes) >= node_cap:
+            if len(nodes) >= node_cap:
                 return result(Outcome.ABORTED, reason=f"node cap {node_cap} exceeded")
-            seen.add(codes)
-            nkey = tuple_key(neighbour)
-            graph.nodes[nkey] = SummitNode(neighbour, key, s)
-            if codes == target:
-                return result(Outcome.FOUND, _reconstruct(graph, nkey))
-            queue.append((nkey, neighbour))
+            seen.add(child)
+            child_key = _entries_key(child)
+            nodes[child_key] = SummitNode(n, child, key, _SIMPLE[s])
+            if child == target:
+                return result(Outcome.FOUND, _reconstruct(graph, child_key))
+            queue.append((child_key, child))
     return result(Outcome.NOT_CONJUGATE)
 
 

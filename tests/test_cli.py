@@ -194,3 +194,27 @@ class TestContract:
             first = run_cli(capsys, *argv)
             second = run_cli(capsys, *argv)
             assert first == second
+
+    def test_parser_reuse_matches_fresh_parser(self, tmp_path, capsys):
+        # main reuses one parser per process; a run after other subcommands,
+        # and after a rejected flag, must behave as on a freshly built parser
+        from braidmscp import cli
+
+        path = tmp_path / "w.inst"
+        path.write_text(WORKED)
+        sequence = [
+            ["solve", str(path), "--stats"],
+            ["nf", "-n", "3", "--bogus", "1"],
+            ["verify", str(path), "2 1"],
+            ["nf", "-n", "4", "1 -2 3"],
+            ["solve", str(path), "--cap", "1"],
+            ["attack", "-n", "3", "--trials", "1", "--seed", "2"],
+            ["verify", str(path), "1"],
+        ]
+        reused = [run_cli(capsys, *argv) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            cli._build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 3, 0, 0, 2, 0, 1]

@@ -159,3 +159,9 @@ class TestBatchStats:
         seq = format_report(batch_stats(points, trials=2, jobs=1))
         par = format_report(batch_stats(points, trials=2, jobs=2))
         assert seq == par
+
+    def test_single_point_parallel_jobs_match_sequential(self):
+        point = [desk_params(n=4, r=2, seed=60)]
+        seq = format_report(batch_stats(point, trials=4, jobs=1))
+        par = format_report(batch_stats(point, trials=4, jobs=2))
+        assert seq == par

@@ -6,16 +6,21 @@ import pytest
 from braidmscp import (
     BraidWord,
     CountMismatch,
+    GenParams,
     IndexOutOfRange,
     InstanceFile,
     InstanceSyntaxError,
+    Outcome,
     counters_report,
     export_graph,
+    gen_instance,
     instance_from_json,
     instance_to_json,
     parse_instance,
+    simple_to_word,
     solve_mscp,
     tuple_from_words,
+    word_to_text,
     write_instance,
 )
 from braidmscp.instance_io import key_hash
@@ -115,7 +120,38 @@ def solved_worked_example():
     return solve_mscp(alpha, beta)
 
 
+def reference_export(graph, format):
+    """export_graph written out plainly: every key hashed and every edge word derived anew."""
+    edges = [
+        (key_hash(node.parent), key_hash(key), word_to_text(simple_to_word(node.edge)))
+        for key, node in graph.nodes.items()
+        if node.parent is not None
+    ]
+    if format == "edgelist":
+        return "".join(f"{src} {dst} {word}\n" for src, dst, word in edges)
+    lines = ["digraph summit {"]
+    for key in graph.nodes:
+        mark = " [shape=doublecircle]" if key == graph.root else ""
+        lines.append(f'  "{key_hash(key)}"{mark};')
+    lines.extend(f'  "{src}" -> "{dst}" [label="{word}"];' for src, dst, word in edges)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 class TestGraphExport:
+    def test_matches_reference(self):
+        outcomes = set()
+        for seed in range(30):
+            params = GenParams(n=3 + seed % 4, r=1 + seed % 3, entry_length=5, conjugator_length=4, seed=seed)
+            inst, _ = gen_instance(params)
+            alpha = tuple_from_words(inst.n, inst.alpha)
+            beta = tuple_from_words(inst.n, inst.beta)
+            res = solve_mscp(alpha, beta, node_cap=300)
+            outcomes.add(res.outcome)
+            for format in ("edgelist", "dot"):
+                assert export_graph(res.graph, format) == reference_export(res.graph, format)
+        assert outcomes == {Outcome.FOUND, Outcome.ABORTED}
+
     def test_single_node(self):
         alpha = tuple_from_words(3, [BraidWord(3, (1,))])
         res = solve_mscp(alpha, alpha)

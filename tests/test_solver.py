@@ -298,6 +298,40 @@ class TestSummitSearch:
                 assert conjugate_tuple(parent.tuple, node.edge) == node.tuple
 
 
+class TestCompactNodeStore:
+    """Graph nodes hold raw entries and build their tuples on demand."""
+
+    @staticmethod
+    def instances():
+        # per n, a planted instance, one made non-conjugate by an extra letter
+        # (exponent sums differ) and one searched under a tiny node cap
+        rng = random.Random(31)
+        for n in range(2, 7):
+            for kind in ("planted", "tampered", "capped") * 2:
+                r = rng.randint(1, 3)
+                words = [rand_word(rng, n, 5, min_len=1) for _ in range(r)]
+                x = rand_word(rng, n, 4, min_len=1)
+                beta_words = [word_concat(word_inverse(x), w, x) for w in words]
+                if kind == "tampered":
+                    beta_words[-1] = word_concat(beta_words[-1], BraidWord(n, (1,)))
+                cap = 3 if kind == "capped" else 2000
+                yield tuple_from_words(n, words), tuple_from_words(n, beta_words), cap
+
+    def test_nodes_rebuild_their_tuples(self):
+        outcomes = set()
+        for alpha, beta, cap in self.instances():
+            res = solve_mscp(alpha, beta, node_cap=cap)
+            outcomes.add(res.outcome)
+            graph = res.graph
+            assert graph.nodes[graph.root].tuple == alpha
+            for key, node in graph.nodes.items():
+                assert tuple_key(node.tuple) == key
+                if node.parent is not None:
+                    parent = graph.nodes[node.parent]
+                    assert conjugate_tuple(parent.tuple, node.edge) == node.tuple
+        assert outcomes == set(Outcome)
+
+
 class TestSolve:
     def test_basic(self):
         alpha, beta = words_tuple(3, (1,)), words_tuple(3, (2,))
@@ -340,6 +374,32 @@ class TestSolve:
             assert all(size <= n - 1 for size in sizes)
             if res.counters.nodes_expanded:
                 assert res.counters.conjugations / res.counters.nodes_expanded <= n - 1
+
+    def test_wrong_conjugator_from_search_is_refused(self, monkeypatch, tmp_path, capsys):
+        import braidmscp.solver as solver_module
+        from braidmscp import VerificationFailed
+        from braidmscp.cli import main
+
+        search = solver_module.summit_search
+
+        def wrong_search(alpha, beta, floor, node_cap):
+            res = search(alpha, beta, floor, node_cap)
+            assert res.outcome is Outcome.FOUND
+            res.conjugator = BraidWord(alpha.n, (1,))
+            return res
+
+        monkeypatch.setattr(solver_module, "summit_search", wrong_search)
+        alpha, beta = words_tuple(3, (1,)), words_tuple(3, (2,))
+        assert not verify_conjugator(alpha, beta, BraidWord(3, (1,)))
+        with pytest.raises(VerificationFailed):
+            solve_mscp(alpha, beta)
+        path = tmp_path / "w.inst"
+        path.write_text("n 3\nr 1\nalpha 1\nbeta 2\n")
+        capsys.readouterr()
+        assert main(["solve", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "verification" in captured.err
 
     def test_search_nodes_stay_in_floor_and_conjugate(self):
         rng = random.Random(29)
