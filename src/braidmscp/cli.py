@@ -2,8 +2,7 @@
 
 Exit codes are part of the contract: 0 success or solved, 1 not conjugate
 (or failed verification), 2 search aborted on the node cap, 3 bad input of
-any kind (flags, files, words).  Output is machine-parseable plain text;
---pretty adds human formatting and is never used by tests.
+any kind (flags, files, words).  Output is machine-parseable plain text.
 """
 
 from __future__ import annotations
@@ -43,14 +42,12 @@ def _build_parser() -> _Parser:
     p_nf = sub.add_parser("nf", help="print the left normal form of a word")
     p_nf.add_argument("-n", type=int, required=True, help="strand count")
     p_nf.add_argument("word", help="word text, e.g. '1 -2' or 'e'")
-    p_nf.add_argument("--pretty", action="store_true")
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("instance", type=Path)
     p_solve.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP, help="node cap")
     p_solve.add_argument("--graph", type=Path, help="write the explored graph here")
     p_solve.add_argument("--stats", action="store_true", help="print search counters")
-    p_solve.add_argument("--pretty", action="store_true")
 
     p_gen = sub.add_parser("gen", help="generate a seeded instance with a planted key")
     p_gen.add_argument("out", type=Path, help="output instance path (key goes to <out>.key)")
@@ -76,15 +73,12 @@ def _build_parser() -> _Parser:
     p_attack.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP)
     p_attack.add_argument("--jobs", type=int, default=1, help="parallel trials")
     p_attack.add_argument("--times", action="store_true", help="include wall-time column")
-    p_attack.add_argument("--pretty", action="store_true")
 
     return parser
 
 
 def _cmd_nf(args) -> int:
     f = normalize(word_from_text(args.word, args.n))
-    if args.pretty:
-        print(f"left normal form on {args.n} strands:")
     print(f"inf={f.inf} sup={f.sup} len={f.canonical_length()}")
     print(nf_key(f))
     return EXIT_OK
@@ -105,10 +99,7 @@ def _cmd_solve(args) -> int:
     if args.stats:
         print(instance_io.counters_report(result.graph), end="")
     if result.outcome is Outcome.FOUND:
-        if args.pretty:
-            print("conjugator:", word_to_text(result.conjugator))
-        else:
-            print(word_to_text(result.conjugator))
+        print(word_to_text(result.conjugator))
         return EXIT_OK
     if result.outcome is Outcome.NOT_CONJUGATE:
         print("NOT CONJUGATE")

@@ -20,7 +20,6 @@ import dataclasses
 import hashlib
 import json
 import re
-import statistics
 
 from .braid import BraidWord, word_to_text
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
     InvalidParams,
 )
 from .normal_form import _WORD_TEXT
-from .solver import SummitGraph
+from .solver import Entries, SummitGraph, _entries_key
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,16 +188,17 @@ def export_graph(graph: SummitGraph, format: str = "edgelist") -> str:
 
     Edge list: one "src dst word" triple per line, in discovery order.
     DOT: a digraph whose nodes are key hashes and whose edges carry the
-    conjugator word as label.  Each node's key is hashed once, and edge
-    words come from the per-code word-text table.
+    conjugator word as label.  A node is named by the hash of its tuple_key
+    string, built and hashed once per node here, and edge words come from
+    the per-code word-text table.
     """
     if format not in ("edgelist", "dot"):
         raise InvalidParams(f"unknown graph format {format!r}")
     dot = format == "dot"
-    hashes: dict[str, str] = {}
+    hashes: dict[Entries, str] = {}
     node_lines, edge_lines = [], []
     for key, node in graph.nodes.items():  # a parent is stored before its children
-        h = hashes[key] = key_hash(key)
+        h = hashes[key] = key_hash(_entries_key(key))
         if dot:
             mark = " [shape=doublecircle]" if key == graph.root else ""
             node_lines.append(f'  "{h}"{mark};')
@@ -213,12 +213,12 @@ def export_graph(graph: SummitGraph, format: str = "edgelist") -> str:
 def counters_report(graph: SummitGraph) -> str:
     """Flat key=value report of the search counters."""
     c = graph.counters
-    sizes = c.minimal_set_sizes
+    mean = c.set_size_sum / c.nodes_expanded if c.nodes_expanded else 0
     lines = [
         f"nodes={len(graph.nodes)}",
         f"nodes_expanded={c.nodes_expanded}",
         f"conjugations={c.conjugations}",
-        f"set_size_max={max(sizes) if sizes else 0}",
-        f"set_size_mean={statistics.mean(sizes):.3f}" if sizes else "set_size_mean=0.000",
+        f"set_size_max={c.set_size_max}",
+        f"set_size_mean={mean:.3f}",
     ]
     return "\n".join(lines) + "\n"

@@ -32,6 +32,7 @@ import functools
 from .braid import (
     _DELTA,
     _IDENTITY,
+    _INV,
     _LCOMP,
     _LETTERS,
     _PERM,
@@ -48,7 +49,6 @@ from .braid import (
     check_same_strands,
     check_strand_count,
     delta,
-    simple_divides,
     simple_to_word,
     word_inverse,
     word_to_text,
@@ -293,38 +293,50 @@ def _positive_times_simple(n: int, codes: Codes, s: int) -> tuple[int, Codes]:
     return _prod_normal(n, codes, (s,))
 
 
-def simple_prefix_of_positive(s: SimpleElement, p: NormalForm) -> bool:
-    """Whether the simple s left-divides the positive braid p.
+def _simple_prefix(n: int, s: int, power: int, codes: Codes) -> bool:
+    """Whether the simple s left-divides the positive braid D^power A_1..A_l.
 
     For a positive braid in normal form the maximal simple prefix is the
     first factor, so the test reduces to one divisibility check.
     """
+    if power >= 1:
+        return True
+    if not codes:
+        return s == _IDENTITY[n]
+    return not _INV[s] & ~_INV[codes[0]]
+
+
+def _lcm_sweep(c: int, codes: Codes) -> int:
+    """The simple c' with A_1..A_l c' = join(c, A_1..A_l), for factors without a half twist.
+
+    Past each factor A the pending simple c becomes the c' with
+    A c' = join(c, A).
+    """
+    for a in codes:
+        c = _left_complement(c, a)
+    return c
+
+
+def simple_prefix_of_positive(s: SimpleElement, p: NormalForm) -> bool:
+    """Whether the simple s left-divides the positive braid p."""
     check_same_strands(s, p)
     if p.power < 0:
         raise NotPositive(f"braid has infimum {p.power} < 0")
-    if p.power >= 1:
-        return True
-    if not p.factors:
-        return s.is_identity()
-    return simple_divides(s, p.factors[0])
+    return _simple_prefix(p.n, s.code, p.power, p.codes)
 
 
 def lcm_complement(s: SimpleElement, p: NormalForm) -> SimpleElement:
     """The simple s' with p * s' = join(s, p), the lcm of s and a positive braid.
 
-    Sweeps the complement of s through the factors: past each factor A the
-    pending simple c becomes the c' with A c' = join(c, A).  Trivial exactly
-    when s already divides p.
+    Sweeps the complement of s through the factors.  Trivial exactly when
+    s already divides p.
     """
     check_same_strands(s, p)
     if p.power < 0:
         raise NotPositive(f"braid has infimum {p.power} < 0")
     if p.power >= 1:
         return _SIMPLE[_IDENTITY[s.n]]
-    c = s.code
-    for a in p.codes:
-        c = _left_complement(c, a)
-    return _SIMPLE[c]
+    return _SIMPLE[_lcm_sweep(s.code, p.codes)]
 
 
 def strand_permutation(f: NormalForm) -> tuple[int, ...]:

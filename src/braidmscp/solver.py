@@ -26,14 +26,12 @@ import enum
 from collections import deque
 
 from .braid import (
-    _IDENTITY,
     _INV,
     _LETTERS,
     _SIMPLE,
     _TAU,
     BraidWord,
     SimpleElement,
-    _left_complement,
     _mul,
     check_same_strands,
     simple_to_word,
@@ -51,9 +49,11 @@ from .normal_form import (
     Codes,
     NormalForm,
     _conj_raw,
+    _lcm_sweep,
     _nf_from_raw,
     _positive_times_simple,
     _raw_key,
+    _simple_prefix,
     conjugate,
     invert,
     multiply,
@@ -141,13 +141,7 @@ def _active_entries(t: BraidTuple, floor: InfFloor) -> list[tuple[int, Codes]]:
 
 def _passes(n: int, parity: int, pcodes: Codes, s: int) -> bool:
     """Whether tau^parity(s) left-divides (positive part) * s."""
-    ts = _TAU[s] if parity else s
-    power, factors = _positive_times_simple(n, pcodes, s)
-    if power >= 1:
-        return True
-    if not factors:
-        return ts == _IDENTITY[n]
-    return not _INV[ts] & ~_INV[factors[0]]
+    return _simple_prefix(n, _TAU[s] if parity else s, *_positive_times_simple(n, pcodes, s))
 
 
 def _ascend(n: int, parity: int, pcodes: Codes, s: int) -> int:
@@ -156,10 +150,7 @@ def _ascend(n: int, parity: int, pcodes: Codes, s: int) -> int:
     power, factors = _positive_times_simple(n, pcodes, s)
     if power != 0:
         raise NotSimple("a rejecting entry cannot have the half twist as a prefix of p*s")
-    c = _TAU[s] if parity else s
-    for a in factors:
-        c = _left_complement(c, a)
-    return _mul(s, c)
+    return _mul(s, _lcm_sweep(_TAU[s] if parity else s, factors))
 
 
 def conjugation_keeps_floor(s: SimpleElement, t: BraidTuple, floor: InfFloor) -> bool:
@@ -226,34 +217,34 @@ def minimal_conjugator_set(t: BraidTuple, floor: InfFloor) -> list[SimpleElement
 class SearchCounters:
     nodes_expanded: int = 0
     conjugations: int = 0
-    minimal_set_sizes: list[int] = dataclasses.field(default_factory=list)
+    set_size_max: int = 0
+    set_size_sum: int = 0
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class SummitNode:
-    """A visited tuple as raw entries, with its parent's key and the edge from it.
+    """How a visited tuple was reached: its parent's key and the edge from it.
 
-    The root has neither parent nor edge.  The BraidTuple is built on
-    demand from interned normal forms.
+    The root has neither parent nor edge.  The parent is the very tuple
+    object that keys the parent node, so storing it copies nothing.
     """
 
-    n: int
-    entries: Entries
-    parent: str | None
+    parent: Entries | None
     edge: SimpleElement | None
-
-    @property
-    def tuple(self) -> BraidTuple:
-        return BraidTuple(self.n, tuple(_nf_from_raw(self.n, p, c) for p, c in self.entries))
 
 
 @dataclasses.dataclass
 class SummitGraph:
-    """Explored search tree: nodes keyed by canonical serialization."""
+    """Explored search tree on n strands: nodes keyed by their raw entries."""
 
-    root: str
-    nodes: dict[str, SummitNode]
+    n: int
+    root: Entries
+    nodes: dict[Entries, SummitNode]
     counters: SearchCounters
+
+    def tuple(self, key: Entries) -> BraidTuple:
+        """The BraidTuple of a node key, built from interned normal forms."""
+        return BraidTuple(self.n, tuple(_nf_from_raw(self.n, p, c) for p, c in key))
 
 
 class Outcome(enum.Enum):
@@ -274,7 +265,7 @@ class ConjugatorResult:
         return self.graph.counters
 
 
-def _reconstruct(graph: SummitGraph, key: str) -> BraidWord:
+def _reconstruct(graph: SummitGraph, key: Entries) -> BraidWord:
     """Product of the edge labels along the root-to-node path."""
     edges: list[SimpleElement] = []
     node = graph.nodes[key]
@@ -282,8 +273,7 @@ def _reconstruct(graph: SummitGraph, key: str) -> BraidWord:
         edges.append(node.edge)
         node = graph.nodes[node.parent]
     edges.reverse()
-    n = graph.nodes[graph.root].n
-    return word_concat(BraidWord(n, ()), *(simple_to_word(s) for s in edges))
+    return word_concat(BraidWord(graph.n, ()), *(simple_to_word(s) for s in edges))
 
 
 def _check_pair(alpha: BraidTuple, beta: BraidTuple) -> None:
@@ -302,11 +292,12 @@ def summit_search(
 
     Expands each tuple by its minimal conjugator set in ascending generator
     order, so sequential runs are deterministic.  The search runs on raw
-    entries, (power, factor codes) per entry: the floor is validated once,
-    here, since every minimal conjugator keeps it; a child is conjugated
-    entry by entry on codes and deduplicated on those before anything else
-    is built; and only a new node gets its tuple_key string, which names it
-    in the graph.  No NormalForm or BraidTuple is built during the search.
+    entries, (power, factor codes) per entry, and these key the graph: the
+    floor is validated once, here, since every minimal conjugator keeps it; a
+    child is conjugated entry by entry on codes and looked up among the nodes
+    before anything else is built.  Normal forms are unique, so equal entries
+    mean equal tuples and the node dict is the only dedup structure.  No
+    NormalForm, BraidTuple or key string is built during the search.
     Exhausting the frontier without meeting beta proves the tuples are not
     conjugate within the floor; exceeding node_cap aborts without a verdict.
     """
@@ -319,38 +310,35 @@ def summit_search(
 
     n = alpha.n
     counters = SearchCounters()
-    start = _code_key(alpha)
+    root = _code_key(alpha)
     target = _code_key(beta)
-    root = _entries_key(start)
-    nodes = {root: SummitNode(n, start, None, None)}
-    graph = SummitGraph(root=root, nodes=nodes, counters=counters)
+    nodes = {root: SummitNode(None, None)}
+    graph = SummitGraph(n, root, nodes, counters)
 
     def result(outcome, conjugator=None, reason=None):
         return ConjugatorResult(outcome, conjugator, reason, graph)
 
-    if start == target:  # alpha is beta
+    if root == target:  # alpha is beta
         return result(Outcome.FOUND, BraidWord(n, ()))
 
-    seen = {start}
-    queue = deque([(root, start)])
+    queue = deque([root])
     while queue:
-        key, entries = queue.popleft()
+        entries = queue.popleft()
         moves = _minimal_codes(n, _active(entries, floor))
         counters.nodes_expanded += 1
-        counters.minimal_set_sizes.append(len(moves))
+        counters.set_size_sum += len(moves)
+        counters.set_size_max = max(counters.set_size_max, len(moves))
         for s in moves:
             counters.conjugations += 1
             child = tuple(_conj_raw(n, power, codes, s) for power, codes in entries)
-            if child in seen:
+            if child in nodes:
                 continue
             if len(nodes) >= node_cap:
                 return result(Outcome.ABORTED, reason=f"node cap {node_cap} exceeded")
-            seen.add(child)
-            child_key = _entries_key(child)
-            nodes[child_key] = SummitNode(n, child, key, _SIMPLE[s])
+            nodes[child] = SummitNode(entries, _SIMPLE[s])
             if child == target:
-                return result(Outcome.FOUND, _reconstruct(graph, child_key))
-            queue.append((child_key, child))
+                return result(Outcome.FOUND, _reconstruct(graph, child))
+            queue.append(child)
     return result(Outcome.NOT_CONJUGATE)
 
 

@@ -217,7 +217,7 @@ def test_criterion_8_efficiency_witness(solve_corpus_reports):
     economical = True
     for params, report in solve_corpus_reports:
         counters = report.result.counters
-        if counters.minimal_set_sizes and max(counters.minimal_set_sizes) > params.n - 1:
+        if counters.set_size_max > params.n - 1:
             economical = False
         if counters.nodes_expanded:
             if counters.conjugations / counters.nodes_expanded > params.n - 1:

@@ -176,6 +176,7 @@ class TestAttack:
 class TestContract:
     def test_unknown_flag_rejected(self, capsys):
         assert run_cli(capsys, "nf", "-n", "3", "--bogus", "1")[0] == 3
+        assert run_cli(capsys, "nf", "-n", "3", "--pretty", "1")[0] == 3
 
     def test_unknown_command_rejected(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 3

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -20,10 +21,12 @@ from braidmscp import (
     simple_to_word,
     solve_mscp,
     tuple_from_words,
+    tuple_key,
     word_to_text,
     write_instance,
 )
 from braidmscp.instance_io import key_hash
+from test_acceptance import corpus_params
 
 WORKED = "n 3\nr 1\nalpha 1\nbeta 2\n"
 
@@ -120,10 +123,14 @@ def solved_worked_example():
     return solve_mscp(alpha, beta)
 
 
+def node_name(graph, key):
+    return key_hash(tuple_key(graph.tuple(key)))
+
+
 def reference_export(graph, format):
     """export_graph written out plainly: every key hashed and every edge word derived anew."""
     edges = [
-        (key_hash(node.parent), key_hash(key), word_to_text(simple_to_word(node.edge)))
+        (node_name(graph, node.parent), node_name(graph, key), word_to_text(simple_to_word(node.edge)))
         for key, node in graph.nodes.items()
         if node.parent is not None
     ]
@@ -132,7 +139,7 @@ def reference_export(graph, format):
     lines = ["digraph summit {"]
     for key in graph.nodes:
         mark = " [shape=doublecircle]" if key == graph.root else ""
-        lines.append(f'  "{key_hash(key)}"{mark};')
+        lines.append(f'  "{node_name(graph, key)}"{mark};')
     lines.extend(f'  "{src}" -> "{dst}" [label="{word}"];' for src, dst, word in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -152,6 +159,21 @@ class TestGraphExport:
                 assert export_graph(res.graph, format) == reference_export(res.graph, format)
         assert outcomes == {Outcome.FOUND, Outcome.ABORTED}
 
+    # sha256 of the edge list, DOT and counters report of the first 20 corpus
+    # instances, recorded before graph keys became raw entries
+    PINNED_DIGEST = "af5ab6baa5f85212231ba814dec30e2d9657b3e63dbee7e5996964ab8366dfee"
+
+    def test_pinned_bytes(self):
+        digest = hashlib.sha256()
+        for params in corpus_params()[:20]:
+            inst, _ = gen_instance(params)
+            alpha = tuple_from_words(inst.n, inst.alpha)
+            beta = tuple_from_words(inst.n, inst.beta)
+            graph = solve_mscp(alpha, beta, node_cap=1000).graph
+            for text in (export_graph(graph, "edgelist"), export_graph(graph, "dot"), counters_report(graph)):
+                digest.update(text.encode())
+        assert digest.hexdigest() == self.PINNED_DIGEST
+
     def test_single_node(self):
         alpha = tuple_from_words(3, [BraidWord(3, (1,))])
         res = solve_mscp(alpha, alpha)
@@ -167,7 +189,7 @@ class TestGraphExport:
         assert len(lines) == 1
         src, dst, word = lines[0].split(maxsplit=2)
         assert word == "2 1"
-        assert src == key_hash(res.graph.root)
+        assert src == node_name(res.graph, res.graph.root)
         assert src != dst
 
     def test_dot_syntax(self):

@@ -34,7 +34,9 @@ from braidmscp import (
     word_concat,
     word_inverse,
 )
-from braidmscp.solver import _ascend
+import braidmscp.normal_form as normal_form_module
+import braidmscp.solver as solver_module
+from braidmscp.solver import _ascend, _code_key, _entries_key
 
 
 def words_tuple(n, *letter_lists):
@@ -243,7 +245,7 @@ class TestSummitSearch:
         alpha, beta = words_tuple(3, (1,)), words_tuple(3, (1, 1, 1))
         res = summit_search(alpha, beta, (0,))
         assert res.outcome is Outcome.NOT_CONJUGATE
-        assert set(res.graph.nodes) == {tuple_key(words_tuple(3, (1,))), tuple_key(words_tuple(3, (2,)))}
+        assert set(res.graph.nodes) == {_code_key(words_tuple(3, (1,))), _code_key(words_tuple(3, (2,)))}
 
     # n = 3 pairs with equal exponent sums and equal permutations that are
     # not conjugate, found by brute force over words of length up to 4.
@@ -268,7 +270,7 @@ class TestSummitSearch:
         assert tuple_key(beta) not in component
         res = solve_mscp(alpha, beta)
         assert res.outcome is Outcome.NOT_CONJUGATE
-        assert set(res.graph.nodes) == component
+        assert {tuple_key(res.graph.tuple(key)) for key in res.graph.nodes} == component
 
     def test_node_cap(self):
         alpha, beta = words_tuple(3, (1,)), words_tuple(3, (2,))
@@ -292,14 +294,12 @@ class TestSummitSearch:
         graph = res.graph
         assert len(graph.nodes) >= 2
         for key, node in graph.nodes.items():
-            assert tuple_key(node.tuple) == key
             if node.parent is not None:
-                parent = graph.nodes[node.parent]
-                assert conjugate_tuple(parent.tuple, node.edge) == node.tuple
+                assert conjugate_tuple(graph.tuple(node.parent), node.edge) == graph.tuple(key)
 
 
 class TestCompactNodeStore:
-    """Graph nodes hold raw entries and build their tuples on demand."""
+    """Graph nodes are keyed by raw entries; the graph builds their tuples on demand."""
 
     @staticmethod
     def instances():
@@ -323,13 +323,33 @@ class TestCompactNodeStore:
             res = solve_mscp(alpha, beta, node_cap=cap)
             outcomes.add(res.outcome)
             graph = res.graph
-            assert graph.nodes[graph.root].tuple == alpha
+            assert graph.tuple(graph.root) == alpha
+            key_ids = {id(key) for key in graph.nodes}
             for key, node in graph.nodes.items():
-                assert tuple_key(node.tuple) == key
+                t = graph.tuple(key)
+                assert _code_key(t) == key
+                assert _entries_key(key) == tuple_key(t)
                 if node.parent is not None:
-                    parent = graph.nodes[node.parent]
-                    assert conjugate_tuple(parent.tuple, node.edge) == node.tuple
+                    # the parent is the parent's own key object, not a copy
+                    assert id(node.parent) in key_ids
+                    assert conjugate_tuple(graph.tuple(node.parent), node.edge) == t
         assert outcomes == set(Outcome)
+
+    def test_search_builds_no_key_string(self, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("key string built during the search")
+
+        for name in ("_entries_key", "_raw_key"):
+            monkeypatch.setattr(solver_module, name, refuse)
+        monkeypatch.setattr(normal_form_module, "_raw_key", refuse)
+        found = summit_search(words_tuple(3, (1,)), words_tuple(3, (2,)), (0,))
+        assert found.outcome is Outcome.FOUND and len(found.graph.nodes) == 2
+        alpha_letters, beta_letters = TestSummitSearch.NON_CONJUGATE[:2]
+        alpha, beta = words_tuple(3, *alpha_letters), words_tuple(3, *beta_letters)
+        floor = tuple(min(a.inf, b.inf) for a, b in zip(alpha.entries, beta.entries))
+        assert summit_search(alpha, beta, floor).outcome is Outcome.NOT_CONJUGATE
+        aborted = summit_search(words_tuple(3, (1,)), words_tuple(3, (2,)), (0,), node_cap=1)
+        assert aborted.outcome is Outcome.ABORTED
 
 
 class TestSolve:
@@ -370,13 +390,11 @@ class TestSolve:
             res = solve_mscp(alpha, beta)
             assert res.outcome is Outcome.FOUND
             assert verify_conjugator(alpha, beta, res.conjugator)
-            sizes = res.counters.minimal_set_sizes
-            assert all(size <= n - 1 for size in sizes)
+            assert res.counters.set_size_max <= n - 1
             if res.counters.nodes_expanded:
                 assert res.counters.conjugations / res.counters.nodes_expanded <= n - 1
 
     def test_wrong_conjugator_from_search_is_refused(self, monkeypatch, tmp_path, capsys):
-        import braidmscp.solver as solver_module
         from braidmscp import VerificationFailed
         from braidmscp.cli import main
 
@@ -409,8 +427,8 @@ class TestSolve:
         beta = tuple_from_words(4, [word_concat(word_inverse(x), w, x) for w in alpha_words])
         res = solve_mscp(alpha, beta)
         floor = tuple(min(a.inf, b.inf) for a, b in zip(alpha.entries, beta.entries))
-        for node in res.graph.nodes.values():
-            assert meets_floor(node.tuple, floor)
+        for key in res.graph.nodes:
+            assert meets_floor(res.graph.tuple(key), floor)
 
 
 class TestVerify:
