@@ -17,6 +17,19 @@ a short ascent: starting from the bare generator, repeatedly absorb the
 complement forced by an entry that rejects the candidate, until every entry
 passes.  The candidate grows strictly while staying below the true minimum,
 so the ascent ends within half-twist length many steps.
+
+The search from alpha stops at beta or at any tuple of beta's lift chain.
+Cycling a braid D^p A_1 ... A_l conjugates it by tau^p(A_1), and repeated
+cycling raises the infimum of a braid that is below its summit infimum
+(Elrifai-Morton); the Lee-Lee algorithm lifts tuples this way before it
+searches.  Here the chain lifts beta alone, one cycling move per expanded
+node, each ascended like a minimal conjugator to keep every infimum of the
+tuple.  Each chain tuple is beta conjugated by a known product y, so a
+search that reaches one along the path P has found x = P y^-1.  A planted
+beta often sits far below alpha, and a BFS from alpha would first cross a
+large low-floor set to reach it; its lifts sit nearer alpha's level.  The
+chain only adds targets, so the order of the search, its single root and
+its completeness are those of the search for beta alone.
 """
 
 from __future__ import annotations
@@ -26,6 +39,7 @@ import enum
 from collections import deque
 
 from .braid import (
+    _DELTA,
     _INV,
     _LETTERS,
     _SIMPLE,
@@ -36,6 +50,7 @@ from .braid import (
     check_same_strands,
     simple_to_word,
     word_concat,
+    word_inverse,
 )
 from .errors import (
     InvalidParams,
@@ -162,8 +177,8 @@ def conjugation_keeps_floor(s: SimpleElement, t: BraidTuple, floor: InfFloor) ->
     )
 
 
-def _minimal_conjugator_code(n: int, active, i: int) -> int:
-    s = _LETTERS[n][i]
+def _minimal_conjugator_code(n: int, active, s: int) -> int:
+    """The minimal floor-keeping simple element that the simple s divides."""
     for _ in range(n * (n - 1) // 2 + 1):
         rejection = next(
             ((parity, pcodes) for parity, pcodes in active if not _passes(n, parity, pcodes, s)),
@@ -187,13 +202,14 @@ def minimal_conjugator(i: int, t: BraidTuple, floor: InfFloor) -> SimpleElement:
     if not 1 <= i <= t.n - 1:
         raise InvalidParams(f"generator index {i} out of range for {t.n} strands")
     active = _active_entries(t, floor)
-    return _SIMPLE[_minimal_conjugator_code(t.n, active, i)]
+    return _SIMPLE[_minimal_conjugator_code(t.n, active, _LETTERS[t.n][i])]
 
 
 def _minimal_codes(n: int, active) -> list[int]:
     found: list[int] = []
+    letters = _LETTERS[n]
     for i in range(1, n):
-        r_i = _minimal_conjugator_code(n, active, i)
+        r_i = _minimal_conjugator_code(n, active, letters[i])
         if r_i not in found:
             found.append(r_i)
     return [s for s in found if not any(o != s and not _INV[o] & ~_INV[s] for o in found)]
@@ -219,6 +235,7 @@ class SearchCounters:
     conjugations: int = 0
     set_size_max: int = 0
     set_size_sum: int = 0
+    lift_moves: int = 0
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -265,15 +282,15 @@ class ConjugatorResult:
         return self.graph.counters
 
 
-def _reconstruct(graph: SummitGraph, key: Entries) -> BraidWord:
-    """Product of the edge labels along the root-to-node path."""
+def _path(nodes: dict[Entries, SummitNode], key: Entries) -> list[SimpleElement]:
+    """The edge labels along the tree path from the root of nodes to key."""
     edges: list[SimpleElement] = []
-    node = graph.nodes[key]
+    node = nodes[key]
     while node.parent is not None:
         edges.append(node.edge)
-        node = graph.nodes[node.parent]
+        node = nodes[node.parent]
     edges.reverse()
-    return word_concat(BraidWord(graph.n, ()), *(simple_to_word(s) for s in edges))
+    return edges
 
 
 def _check_pair(alpha: BraidTuple, beta: BraidTuple) -> None:
@@ -282,13 +299,57 @@ def _check_pair(alpha: BraidTuple, beta: BraidTuple) -> None:
     check_same_strands(alpha, beta)
 
 
+def _lift_chain(n: int, chain: dict[Entries, SummitNode], counters: SearchCounters):
+    """Lift the one tuple in chain by cycling moves, one move per next().
+
+    A move cycles one entry D^p A_1 ... A_l, taking the entries in turn and
+    passing over powers of the half twist: its cycling factor tau^p(A_1) is
+    ascended to the minimal simple element above it whose conjugation keeps
+    the tuple's own inf vector, and the tuple is conjugated by that.  So no
+    move lowers an infimum.  A move to the half twist or to a tuple already
+    in chain is skipped.  Each new tuple is added to chain as the child of
+    the previous one, labelled by its conjugator, and yielded; a skipped
+    move yields None.  The chain ends after n(n-1)/2 moves in a row that
+    raise no infimum, the number of cycles within which cycling raises the
+    infimum of a single braid below its summit infimum, or when every entry
+    is a power of the half twist.
+    """
+    (current,) = chain
+    r = len(current)
+    turn = stale = 0
+    while stale < n * (n - 1) // 2:
+        for _ in range(r):
+            power, codes = current[turn % r]
+            turn += 1
+            if codes:
+                break
+        else:
+            return
+        counters.lift_moves += 1
+        stale += 1
+        active = [(p % 2, c) for p, c in current]
+        s = _minimal_conjugator_code(n, active, _TAU[codes[0]] if power % 2 else codes[0])
+        if s == _DELTA[n]:
+            yield None
+            continue
+        lifted = tuple(_conj_raw(n, p, c, s) for p, c in current)
+        if lifted in chain:
+            yield None
+            continue
+        chain[lifted] = SummitNode(current, _SIMPLE[s])
+        if any(new[0] > old[0] for new, old in zip(lifted, current)):
+            stale = 0
+        current = lifted
+        yield lifted
+
+
 def summit_search(
     alpha: BraidTuple,
     beta: BraidTuple,
     floor: InfFloor,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> ConjugatorResult:
-    """Breadth-first search from alpha for beta among floor-respecting conjugates.
+    """Breadth-first search from alpha for beta or a cycling lift of beta.
 
     Expands each tuple by its minimal conjugator set in ascending generator
     order, so sequential runs are deterministic.  The search runs on raw
@@ -298,8 +359,25 @@ def summit_search(
     before anything else is built.  Normal forms are unique, so equal entries
     mean equal tuples and the node dict is the only dedup structure.  No
     NormalForm, BraidTuple or key string is built during the search.
-    Exhausting the frontier without meeting beta proves the tuples are not
-    conjugate within the floor; exceeding node_cap aborts without a verdict.
+
+    The targets are beta and its lift chain (see _lift_chain), grown by one
+    cycling move after each expansion that did not meet a target.  A chain
+    tuple is t = y^-1 beta y for the product y of the conjugators on its
+    chain path, so when the search reaches t along the path P from alpha,
+    x = P y^-1 conjugates alpha to beta.  A new chain tuple that the search
+    has already visited is a meeting too.
+
+    Why the targets are sound: every chain tuple is conjugate to beta and
+    keeps infima at least beta's, so it lies in the floor set, and beta stays
+    a target.  So FOUND is right, a search for a tuple not conjugate to
+    alpha meets no target and exhausts the component exactly as a search for
+    beta alone does, and since the chain never changes which nodes are
+    expanded or in what order, the search stops at the same node as a
+    search for beta alone or earlier, never later.  The graph keeps one
+    root, and ABORTED still happens exactly at node_cap.
+    Exhausting the frontier without meeting a target proves the tuples are
+    not conjugate within the floor; exceeding node_cap aborts without a
+    verdict.
     """
     _check_pair(alpha, beta)
     if node_cap < 1:
@@ -311,16 +389,22 @@ def summit_search(
     n = alpha.n
     counters = SearchCounters()
     root = _code_key(alpha)
-    target = _code_key(beta)
     nodes = {root: SummitNode(None, None)}
+    targets = {_code_key(beta): SummitNode(None, None)}
     graph = SummitGraph(n, root, nodes, counters)
 
     def result(outcome, conjugator=None, reason=None):
         return ConjugatorResult(outcome, conjugator, reason, graph)
 
-    if root == target:  # alpha is beta
-        return result(Outcome.FOUND, BraidWord(n, ()))
+    def found(key):
+        x = [simple_to_word(s) for s in _path(nodes, key)]
+        y_inv = [word_inverse(simple_to_word(s)) for s in reversed(_path(targets, key))]
+        return result(Outcome.FOUND, word_concat(BraidWord(n, ()), *x, *y_inv))
 
+    if root in targets:  # alpha is beta
+        return found(root)
+
+    lifts = _lift_chain(n, targets, counters)
     queue = deque([root])
     while queue:
         entries = queue.popleft()
@@ -336,9 +420,13 @@ def summit_search(
             if len(nodes) >= node_cap:
                 return result(Outcome.ABORTED, reason=f"node cap {node_cap} exceeded")
             nodes[child] = SummitNode(entries, _SIMPLE[s])
-            if child == target:
-                return result(Outcome.FOUND, _reconstruct(graph, child))
+            if child in targets:
+                return found(child)
             queue.append(child)
+        # None, from a skipped move or an ended chain, is never a node key
+        lifted = next(lifts, None)
+        if lifted in nodes:
+            return found(lifted)
     return result(Outcome.NOT_CONJUGATE)
 
 

@@ -132,3 +132,66 @@ def floor_component(alpha, floor) -> set[str]:
                     nxt.append(u)
         frontier = nxt
     return set(seen)
+
+
+def bfs_search(alpha, beta, floor, node_cap):
+    """Breadth-first search from alpha for beta alone, with no lift-chain targets.
+
+    This is the one-sided search that summit_search ran before it also
+    stopped at cycling lifts of beta.  It expands the same minimal conjugator
+    sets in the same order and builds the same graph, so a search with more
+    targets visits a prefix of these nodes, with the same parents and edges,
+    and reaches a verdict no later.
+    """
+    from collections import deque
+
+    from braidmscp import (
+        BraidWord,
+        ConjugatorResult,
+        Outcome,
+        SearchCounters,
+        SummitGraph,
+        SummitNode,
+        simple_to_word,
+        word_concat,
+    )
+    from braidmscp.braid import _SIMPLE
+    from braidmscp.normal_form import _conj_raw
+    from braidmscp.solver import _active, _code_key, _minimal_codes
+
+    n = alpha.n
+    counters = SearchCounters()
+    root, target = _code_key(alpha), _code_key(beta)
+    nodes = {root: SummitNode(None, None)}
+    graph = SummitGraph(n, root, nodes, counters)
+
+    def found(key):
+        edges = []
+        while nodes[key].parent is not None:
+            edges.append(simple_to_word(nodes[key].edge))
+            key = nodes[key].parent
+        return ConjugatorResult(
+            Outcome.FOUND, word_concat(BraidWord(n, ()), *reversed(edges)), None, graph
+        )
+
+    if root == target:
+        return found(root)
+    queue = deque([root])
+    while queue:
+        entries = queue.popleft()
+        moves = _minimal_codes(n, _active(entries, floor))
+        counters.nodes_expanded += 1
+        counters.set_size_sum += len(moves)
+        counters.set_size_max = max(counters.set_size_max, len(moves))
+        for s in moves:
+            counters.conjugations += 1
+            child = tuple(_conj_raw(n, power, codes, s) for power, codes in entries)
+            if child in nodes:
+                continue
+            if len(nodes) >= node_cap:
+                return ConjugatorResult(Outcome.ABORTED, None, "node cap", graph)
+            nodes[child] = SummitNode(entries, _SIMPLE[s])
+            if child == target:
+                return found(child)
+            queue.append(child)
+    return ConjugatorResult(Outcome.NOT_CONJUGATE, None, None, graph)

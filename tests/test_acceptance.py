@@ -186,6 +186,23 @@ def test_criterion_6_round_trip_solving(solve_corpus_reports):
     )
 
 
+def non_conjugacy_instances():
+    """Criterion 7's 20 instances, (n, alpha words, beta words) each.
+
+    beta is a planted conjugate of alpha with one letter appended to its
+    first entry, so the exponent sums differ and no conjugator exists.
+    """
+    rng = random.Random(1007)
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        r = rng.randint(1, 2)
+        alpha_words = [rand_word(rng, n, 4, min_len=1) for _ in range(r)]
+        x = rand_word(rng, n, 3)
+        beta_words = [word_concat(word_inverse(x), w, x) for w in alpha_words]
+        beta_words[0] = word_concat(beta_words[0], BraidWord(n, (1,)))
+        yield n, alpha_words, beta_words
+
+
 def test_criterion_7_non_conjugacy(tmp_path):
     fixture = parse_instance("n 3\nr 1\nalpha 1\nbeta 1 1 1\n")
     res = run_attack(fixture)
@@ -195,15 +212,7 @@ def test_criterion_7_non_conjugacy(tmp_path):
     path.write_text(write_instance(fixture))
     ok = ok and cli_main(["solve", str(path)]) == 1
 
-    rng = random.Random(1007)
-    for _ in range(20):
-        n = rng.randint(2, 4)
-        r = rng.randint(1, 2)
-        alpha_words = [rand_word(rng, n, 4, min_len=1) for _ in range(r)]
-        x = rand_word(rng, n, 3)
-        beta_words = [word_concat(word_inverse(x), w, x) for w in alpha_words]
-        # break the exponent sum of one entry, so no conjugator can exist
-        beta_words[0] = word_concat(beta_words[0], BraidWord(n, (1,)))
+    for n, alpha_words, beta_words in non_conjugacy_instances():
         result = solve_mscp(
             tuple_from_words(n, alpha_words), tuple_from_words(n, beta_words)
         )

@@ -160,8 +160,10 @@ class TestGraphExport:
         assert outcomes == {Outcome.FOUND, Outcome.ABORTED}
 
     # sha256 of the edge list, DOT and counters report of the first 20 corpus
-    # instances, recorded before graph keys became raw entries
-    PINNED_DIGEST = "af5ab6baa5f85212231ba814dec30e2d9657b3e63dbee7e5996964ab8366dfee"
+    # instances.  Instances 1, 4, 8, 10 and 16 stop at a lift of beta, with
+    # 14, 6, 7, 18 and 10 nodes instead of 16, 33, 16, 478 and 645; the other
+    # 15 give the same bytes as a search that stops on beta alone.
+    PINNED_DIGEST = "99b7f7c539d34714afdf42245890bf057283da71b861629e5c50c1bab47777d9"
 
     def test_pinned_bytes(self):
         digest = hashlib.sha256()

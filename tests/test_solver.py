@@ -4,18 +4,23 @@ import pytest
 
 import oracle
 from braidmscp import (
+    DEFAULT_NODE_CAP,
     BraidWord,
     InvalidParams,
     LengthMismatch,
     NotInFloor,
     NotSimple,
     Outcome,
+    SearchCounters,
     StrandMismatch,
+    SummitGraph,
+    SummitNode,
     conjugate_tuple,
     conjugation_keeps_floor,
     delta,
     enumerate_simples,
     exponent_sum,
+    gen_instance,
     generator_simple,
     inf_vector,
     meets_floor,
@@ -36,7 +41,8 @@ from braidmscp import (
 )
 import braidmscp.normal_form as normal_form_module
 import braidmscp.solver as solver_module
-from braidmscp.solver import _ascend, _code_key, _entries_key
+from braidmscp.solver import _ascend, _code_key, _entries_key, _lift_chain, _path
+from test_acceptance import corpus_params, non_conjugacy_instances
 
 
 def words_tuple(n, *letter_lists):
@@ -350,6 +356,123 @@ class TestCompactNodeStore:
         assert summit_search(alpha, beta, floor).outcome is Outcome.NOT_CONJUGATE
         aborted = summit_search(words_tuple(3, (1,)), words_tuple(3, (2,)), (0,), node_cap=1)
         assert aborted.outcome is Outcome.ABORTED
+
+
+class TestLiftChain:
+    """beta's lift chain: cycling moves that keep beta's own inf vector."""
+
+    @staticmethod
+    def betas():
+        rng = random.Random(32)
+        for _ in range(80):
+            n = rng.randint(2, 6)
+            yield tuple_from_words(n, [rand_word(rng, n, 10) for _ in range(rng.randint(1, 3))])
+
+    @staticmethod
+    def run_chain(beta):
+        """beta's chain run to its end, and what each move yielded."""
+        chain = {_code_key(beta): SummitNode(None, None)}
+        counters = SearchCounters()
+        steps = list(_lift_chain(beta.n, chain, counters))
+        assert counters.lift_moves == len(steps)
+        return chain, steps
+
+    def test_chain_tuples_are_conjugates_of_beta(self):
+        for beta in self.betas():
+            chain, _ = self.run_chain(beta)
+            graph = SummitGraph(beta.n, _code_key(beta), chain, SearchCounters())
+            for key, node in chain.items():
+                assert node.edge is None or not node.edge.is_delta()
+                y = word_concat(BraidWord(beta.n, ()), *map(simple_to_word, _path(chain, key)))
+                assert verify_conjugator(beta, graph.tuple(key), y)
+
+    def test_infima_never_fall_and_chain_ends_within_bound(self):
+        raises = 0
+        for beta in self.betas():
+            chain, steps = self.run_chain(beta)
+            bound = beta.n * (beta.n - 1) // 2
+            current, stale = _code_key(beta), 0
+            for lifted in steps:
+                stale += 1
+                if lifted is not None:
+                    assert chain[lifted].parent == current
+                    old, new = [p for p, _ in current], [p for p, _ in lifted]
+                    assert all(a <= b for a, b in zip(old, new))
+                    if new != old:
+                        raises += 1
+                        stale = 0
+                    current = lifted
+                assert stale <= bound
+            # it stops at the bound, or when every entry is a half-twist power
+            assert stale == bound or not any(codes for _, codes in current)
+            assert {key for key in steps if key is not None} == set(chain) - {_code_key(beta)}
+        assert raises > 0
+
+    def test_search_meets_the_chain(self):
+        # desk corpus instance 4: beta sits two below alpha (inf -3 against -1)
+        alpha = words_tuple(3, (2, 2, -1, 1, 2, -1, 2))
+        beta = words_tuple(3, (-2, 1, 2, 2, -1, 1, 2, -1, 2, -1, 2))
+        res = summit_search(alpha, beta, (-3,))
+        ref = oracle.bfs_search(alpha, beta, (-3,), 1000)
+        assert res.outcome is ref.outcome is Outcome.FOUND
+        assert len(res.graph.nodes) < len(ref.graph.nodes)
+        assert verify_conjugator(alpha, beta, res.conjugator)
+        # x = P y^-1: the path P to the met node is positive, y^-1 negative
+        letters = res.conjugator.letters
+        k = next(i for i, e in enumerate(letters) if e < 0)
+        path, y = BraidWord(3, letters[:k]), word_inverse(BraidWord(3, letters[k:]))
+        assert all(e < 0 for e in letters[k:])
+        met = [key for key in res.graph.nodes if verify_conjugator(alpha, res.graph.tuple(key), path)]
+        assert len(met) == 1 and met[0] != _code_key(beta)
+        assert verify_conjugator(beta, res.graph.tuple(met[0]), y)
+        assert met[0] in self.run_chain(beta)[0]
+
+
+class TestDifferentialOracle:
+    """summit_search against the one-sided BFS of oracle.bfs_search.
+
+    The search expands nodes in the oracle's order, so its graph is a prefix
+    of the oracle's, and it stops no later.  Where the oracle reaches a
+    verdict the outcomes agree, and a search that runs as long as the
+    oracle stopped on beta itself and returns the oracle's conjugator.
+    """
+
+    @staticmethod
+    def check(alpha, beta, node_cap=DEFAULT_NODE_CAP):
+        floor = tuple(min(a.inf, b.inf) for a, b in zip(alpha.entries, beta.entries))
+        res = summit_search(alpha, beta, floor, node_cap)
+        ref = oracle.bfs_search(alpha, beta, floor, node_cap)
+        new, old = list(res.graph.nodes.items()), list(ref.graph.nodes.items())
+        assert new == old[: len(new)]
+        assert res.counters.nodes_expanded <= ref.counters.nodes_expanded
+        assert res.counters.lift_moves <= res.counters.nodes_expanded
+        if ref.outcome is not Outcome.ABORTED or res.outcome is Outcome.ABORTED:
+            assert res.outcome is ref.outcome
+        if res.outcome is Outcome.ABORTED:
+            assert len(new) == node_cap
+        if res.outcome is Outcome.FOUND:
+            assert verify_conjugator(alpha, beta, res.conjugator)
+            if len(new) == len(old):
+                assert res.conjugator == ref.conjugator
+        return len(new), len(old)
+
+    def test_desk_corpus(self):
+        sizes = []
+        for params in corpus_params():
+            inst, _ = gen_instance(params)
+            alpha, beta = tuple_from_words(inst.n, inst.alpha), tuple_from_words(inst.n, inst.beta)
+            sizes.append(self.check(alpha, beta, node_cap=1000))
+        assert sum(new for new, _ in sizes) < sum(old for _, old in sizes)
+
+    def test_non_conjugacy_instances(self):
+        self.check(words_tuple(3, (1,)), words_tuple(3, (1, 1, 1)))
+        for n, alpha_words, beta_words in non_conjugacy_instances():
+            self.check(tuple_from_words(n, alpha_words), tuple_from_words(n, beta_words))
+
+    def test_non_conjugate_pairs(self):
+        pairs = TestSummitSearch.NON_CONJUGATE
+        for alpha_letters, beta_letters in zip(pairs[::2], pairs[1::2]):
+            self.check(words_tuple(3, *alpha_letters), words_tuple(3, *beta_letters))
 
 
 class TestSolve:
