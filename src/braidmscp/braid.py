@@ -257,7 +257,6 @@ def _mirror(c: int) -> int:
     return _CODE[_PERM[c][::-1]]
 
 
-@functools.lru_cache(maxsize=None)
 def _meet(a: int, b: int) -> int:
     """Greatest common left divisor m: peeling leaves r = m^-1 a, so m = a r^-1."""
     rest, _ = _peel(a, b)

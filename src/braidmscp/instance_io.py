@@ -154,23 +154,29 @@ def instance_to_json(inst: InstanceFile) -> str:
 
 
 def instance_from_json(text: str) -> InstanceFile:
+    """Parse the JSON mirror, with JSON types as strict as the line grammar."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as ex:
         raise InstanceSyntaxError(f"bad JSON: {ex}") from None
-    try:
-        n = int(data["n"])
-        r = int(data["r"])
-        alpha = [_parse_word(w, n, None, 0) for w in data["alpha"]]
-        beta = [_parse_word(w, n, None, 0) for w in data["beta"]]
-        metadata = tuple(str(m) for m in data.get("metadata", []))
-    except (KeyError, TypeError) as ex:
-        raise InstanceSyntaxError(f"bad JSON schema: {ex}") from None
+    if not isinstance(data, dict) or not {"n", "r", "alpha", "beta"} <= data.keys():
+        raise InstanceSyntaxError("bad JSON schema: expected an object with n, r, alpha and beta")
+    n, r, metadata = data["n"], data["r"], data.get("metadata", [])
+    for key in ("n", "r"):
+        if type(data[key]) is not int:  # a float or a bool is not an integer here
+            raise InstanceSyntaxError(f"bad JSON schema: {key} must be an integer")
+    for key, value in (("alpha", data["alpha"]), ("beta", data["beta"]), ("metadata", metadata)):
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise InstanceSyntaxError(f"bad JSON schema: {key} must be a list of strings")
+    if any(m.splitlines() not in ([], [m]) for m in metadata):  # written as one line each
+        raise InstanceSyntaxError("bad JSON schema: a metadata entry spans lines")
     if n < 2:
         raise InstanceSyntaxError(f"strand count must be at least 2, got {n}")
+    alpha = [_parse_word(w, n, None, 0) for w in data["alpha"]]
+    beta = [_parse_word(w, n, None, 0) for w in data["beta"]]
     if len(alpha) != r or len(beta) != r:
         raise CountMismatch(f"declared r={r} but found {len(alpha)} alpha and {len(beta)} beta words")
-    return InstanceFile(n, tuple(alpha), tuple(beta), metadata)
+    return InstanceFile(n, tuple(alpha), tuple(beta), tuple(metadata))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ left-weightedness with the local move "transfer meet(rcomp(A), B) from B to
 A".  The move sends (A, D) to (D, tau(A)) and (trivial, B) to (B, trivial),
 so half twists bubble to the front and trivial factors to the back, where
 they are stripped.  Products of two already-weighted sequences only need the
-move combed outward from the junction, which keeps multiplication cheap; the
-conjugation of a normal form by a simple element is memoised on codes because
-searches repeat it heavily.
+move combed outward from the junction, which keeps multiplication cheap.
+Only the one-pair move _fix_pair is memoised, since most calls hit it; whole
+normal forms, conjugates and products rarely repeat, so they are recomputed.
 """
 
 from __future__ import annotations
@@ -193,9 +193,8 @@ def _push_half_twists(items: list[tuple[int, int]]) -> tuple[int, list[int]]:
     return total, out
 
 
-@functools.lru_cache(maxsize=1 << 18)
 def _nf_from_raw(n: int, power: int, codes: Codes) -> NormalForm:
-    """Interned normal forms: validation runs once per distinct value."""
+    """The NormalForm value of raw data, validated like any other."""
     return NormalForm(n, power, tuple(_SIMPLE[c] for c in codes))
 
 
@@ -261,7 +260,6 @@ def invert(f: NormalForm) -> NormalForm:
     return _nf_from_raw(f.n, -k - len(codes), codes)
 
 
-@functools.lru_cache(maxsize=1 << 18)
 def _conj_raw(n: int, power: int, codes: Codes, s: int) -> tuple[int, Codes]:
     """Conjugate D^power A_1..A_l by the simple s, as raw data.
 
@@ -283,14 +281,6 @@ def conjugate(f: NormalForm, s: SimpleElement) -> NormalForm:
     check_same_strands(f, s)
     power, codes = _conj_raw(f.n, f.power, f.codes, s.code)
     return _nf_from_raw(f.n, power, codes)
-
-
-@functools.lru_cache(maxsize=1 << 18)
-def _positive_times_simple(n: int, codes: Codes, s: int) -> tuple[int, Codes]:
-    """Weighted factors of (A_1..A_l) * s; memoised for the conjugator ascent."""
-    if s == _IDENTITY[n]:
-        return 0, codes
-    return _prod_normal(n, codes, (s,))
 
 
 def _simple_prefix(n: int, s: int, power: int, codes: Codes) -> bool:

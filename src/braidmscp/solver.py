@@ -66,7 +66,7 @@ from .normal_form import (
     _conj_raw,
     _lcm_sweep,
     _nf_from_raw,
-    _positive_times_simple,
+    _prod_normal,
     _raw_key,
     _simple_prefix,
     conjugate,
@@ -154,15 +154,15 @@ def _active_entries(t: BraidTuple, floor: InfFloor) -> list[tuple[int, Codes]]:
     return _active(_code_key(t), floor)
 
 
-def _passes(n: int, parity: int, pcodes: Codes, s: int) -> bool:
-    """Whether tau^parity(s) left-divides (positive part) * s."""
-    return _simple_prefix(n, _TAU[s] if parity else s, *_positive_times_simple(n, pcodes, s))
+def _passes(n: int, parity: int, ps: tuple[int, Codes], s: int) -> bool:
+    """Whether tau^parity(s) left-divides ps, an entry's raw product p*s."""
+    return _simple_prefix(n, _TAU[s] if parity else s, *ps)
 
 
-def _ascend(n: int, parity: int, pcodes: Codes, s: int) -> int:
+def _ascend(n: int, parity: int, ps: tuple[int, Codes], s: int) -> int:
     """Grow s by the complement the rejecting entry forces: s * s' where
-    (p s) s' is the lcm of tau^parity(s) and p s."""
-    power, factors = _positive_times_simple(n, pcodes, s)
+    (p s) s' is the lcm of tau^parity(s) and the product ps = p s."""
+    power, factors = ps
     if power != 0:
         raise NotSimple("a rejecting entry cannot have the half twist as a prefix of p*s")
     return _mul(s, _lcm_sweep(_TAU[s] if parity else s, factors))
@@ -171,22 +171,24 @@ def _ascend(n: int, parity: int, pcodes: Codes, s: int) -> int:
 def conjugation_keeps_floor(s: SimpleElement, t: BraidTuple, floor: InfFloor) -> bool:
     """Whether conjugating every entry by s keeps all infima at the floor or above."""
     check_same_strands(t, s)
-    return all(
-        _passes(t.n, parity, pcodes, s.code)
-        for parity, pcodes in _active_entries(t, floor)
+    active = _active_entries(t, floor)
+    # the identity keeps every floor, and _prod_normal takes no trivial factor
+    return s.is_identity() or all(
+        _passes(t.n, parity, _prod_normal(t.n, pcodes, (s.code,)), s.code)
+        for parity, pcodes in active
     )
 
 
 def _minimal_conjugator_code(n: int, active, s: int) -> int:
     """The minimal floor-keeping simple element that the simple s divides."""
     for _ in range(n * (n - 1) // 2 + 1):
-        rejection = next(
-            ((parity, pcodes) for parity, pcodes in active if not _passes(n, parity, pcodes, s)),
-            None,
-        )
-        if rejection is None:
+        for parity, pcodes in active:
+            ps = _prod_normal(n, pcodes, (s,))
+            if not _passes(n, parity, ps, s):
+                s = _ascend(n, parity, ps, s)
+                break
+        else:
             return s
-        s = _ascend(n, rejection[0], rejection[1], s)
     raise AssertionError("unreachable: the half twist keeps every floor")
 
 
@@ -260,7 +262,7 @@ class SummitGraph:
     counters: SearchCounters
 
     def tuple(self, key: Entries) -> BraidTuple:
-        """The BraidTuple of a node key, built from interned normal forms."""
+        """The BraidTuple of a node key."""
         return BraidTuple(self.n, tuple(_nf_from_raw(self.n, p, c) for p, c in key))
 
 

@@ -108,8 +108,21 @@ class TestRoundTrip:
     def test_json_errors(self):
         with pytest.raises(InstanceSyntaxError):
             instance_from_json("{not json")
-        with pytest.raises(InstanceSyntaxError):
-            instance_from_json('{"n": 3}')
+        for bad in (
+            '{"n": 3}',
+            '[3, 1]',
+            '{"n": "x", "r": 1, "alpha": ["1"], "beta": ["2"]}',
+            '{"n": 3, "r": "1.5", "alpha": ["1"], "beta": ["2"]}',
+            '{"n": 3.9, "r": 1, "alpha": ["1"], "beta": ["2"]}',
+            '{"n": true, "r": 1, "alpha": ["1"], "beta": ["2"]}',
+            '{"n": 3, "r": 1, "alpha": "1", "beta": ["2"]}',
+            '{"n": 3, "r": 1, "alpha": [1], "beta": ["2"]}',
+            '{"n": 3, "r": 1, "alpha": ["1"], "beta": ["2"], "metadata": "ab"}',
+            '{"n": 3, "r": 1, "alpha": ["1"], "beta": ["2"], "metadata": ["a\\nb"]}',
+            '{"n": 3, "r": 1, "alpha": ["1"], "beta": ["2"], "metadata": ["a\\u2028"]}',
+        ):
+            with pytest.raises(InstanceSyntaxError):
+                instance_from_json(bad)
         with pytest.raises(CountMismatch):
             instance_from_json('{"n": 3, "r": 2, "alpha": ["1"], "beta": ["2"]}')
         with pytest.raises(IndexOutOfRange):

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 import oracle
+import braidmscp.cli  # loaded so that its parser memo is in the pinned set
 from braidmscp import BraidWord, SimpleElement, conjugate, generator_simple, normalize
 from braidmscp.braid import (
     _INV,
@@ -99,6 +100,23 @@ def package_caches():
             if callable(getattr(obj, "cache_clear", None)):
                 found[id(obj)] = obj
     return list(found.values())
+
+
+class TestMemoSet:
+    def test_only_measured_memos(self):
+        # Each memo kept here hits on most calls on the benchmark workloads
+        # (see ROADMAP.md).  Adding one means adding it to this set and
+        # recording its measured hit rates next to the others.
+        memos = {
+            f"{c.__module__}.{c.__qualname__}"
+            for c in package_caches()
+            if not isinstance(c, dict)
+        }
+        assert memos == {
+            "braidmscp.normal_form._fix_pair",
+            "braidmscp.braid._left_complement",
+            "braidmscp.cli._build_parser",
+        }
 
 
 class TestColdStart:

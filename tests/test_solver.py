@@ -41,6 +41,7 @@ from braidmscp import (
 )
 import braidmscp.normal_form as normal_form_module
 import braidmscp.solver as solver_module
+from braidmscp.normal_form import _prod_normal
 from braidmscp.solver import _ascend, _code_key, _entries_key, _lift_chain, _path
 from test_acceptance import corpus_params, non_conjugacy_instances
 
@@ -210,7 +211,7 @@ class TestMinimalConjugators:
         s = generator_simple(3, 1)
         for parity in (0, 1):
             with pytest.raises(NotSimple):
-                _ascend(3, parity, (p.code,), s.code)
+                _ascend(3, parity, _prod_normal(3, (p.code,), (s.code,)), s.code)
 
     def test_no_proper_prefix_works(self):
         rng = random.Random(26)
