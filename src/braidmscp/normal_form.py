@@ -20,6 +20,9 @@ A".  The move sends (A, D) to (D, tau(A)) and (trivial, B) to (B, trivial),
 so half twists bubble to the front and trivial factors to the back, where
 they are stripped.  Products of two already-weighted sequences only need the
 move combed outward from the junction, which keeps multiplication cheap.
+Conjugating by a simple s adds one factor at each end of a weighted
+sequence, so it is left-weighted in one pass over one list: a forward sweep
+from the new head, then s combed back from the tail, then a single strip.
 Only the one-pair move _fix_pair is memoised, since most calls hit it; whole
 normal forms, conjugates and products rarely repeat, so they are recomputed.
 """
@@ -124,6 +127,20 @@ def _comb_back(factors: list[int], i: int) -> None:
         factors[k], factors[k + 1] = a, b
 
 
+def _comb_forward(factors: list[int], i: int, stop: int) -> None:
+    """Left-weight factors[:stop + 1] when only pairs from i on are unweighted.
+
+    Sweeps the pairs (k, k + 1) for k from i below stop, combing back after
+    each change, and stops at the first pair that is already weighted.
+    """
+    for k in range(i, stop):
+        a, b = _fix_pair(factors[k], factors[k + 1])
+        if a == factors[k]:
+            break
+        factors[k], factors[k + 1] = a, b
+        _comb_back(factors, k)
+
+
 def _strip(n: int, factors: list[int]) -> tuple[int, Codes]:
     """Absorb leading half twists into the power and drop trailing trivials."""
     ident = _IDENTITY[n]
@@ -149,12 +166,7 @@ def _prod_normal(n: int, left: Codes, right: Codes) -> tuple[int, Codes]:
         # half twists or trivial factors, so there is nothing to strip.
         return 0, (*left, *right)
     factors = [*left, *right]
-    for i in range(len(left) - 1, len(factors) - 1):
-        a, b = _fix_pair(factors[i], factors[i + 1])
-        if a == factors[i]:
-            break
-        factors[i], factors[i + 1] = a, b
-        _comb_back(factors, i)
+    _comb_forward(factors, len(left) - 1, len(factors) - 1)
     return _strip(n, factors)
 
 
@@ -263,17 +275,24 @@ def invert(f: NormalForm) -> NormalForm:
 def _conj_raw(n: int, power: int, codes: Codes, s: int) -> tuple[int, Codes]:
     """Conjugate D^power A_1..A_l by the simple s, as raw data.
 
-    s^-1 D^k A.. s = D^(k-1) tau^k(lcomp(s)) A_1 .. A_l s, so the result is
-    two junction products around the existing weighted sequence.
+    s^-1 D^k A.. s = D^(k-1) tau^k(lcomp(s)) A_1 .. A_l s, one list with the
+    weighted sequence between two new factors, left-weighted in one pass:
+    a forward sweep from the head weights head A_1 .. A_l, then s is combed
+    back from the end, and the list is stripped once.  The sweep may leave
+    half twists at the front and trivial factors just before s; combing s
+    back moves it past the trivials and any new half twist to the front, so
+    the one strip meets them only at the ends.
     """
     if s == _IDENTITY[n]:
         return power, codes
     if s == _DELTA[n]:
         return power, tuple(_TAU[a] for a in codes)
-    head = _TAU[_LCOMP[s]] if power % 2 else _LCOMP[s]
-    d1, seq = _prod_normal(n, (head,), codes)
-    d2, seq = _prod_normal(n, seq, (s,))
-    return power - 1 + d1 + d2, seq
+    factors = [_TAU[_LCOMP[s]] if power % 2 else _LCOMP[s], *codes, s]
+    last = len(factors) - 1
+    _comb_forward(factors, 0, last - 1)
+    _comb_back(factors, last)
+    d, seq = _strip(n, factors)
+    return power - 1 + d, seq
 
 
 def conjugate(f: NormalForm, s: SimpleElement) -> NormalForm:

@@ -16,7 +16,10 @@ closed under meet) suffice to keep the search complete, and each is found by
 a short ascent: starting from the bare generator, repeatedly absorb the
 complement forced by an entry that rejects the candidate, until every entry
 passes.  The candidate grows strictly while staying below the true minimum,
-so the ascent ends within half-twist length many steps.
+so the ascent ends within half-twist length many steps.  The floor test of
+an entry D^j p builds the product p*s only when tau^j(s) does not already
+divide the first factor of p, and an ascent stops early once its candidate
+lies above a minimum found for an earlier generator.
 
 The search from alpha stops at beta or at any tuple of beta's lift chain.
 Cycling a braid D^p A_1 ... A_l conjugates it by tau^p(A_1), and repeated
@@ -154,9 +157,22 @@ def _active_entries(t: BraidTuple, floor: InfFloor) -> list[tuple[int, Codes]]:
     return _active(_code_key(t), floor)
 
 
-def _passes(n: int, parity: int, ps: tuple[int, Codes], s: int) -> bool:
-    """Whether tau^parity(s) left-divides ps, an entry's raw product p*s."""
-    return _simple_prefix(n, _TAU[s] if parity else s, *ps)
+def _floor_break(n: int, parity: int, pcodes: Codes, s: int) -> tuple[int, Codes] | None:
+    """The raw product p*s when conjugating by s lowers this on-floor entry's infimum.
+
+    The entry is D^j p with j on the floor, parity = j % 2 and p = A_1..A_l
+    as the codes pcodes; it keeps the floor exactly when tau^j(s) divides
+    the head of p*s.  Returns None when it does.  Shortcut: when tau^j(s)
+    already divides A_1 the product is not built, because A_1 divides p and
+    p divides p*s, so the simple A_1 divides the head of p*s and so does
+    tau^j(s).  The identity always passes, by the shortcut or, for p
+    trivial, because the product is then trivial too.
+    """
+    t = _TAU[s] if parity else s
+    if pcodes and not _INV[t] & ~_INV[pcodes[0]]:
+        return None
+    ps = _prod_normal(n, pcodes, (s,))
+    return None if _simple_prefix(n, t, *ps) else ps
 
 
 def _ascend(n: int, parity: int, ps: tuple[int, Codes], s: int) -> int:
@@ -171,24 +187,30 @@ def _ascend(n: int, parity: int, ps: tuple[int, Codes], s: int) -> int:
 def conjugation_keeps_floor(s: SimpleElement, t: BraidTuple, floor: InfFloor) -> bool:
     """Whether conjugating every entry by s keeps all infima at the floor or above."""
     check_same_strands(t, s)
-    active = _active_entries(t, floor)
-    # the identity keeps every floor, and _prod_normal takes no trivial factor
-    return s.is_identity() or all(
-        _passes(t.n, parity, _prod_normal(t.n, pcodes, (s.code,)), s.code)
-        for parity, pcodes in active
+    return all(
+        _floor_break(t.n, parity, pcodes, s.code) is None
+        for parity, pcodes in _active_entries(t, floor)
     )
 
 
-def _minimal_conjugator_code(n: int, active, s: int) -> int:
-    """The minimal floor-keeping simple element that the simple s divides."""
+def _minimal_conjugator_code(n: int, active, s: int, found=()) -> int | None:
+    """The minimal floor-keeping simple element that the simple s divides.
+
+    Returns None instead, as soon as the growing candidate is divisible by
+    a simple in found.  Every candidate divides the minimum the ascent would
+    reach, so that minimum is then also divisible by the found simple: it is
+    that simple or strictly above it.
+    """
     for _ in range(n * (n - 1) // 2 + 1):
         for parity, pcodes in active:
-            ps = _prod_normal(n, pcodes, (s,))
-            if not _passes(n, parity, ps, s):
+            ps = _floor_break(n, parity, pcodes, s)
+            if ps is not None:
                 s = _ascend(n, parity, ps, s)
                 break
         else:
             return s
+        if any(not _INV[o] & ~_INV[s] for o in found):
+            return None
     raise AssertionError("unreachable: the half twist keeps every floor")
 
 
@@ -208,11 +230,21 @@ def minimal_conjugator(i: int, t: BraidTuple, floor: InfFloor) -> SimpleElement:
 
 
 def _minimal_codes(n: int, active) -> list[int]:
+    """The codes of minimal_conjugator_set, in ascending generator order.
+
+    Each ascent is given the minima found so far and stops once its
+    candidate is divisible by one of them (see _minimal_conjugator_code).
+    The minimum it would have reached then equals that earlier one, a
+    duplicate, or lies strictly above it, so the filter would drop it; and
+    it cannot be what drops another element, since the earlier minimum
+    below it drops that element too.  So the result and its order are those
+    of running every ascent to its end.
+    """
     found: list[int] = []
     letters = _LETTERS[n]
     for i in range(1, n):
-        r_i = _minimal_conjugator_code(n, active, letters[i])
-        if r_i not in found:
+        r_i = _minimal_conjugator_code(n, active, letters[i], found)
+        if r_i is not None:
             found.append(r_i)
     return [s for s in found if not any(o != s and not _INV[o] & ~_INV[s] for o in found)]
 

@@ -6,6 +6,10 @@ step, every positive word of a permutation braid arises this way, and the
 left divisors are exactly the prefixes of reduced words.  Everything else
 (meets as maximal common divisors, joins as minimal common multiples) is
 computed by exhaustive search over those divisor sets.
+
+The search oracle bfs_search runs on reference copies of the conjugator
+ascent and of conjugation, ref_minimal_codes and ref_conj_raw, which build
+every product outright and skip none of the kernel's shortcuts.
 """
 
 from __future__ import annotations
@@ -134,6 +138,59 @@ def floor_component(alpha, floor) -> set[str]:
     return set(seen)
 
 
+def ref_conj_raw(n, power, codes, s):
+    """s^-1 D^power A_1..A_l s as raw data, by two junction products.
+
+    The reference for normal_form._conj_raw: the head tau^k(lcomp(s)) is
+    multiplied onto the weighted sequence, the result is stripped, and s is
+    multiplied onto that.
+    """
+    from braidmscp.braid import _DELTA, _IDENTITY, _LCOMP, _TAU
+    from braidmscp.normal_form import _prod_normal
+
+    if s == _IDENTITY[n]:
+        return power, codes
+    if s == _DELTA[n]:
+        return power, tuple(_TAU[a] for a in codes)
+    head = _TAU[_LCOMP[s]] if power % 2 else _LCOMP[s]
+    d1, seq = _prod_normal(n, (head,), codes)
+    d2, seq = _prod_normal(n, seq, (s,))
+    return power - 1 + d1 + d2, seq
+
+
+def ref_minimal_codes(n, active):
+    """The reference for solver._minimal_codes: every ascent run to its end.
+
+    Each floor test builds the whole product p*s and asks whether tau^j(s)
+    divides its head; a rejecting entry grows s by the lcm complement.  The
+    per-generator minima are deduplicated, and any element strictly
+    divisible by another is dropped.
+    """
+    from braidmscp.braid import _INV, _LETTERS, _TAU, _mul
+    from braidmscp.normal_form import _lcm_sweep, _prod_normal, _simple_prefix
+
+    def ascend(s):
+        for _ in range(n * (n - 1) // 2 + 1):
+            for parity, pcodes in active:
+                t = _TAU[s] if parity else s
+                power, factors = _prod_normal(n, pcodes, (s,))
+                if not _simple_prefix(n, t, power, factors):
+                    if power != 0:
+                        raise AssertionError("a rejecting product starts with the half twist")
+                    s = _mul(s, _lcm_sweep(t, factors))
+                    break
+            else:
+                return s
+        raise AssertionError("the ascent did not reach the half twist in time")
+
+    found = []
+    for i in range(1, n):
+        r_i = ascend(_LETTERS[n][i])
+        if r_i not in found:
+            found.append(r_i)
+    return [s for s in found if not any(o != s and not _INV[o] & ~_INV[s] for o in found)]
+
+
 def bfs_search(alpha, beta, floor, node_cap):
     """Breadth-first search from alpha for beta alone, with no lift-chain targets.
 
@@ -141,7 +198,9 @@ def bfs_search(alpha, beta, floor, node_cap):
     stopped at cycling lifts of beta.  It expands the same minimal conjugator
     sets in the same order and builds the same graph, so a search with more
     targets visits a prefix of these nodes, with the same parents and edges,
-    and reaches a verdict no later.
+    and reaches a verdict no later.  It expands and conjugates through the
+    reference kernel above, not the package's, so a kernel change that
+    alters a move or a child shows as a different graph.
     """
     from collections import deque
 
@@ -156,8 +215,7 @@ def bfs_search(alpha, beta, floor, node_cap):
         word_concat,
     )
     from braidmscp.braid import _SIMPLE
-    from braidmscp.normal_form import _conj_raw
-    from braidmscp.solver import _active, _code_key, _minimal_codes
+    from braidmscp.solver import _active, _code_key
 
     n = alpha.n
     counters = SearchCounters()
@@ -179,13 +237,13 @@ def bfs_search(alpha, beta, floor, node_cap):
     queue = deque([root])
     while queue:
         entries = queue.popleft()
-        moves = _minimal_codes(n, _active(entries, floor))
+        moves = ref_minimal_codes(n, _active(entries, floor))
         counters.nodes_expanded += 1
         counters.set_size_sum += len(moves)
         counters.set_size_max = max(counters.set_size_max, len(moves))
         for s in moves:
             counters.conjugations += 1
-            child = tuple(_conj_raw(n, power, codes, s) for power, codes in entries)
+            child = tuple(ref_conj_raw(n, power, codes, s) for power, codes in entries)
             if child in nodes:
                 continue
             if len(nodes) >= node_cap:

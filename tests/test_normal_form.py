@@ -9,6 +9,7 @@ from braidmscp import (
     BraidWord,
     NormalForm,
     NotPositive,
+    SimpleElement,
     StrandMismatch,
     conjugate,
     delta,
@@ -200,6 +201,29 @@ class TestConjugate:
             sw = simple_to_word(s)
             expected = normalize(word_concat(word_inverse(sw), w, sw))
             assert conjugate(normalize(w), s) == expected
+
+    @staticmethod
+    def by_two_products(f, s):
+        """s^-1 f s through multiply and invert, not through the conjugation sweep."""
+        snf = nf_of_simple(s)
+        return multiply(multiply(invert(snf), f), snf)
+
+    def test_matches_two_products_at_larger_n(self):
+        # conjugate runs the one-pass sweep of normal_form._conj_raw
+        rng = random.Random(19)
+        for _ in range(300):
+            n = rng.randint(6, 8)
+            f = normalize(rand_word(rng, n, 24))
+            s = SimpleElement(n, tuple(rng.sample(range(n), n)))
+            assert conjugate(f, s) == self.by_two_products(f, s)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_two_products_for_every_simple(self, n):
+        rng = random.Random(20 + n)
+        forms = [normalize(rand_word(rng, n, 12)) for _ in range(25)]
+        for s in enumerate_simples(n):
+            for f in forms:
+                assert conjugate(f, s) == self.by_two_products(f, s)
 
     def test_preserves_exponent_sum(self):
         rng = random.Random(18)

@@ -12,6 +12,7 @@ from braidmscp import (
     NotSimple,
     Outcome,
     SearchCounters,
+    SimpleElement,
     StrandMismatch,
     SummitGraph,
     SummitNode,
@@ -42,7 +43,15 @@ from braidmscp import (
 import braidmscp.normal_form as normal_form_module
 import braidmscp.solver as solver_module
 from braidmscp.normal_form import _prod_normal
-from braidmscp.solver import _ascend, _code_key, _entries_key, _lift_chain, _path
+from braidmscp.solver import (
+    _active_entries,
+    _ascend,
+    _code_key,
+    _entries_key,
+    _lift_chain,
+    _minimal_codes,
+    _path,
+)
 from test_acceptance import corpus_params, non_conjugacy_instances
 
 
@@ -113,6 +122,17 @@ class TestKeepsFloor:
             t = tuple_from_words(n, [rand_word(rng, n, 8) for _ in range(r)])
             floor = inf_vector(t)
             s = rng.choice(enumerate_simples(n))
+            assert conjugation_keeps_floor(s, t, floor) == keeps_floor_by_full_conjugation(
+                s, t, floor
+            )
+
+    def test_against_full_conjugation_at_larger_n(self):
+        rng = random.Random(27)
+        for _ in range(300):
+            n = rng.randint(6, 8)
+            t = tuple_from_words(n, [rand_word(rng, n, 16) for _ in range(rng.randint(1, 3))])
+            floor = inf_vector(t)
+            s = SimpleElement(n, tuple(rng.sample(range(n), n)))
             assert conjugation_keeps_floor(s, t, floor) == keeps_floor_by_full_conjugation(
                 s, t, floor
             )
@@ -203,6 +223,17 @@ class TestMinimalConjugators:
                 if not any(o != s and simple_divides(o, s) for o in good)
             }
             assert set(minimal_conjugator_set(t, floor)) == minimal
+
+    def test_matches_reference_ascent_at_larger_n(self):
+        # n = 6..8 is out of reach of the brute-force minima above; the
+        # reference builds every product p*s and runs every ascent to its end
+        rng = random.Random(28)
+        for _ in range(300):
+            n = rng.randint(6, 8)
+            t = tuple_from_words(n, [rand_word(rng, n, 16) for _ in range(rng.randint(1, 3))])
+            floor = tuple(j - rng.randint(0, 1) for j in inf_vector(t))
+            active = _active_entries(t, floor)
+            assert _minimal_codes(n, active) == oracle.ref_minimal_codes(n, active)
 
     def test_ascent_rejects_half_twist_prefix(self):
         # p * s = (s1 s2) s1 is the half twist, so p * s has D as a prefix and
