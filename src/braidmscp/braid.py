@@ -24,8 +24,9 @@ permutation, right and left complement, flip, the start set (bit i set when
 letter i+1 can begin the braid) and the inversion set, both as bitmasks.
 So "a divides b" is inv[a] & ~inv[b] == 0, and a product a*b is simple
 exactly when b divides the right complement of a.  The tables expose
-cache_clear like functools caches and are rebuilt on demand after clearing;
-the SimpleElement value type carries its code next to its permutation.
+cache_clear like functools caches and are rebuilt on demand after clearing.
+The SimpleElement value type carries its code next to its permutation;
+elsewhere the package stores a simple element as its code alone.
 Table-driven permutation braids follow the CBraid library (J. C. Cha).
 
 The divisors of D form a lattice under left divisibility.  The meet of two
@@ -408,15 +409,15 @@ def simple_from_positive_word(w: BraidWord) -> SimpleElement:
     return s
 
 
-def simple_to_word(s: SimpleElement) -> BraidWord:
-    """Canonical reduced positive word for a permutation braid.
+def _code_word(code: int) -> BraidWord:
+    """Canonical reduced positive word of the permutation braid with this code.
 
     Walks the target positions from rightmost to leftmost and slides the
     strand destined for each into place; deterministic, and of length equal
     to the inversion count.
     """
-    n = s.n
-    dest = s.perm
+    dest = _PERM[code]
+    n = len(dest)
     arrangement = list(range(n))  # strand occupying each position
     pos = list(range(n))  # position of each strand
     source = _perm_inverse(dest)
@@ -429,6 +430,11 @@ def simple_to_word(s: SimpleElement) -> BraidWord:
             pos[strand], pos[other] = q + 1, q
             letters.append(q + 1)
     return BraidWord(n, tuple(letters))
+
+
+def simple_to_word(s: SimpleElement) -> BraidWord:
+    """Canonical reduced positive word for a permutation braid."""
+    return _code_word(s.code)
 
 
 def tau(x: BraidWord | SimpleElement, k: int = 1):

@@ -64,12 +64,11 @@ def _build_parser() -> _Parser:
     p_attack = sub.add_parser("attack", help="run seeded attacks and report a table")
     p_attack.add_argument("--instance", type=Path, help="attack one existing instance file")
     p_attack.add_argument("-n", type=int, default=3)
-    p_attack.add_argument("-r", type=int, default=1)
+    p_attack.add_argument("-r", default="1", help="tuple length, or a comma list of them to sweep")
     p_attack.add_argument("--entry-len", type=int, default=4)
     p_attack.add_argument("--conj-len", type=int, default=4)
     p_attack.add_argument("--seed", type=int, default=0)
     p_attack.add_argument("--trials", type=int, default=1)
-    p_attack.add_argument("--sweep-r", help="comma list of r values to sweep")
     p_attack.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP)
     p_attack.add_argument("--jobs", type=int, default=1, help="parallel trials")
     p_attack.add_argument("--times", action="store_true", help="include wall-time column")
@@ -162,15 +161,12 @@ def _attack_instance(args) -> int:
 def _cmd_attack(args) -> int:
     if args.instance is not None:
         return _attack_instance(args)
-    if args.sweep_r:
-        try:
-            r_values = [int(tok) for tok in args.sweep_r.split(",") if tok.strip()]
-        except ValueError:
-            raise CliError(f"bad --sweep-r value {args.sweep_r!r}") from None
-        if not r_values:
-            raise CliError("--sweep-r lists no values")
-    else:
-        r_values = [args.r]
+    try:
+        r_values = [int(tok) for tok in args.r.split(",") if tok.strip()]
+    except ValueError:
+        raise CliError(f"bad -r value {args.r!r}") from None
+    if not r_values:
+        raise CliError("-r lists no values")
     points = [
         harness.GenParams(
             n=args.n,

@@ -197,6 +197,8 @@ def batch_stats(
     points = list(points)
     if trials < 0:
         raise InvalidParams("trials must be non-negative")
+    if jobs < 1:
+        raise InvalidParams(f"jobs must be at least 1, got {jobs}")
     if trials == 0:
         return []
     tasks = [dataclasses.replace(p, seed=p.seed + k) for p in points for k in range(trials)]

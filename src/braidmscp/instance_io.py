@@ -209,7 +209,7 @@ def export_graph(graph: SummitGraph, format: str = "edgelist") -> str:
             mark = " [shape=doublecircle]" if key == graph.root else ""
             node_lines.append(f'  "{h}"{mark};')
         if node.parent is not None:
-            src, word = hashes[node.parent], _WORD_TEXT[node.edge.code]
+            src, word = hashes[node.parent], _WORD_TEXT[node.edge]
             edge_lines.append(f'  "{src}" -> "{h}" [label="{word}"];' if dot else f"{src} {h} {word}")
     if dot:
         return "\n".join(["digraph summit {", *node_lines, *edge_lines, "}"]) + "\n"

@@ -7,8 +7,10 @@ crossing that could be pulled out of the head of A_(i+1).  The exponent k is
 the infimum of the braid and k + l its supremum.
 
 All of the machinery runs on the integer codes of braid.py: a normal form
-carries the tuple of its factors' codes, set once at construction, and the
-raw layer below takes and returns (power, code tuple) pairs.  A pair (a, b)
+is its strand count, its power and the tuple of its factors' codes, and the
+raw layer below takes and returns (power, code tuple) pairs.  The codes are
+the only stored form of the factors; the factors property builds their
+SimpleElement values on request.  A pair (a, b)
 is already left-weighted exactly when no letter starts both rcomp(a) and b,
 one AND of two start-set bitmasks, which is tested before any meet is
 computed.
@@ -46,13 +48,12 @@ from .braid import (
     BraidWord,
     SimpleElement,
     _braid_mul,
+    _code_word,
     _LazyTable,
     _left_complement,
     _peel,
     check_same_strands,
     check_strand_count,
-    delta,
-    simple_to_word,
     word_inverse,
     word_to_text,
 )
@@ -63,22 +64,25 @@ Codes = tuple[int, ...]
 
 @dataclasses.dataclass(frozen=True)
 class NormalForm:
-    """A braid in left normal form: power of the half twist plus factors."""
+    """A braid in left normal form: power of the half twist plus factor codes."""
 
     n: int
     power: int
-    factors: tuple[SimpleElement, ...] = ()
-    codes: Codes = dataclasses.field(init=False, repr=False, compare=False)
+    codes: Codes = ()
 
     def __post_init__(self):
         check_strand_count(self.n)
-        for f in self.factors:
-            if f.n != self.n:
-                raise StrandMismatch(f"factor on {f.n} strands in a normal form on {self.n}")
-        codes = tuple(f.code for f in self.factors)
-        if _IDENTITY[self.n] in codes or _DELTA[self.n] in codes:
-            raise InvalidParams("normal form factors must be proper divisors of the half twist")
-        object.__setattr__(self, "codes", codes)
+        # the codes of n strands run from the identity's to the half twist's
+        lo, hi = _IDENTITY[self.n], _DELTA[self.n]
+        for c in self.codes:
+            if not isinstance(c, int) or c < 0 or c in (lo, hi):
+                raise InvalidParams(f"factor {c!r} is not the code of a proper simple factor")
+            if not lo < c < hi:
+                raise StrandMismatch(f"factor code {c} is not on {self.n} strands")
+
+    @property
+    def factors(self) -> tuple[SimpleElement, ...]:
+        return tuple(_SIMPLE[c] for c in self.codes)
 
     @property
     def inf(self) -> int:
@@ -86,13 +90,13 @@ class NormalForm:
 
     @property
     def sup(self) -> int:
-        return self.power + len(self.factors)
+        return self.power + len(self.codes)
 
     def canonical_length(self) -> int:
-        return len(self.factors)
+        return len(self.codes)
 
     def is_identity(self) -> bool:
-        return self.power == 0 and not self.factors
+        return self.power == 0 and not self.codes
 
 
 def inf_sup(f: NormalForm) -> tuple[int, int]:
@@ -205,11 +209,6 @@ def _push_half_twists(items: list[tuple[int, int]]) -> tuple[int, list[int]]:
     return total, out
 
 
-def _nf_from_raw(n: int, power: int, codes: Codes) -> NormalForm:
-    """The NormalForm value of raw data, validated like any other."""
-    return NormalForm(n, power, tuple(_SIMPLE[c] for c in codes))
-
-
 # ---------------------------------------------------------------------------
 # Public operations.
 # ---------------------------------------------------------------------------
@@ -224,25 +223,21 @@ def normalize(w: BraidWord) -> NormalForm:
     letters = _LETTERS[w.n]
     power, seq = _push_half_twists([(-1 if e < 0 else 0, letters[e]) for e in w.letters])
     extra, factors = _weight_seq(w.n, seq)
-    return _nf_from_raw(w.n, power + extra, factors)
+    return NormalForm(w.n, power + extra, factors)
 
 
 def nf_of_simple(s: SimpleElement) -> NormalForm:
-    if s.is_identity():
-        return NormalForm(s.n, 0, ())
-    if s.is_delta():
-        return NormalForm(s.n, 1, ())
-    return NormalForm(s.n, 0, (s,))
+    return NormalForm(s.n, *_strip(s.n, [s.code]))
 
 
 def nf_to_word(f: NormalForm) -> BraidWord:
     """A word representing the normal form: half-twist letters, then factors."""
-    dword = simple_to_word(delta(f.n))
+    dword = _code_word(_DELTA[f.n])
     if f.power < 0:
         dword = word_inverse(dword)
     letters = list(dword.letters) * abs(f.power)
-    for factor in f.factors:
-        letters.extend(simple_to_word(factor).letters)
+    for a in f.codes:
+        letters.extend(_code_word(a).letters)
     return BraidWord(f.n, tuple(letters))
 
 
@@ -251,7 +246,7 @@ def multiply(f: NormalForm, g: NormalForm) -> NormalForm:
     check_same_strands(f, g)
     left = tuple(_TAU[a] for a in f.codes) if g.power % 2 else f.codes
     extra, codes = _prod_normal(f.n, left, g.codes)
-    return _nf_from_raw(f.n, f.power + g.power + extra, codes)
+    return NormalForm(f.n, f.power + g.power + extra, codes)
 
 
 def invert(f: NormalForm) -> NormalForm:
@@ -269,7 +264,7 @@ def invert(f: NormalForm) -> NormalForm:
         _TAU[_LCOMP[a]] if (k + i) % 2 else _LCOMP[a]
         for i, a in reversed(list(enumerate(f.codes)))
     )
-    return _nf_from_raw(f.n, -k - len(codes), codes)
+    return NormalForm(f.n, -k - len(codes), codes)
 
 
 def _conj_raw(n: int, power: int, codes: Codes, s: int) -> tuple[int, Codes]:
@@ -298,8 +293,7 @@ def _conj_raw(n: int, power: int, codes: Codes, s: int) -> tuple[int, Codes]:
 def conjugate(f: NormalForm, s: SimpleElement) -> NormalForm:
     """Normal form of s^-1 f s."""
     check_same_strands(f, s)
-    power, codes = _conj_raw(f.n, f.power, f.codes, s.code)
-    return _nf_from_raw(f.n, power, codes)
+    return NormalForm(f.n, *_conj_raw(f.n, f.power, f.codes, s.code))
 
 
 def _simple_prefix(n: int, s: int, power: int, codes: Codes) -> bool:
@@ -357,7 +351,7 @@ def strand_permutation(f: NormalForm) -> tuple[int, ...]:
 
 
 # The word text of each simple element's canonical word, by code.
-_WORD_TEXT = _LazyTable(lambda c: word_to_text(simple_to_word(_SIMPLE[c])))
+_WORD_TEXT = _LazyTable(lambda c: word_to_text(_code_word(c)))
 
 
 def _raw_key(power: int, codes: Codes) -> str:

@@ -49,9 +49,9 @@ from .braid import (
     _TAU,
     BraidWord,
     SimpleElement,
+    _code_word,
     _mul,
     check_same_strands,
-    simple_to_word,
     word_concat,
     word_inverse,
 )
@@ -68,7 +68,6 @@ from .normal_form import (
     NormalForm,
     _conj_raw,
     _lcm_sweep,
-    _nf_from_raw,
     _prod_normal,
     _raw_key,
     _simple_prefix,
@@ -276,12 +275,13 @@ class SearchCounters:
 class SummitNode:
     """How a visited tuple was reached: its parent's key and the edge from it.
 
-    The root has neither parent nor edge.  The parent is the very tuple
-    object that keys the parent node, so storing it copies nothing.
+    The edge is the code of the simple element that conjugates the parent
+    to this tuple.  The root has neither parent nor edge.  The parent is the
+    very tuple object that keys the parent node, so storing it copies nothing.
     """
 
     parent: Entries | None
-    edge: SimpleElement | None
+    edge: int | None
 
 
 @dataclasses.dataclass
@@ -295,7 +295,7 @@ class SummitGraph:
 
     def tuple(self, key: Entries) -> BraidTuple:
         """The BraidTuple of a node key."""
-        return BraidTuple(self.n, tuple(_nf_from_raw(self.n, p, c) for p, c in key))
+        return BraidTuple(self.n, tuple(NormalForm(self.n, p, c) for p, c in key))
 
 
 class Outcome(enum.Enum):
@@ -316,9 +316,9 @@ class ConjugatorResult:
         return self.graph.counters
 
 
-def _path(nodes: dict[Entries, SummitNode], key: Entries) -> list[SimpleElement]:
-    """The edge labels along the tree path from the root of nodes to key."""
-    edges: list[SimpleElement] = []
+def _path(nodes: dict[Entries, SummitNode], key: Entries) -> list[int]:
+    """The edge codes along the tree path from the root of nodes to key."""
+    edges: list[int] = []
     node = nodes[key]
     while node.parent is not None:
         edges.append(node.edge)
@@ -370,7 +370,7 @@ def _lift_chain(n: int, chain: dict[Entries, SummitNode], counters: SearchCounte
         if lifted in chain:
             yield None
             continue
-        chain[lifted] = SummitNode(current, _SIMPLE[s])
+        chain[lifted] = SummitNode(current, s)
         if any(new[0] > old[0] for new, old in zip(lifted, current)):
             stale = 0
         current = lifted
@@ -391,8 +391,8 @@ def summit_search(
     floor is validated once, here, since every minimal conjugator keeps it; a
     child is conjugated entry by entry on codes and looked up among the nodes
     before anything else is built.  Normal forms are unique, so equal entries
-    mean equal tuples and the node dict is the only dedup structure.  No
-    NormalForm, BraidTuple or key string is built during the search.
+    mean equal tuples and the node dict is the only dedup structure.  The
+    search builds no NormalForm, BraidTuple, SimpleElement or key string.
 
     The targets are beta and its lift chain (see _lift_chain), grown by one
     cycling move after each expansion that did not meet a target.  A chain
@@ -431,8 +431,8 @@ def summit_search(
         return ConjugatorResult(outcome, conjugator, reason, graph)
 
     def found(key):
-        x = [simple_to_word(s) for s in _path(nodes, key)]
-        y_inv = [word_inverse(simple_to_word(s)) for s in reversed(_path(targets, key))]
+        x = [_code_word(s) for s in _path(nodes, key)]
+        y_inv = [word_inverse(_code_word(s)) for s in reversed(_path(targets, key))]
         return result(Outcome.FOUND, word_concat(BraidWord(n, ()), *x, *y_inv))
 
     if root in targets:  # alpha is beta
@@ -453,7 +453,7 @@ def summit_search(
                 continue
             if len(nodes) >= node_cap:
                 return result(Outcome.ABORTED, reason=f"node cap {node_cap} exceeded")
-            nodes[child] = SummitNode(entries, _SIMPLE[s])
+            nodes[child] = SummitNode(entries, s)
             if child in targets:
                 return found(child)
             queue.append(child)

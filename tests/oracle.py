@@ -226,7 +226,7 @@ def bfs_search(alpha, beta, floor, node_cap):
     def found(key):
         edges = []
         while nodes[key].parent is not None:
-            edges.append(simple_to_word(nodes[key].edge))
+            edges.append(simple_to_word(_SIMPLE[nodes[key].edge]))
             key = nodes[key].parent
         return ConjugatorResult(
             Outcome.FOUND, word_concat(BraidWord(n, ()), *reversed(edges)), None, graph
@@ -248,7 +248,7 @@ def bfs_search(alpha, beta, floor, node_cap):
                 continue
             if len(nodes) >= node_cap:
                 return ConjugatorResult(Outcome.ABORTED, None, "node cap", graph)
-            nodes[child] = SummitNode(entries, _SIMPLE[s])
+            nodes[child] = SummitNode(entries, s)
             if child == target:
                 return found(child)
             queue.append(child)

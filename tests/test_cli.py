@@ -146,7 +146,7 @@ class TestAttack:
 
     def test_sweep(self, capsys):
         code, out, _ = run_cli(
-            capsys, "attack", "-n", "3", "--sweep-r", "1,2", "--trials", "1", "--seed", "3"
+            capsys, "attack", "-n", "3", "-r", "1,2", "--trials", "1", "--seed", "3"
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 3
@@ -170,13 +170,16 @@ class TestAttack:
         assert row["matched"] == "1"
 
     def test_bad_sweep(self, capsys):
-        assert run_cli(capsys, "attack", "--sweep-r", "1,x")[0] == 3
+        assert run_cli(capsys, "attack", "-r", "1,x")[0] == 3
+        assert run_cli(capsys, "attack", "-r", ",")[0] == 3
+        assert run_cli(capsys, "attack", "--jobs", "-3")[0] == 3
 
 
 class TestContract:
     def test_unknown_flag_rejected(self, capsys):
         assert run_cli(capsys, "nf", "-n", "3", "--bogus", "1")[0] == 3
         assert run_cli(capsys, "nf", "-n", "3", "--pretty", "1")[0] == 3
+        assert run_cli(capsys, "attack", "-n", "3", "--sweep-r", "1,2")[0] == 3
 
     def test_unknown_command_rejected(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 3
@@ -189,7 +192,7 @@ class TestContract:
             ["solve", str(path), "--stats"],
             ["verify", str(path), "2 1"],
             ["attack", "-n", "3", "--trials", "2", "--seed", "5"],
-            ["attack", "-n", "3", "--sweep-r", "1,2", "--trials", "1", "--seed", "5"],
+            ["attack", "-n", "3", "-r", "1,2", "--trials", "1", "--seed", "5"],
         ]
         for argv in cases:
             first = run_cli(capsys, *argv)

@@ -25,6 +25,7 @@ from braidmscp import (
     word_to_text,
     write_instance,
 )
+from braidmscp.braid import _SIMPLE
 from braidmscp.instance_io import key_hash
 from test_acceptance import corpus_params
 
@@ -143,7 +144,7 @@ def node_name(graph, key):
 def reference_export(graph, format):
     """export_graph written out plainly: every key hashed and every edge word derived anew."""
     edges = [
-        (node_name(graph, node.parent), node_name(graph, key), word_to_text(simple_to_word(node.edge)))
+        (node_name(graph, node.parent), node_name(graph, key), word_to_text(simple_to_word(_SIMPLE[node.edge])))
         for key, node in graph.nodes.items()
         if node.parent is not None
     ]

@@ -14,13 +14,24 @@ import pytest
 
 import oracle
 import braidmscp.cli  # loaded so that its parser memo is in the pinned set
-from braidmscp import BraidWord, SimpleElement, conjugate, generator_simple, normalize
+from braidmscp import (
+    BraidWord,
+    SimpleElement,
+    conjugate,
+    counters_report,
+    export_graph,
+    gen_instance,
+    generator_simple,
+    normalize,
+    run_attack,
+)
 from braidmscp.braid import (
     _INV,
     _LCOMP,
     _OFFSET,
     _PERM,
     _RCOMP,
+    _SIMPLE,
     _START,
     _TAU,
     _braid_mul,
@@ -30,6 +41,7 @@ from braidmscp.braid import (
     _tau_perm,
 )
 from braidmscp.normal_form import _fix_pair
+from test_acceptance import corpus_params
 
 
 def perms(n):
@@ -137,3 +149,23 @@ class TestColdStart:
             cache.cache_clear()
         assert conjugate(f, s) == expected
         assert normalize(BraidWord(5, (1, -2, 3, 4, -1, 2))) == f
+
+
+class TestCodesOnly:
+    def test_search_verify_and_export_build_no_simple_element(self, tmp_path, capsys):
+        # a simple element is stored as its code alone: from cold caches, a
+        # search, its verification, its export and CLI verify leave the
+        # SimpleElement table empty
+        for cache in package_caches():
+            cache.cache_clear()
+        for params in corpus_params()[:20]:
+            inst, planted = gen_instance(params)
+            graph = run_attack(inst, planted, node_cap=1000).result.graph
+            counters_report(graph)
+            export_graph(graph, "edgelist")
+            export_graph(graph, "dot")
+        path = tmp_path / "w.inst"
+        path.write_text("n 3\nr 1\nalpha 1\nbeta 2\n")
+        assert braidmscp.cli.main(["verify", str(path), "2 1"]) == 0
+        assert capsys.readouterr().out == "valid\n"
+        assert not _SIMPLE

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import oracle
 from braidmscp import (
     BraidWord,
+    InvalidParams,
     NormalForm,
     NotPositive,
     SimpleElement,
@@ -62,12 +63,18 @@ class TestNormalize:
         assert inf_sup(normalize(word_inverse(dw))) == (-1, -1)
 
     def test_factor_constraints_enforced(self):
-        with pytest.raises(Exception):
-            NormalForm(3, 0, (identity_simple(3),))
-        with pytest.raises(Exception):
-            NormalForm(3, 0, (delta(3),))
+        with pytest.raises(InvalidParams):
+            NormalForm(3, 0, (identity_simple(3).code,))
+        with pytest.raises(InvalidParams):
+            NormalForm(3, 0, (delta(3).code,))
         with pytest.raises(StrandMismatch):
-            NormalForm(3, 0, (generator_simple(4, 1),))
+            NormalForm(3, 0, (generator_simple(4, 1).code,))
+        with pytest.raises(StrandMismatch):
+            NormalForm(3, 0, (generator_simple(2, 1).code,))
+        with pytest.raises(InvalidParams):
+            NormalForm(3, 0, (-1,))
+        with pytest.raises(InvalidParams):
+            NormalForm(3, 0, (generator_simple(3, 1),))
 
     def test_round_trip_word(self):
         f = normalize(BraidWord(3, (1, -2)))

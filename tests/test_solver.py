@@ -42,6 +42,7 @@ from braidmscp import (
 )
 import braidmscp.normal_form as normal_form_module
 import braidmscp.solver as solver_module
+from braidmscp.braid import _SIMPLE
 from braidmscp.normal_form import _prod_normal
 from braidmscp.solver import (
     _active_entries,
@@ -333,7 +334,7 @@ class TestSummitSearch:
         assert len(graph.nodes) >= 2
         for key, node in graph.nodes.items():
             if node.parent is not None:
-                assert conjugate_tuple(graph.tuple(node.parent), node.edge) == graph.tuple(key)
+                assert conjugate_tuple(graph.tuple(node.parent), _SIMPLE[node.edge]) == graph.tuple(key)
 
 
 class TestCompactNodeStore:
@@ -370,7 +371,7 @@ class TestCompactNodeStore:
                 if node.parent is not None:
                     # the parent is the parent's own key object, not a copy
                     assert id(node.parent) in key_ids
-                    assert conjugate_tuple(graph.tuple(node.parent), node.edge) == t
+                    assert conjugate_tuple(graph.tuple(node.parent), _SIMPLE[node.edge]) == t
         assert outcomes == set(Outcome)
 
     def test_search_builds_no_key_string(self, monkeypatch):
@@ -414,8 +415,8 @@ class TestLiftChain:
             chain, _ = self.run_chain(beta)
             graph = SummitGraph(beta.n, _code_key(beta), chain, SearchCounters())
             for key, node in chain.items():
-                assert node.edge is None or not node.edge.is_delta()
-                y = word_concat(BraidWord(beta.n, ()), *map(simple_to_word, _path(chain, key)))
+                assert node.edge is None or not _SIMPLE[node.edge].is_delta()
+                y = word_concat(BraidWord(beta.n, ()), *(simple_to_word(_SIMPLE[s]) for s in _path(chain, key)))
                 assert verify_conjugator(beta, graph.tuple(key), y)
 
     def test_infima_never_fall_and_chain_ends_within_bound(self):
