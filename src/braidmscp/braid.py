@@ -107,13 +107,6 @@ def _rcomp_perm(a: Perm) -> Perm:
     return tuple(n - 1 - ainv[i] for i in range(n))
 
 
-def _lcomp_perm(a: Perm) -> Perm:
-    """Left complement D a^-1, the simple element with lcomp(a) * a = D."""
-    n = len(a)
-    ainv = _perm_inverse(a)
-    return tuple(ainv[n - 1 - i] for i in range(n))
-
-
 def _gen_perm(n: int, i: int) -> Perm:
     """Permutation of the generator letter i (1-based)."""
     p = list(range(n))
@@ -208,8 +201,9 @@ _OFFSET = _LazyTable(lambda n: sum(math.factorial(k) for k in range(2, n)))
 _CODE = _LazyTable(_code_of_perm)
 _PERM = _LazyTable(_perm_of_code)
 _RCOMP = _LazyTable(lambda c: _CODE[_rcomp_perm(_PERM[c])])
-_LCOMP = _LazyTable(lambda c: _CODE[_lcomp_perm(_PERM[c])])
 _TAU = _LazyTable(lambda c: _CODE[_tau_perm(_PERM[c])])
+# lcomp(a) = D a^-1 = tau(a^-1 D), the simple element with lcomp(a) * a = D
+_LCOMP = _LazyTable(lambda c: _TAU[_RCOMP[c]])
 _START = _LazyTable(_start_set)
 _INV = _LazyTable(_inversion_set)
 _LETTERS = _LazyTable(_letter_codes)
@@ -483,9 +477,9 @@ def simple_product(a: SimpleElement, b: SimpleElement) -> SimpleElement:
     return _SIMPLE[_mul(a.code, b.code)]
 
 
-def enumerate_simples(n: int, bound: int = SIMPLE_ENUM_BOUND) -> list[SimpleElement]:
+def enumerate_simples(n: int) -> list[SimpleElement]:
     """All n! simple elements, for brute-force oracles at small n."""
     check_strand_count(n)
-    if n > bound:
-        raise BoundExceeded(f"enumeration of {n}! simple elements exceeds bound {bound}")
+    if n > SIMPLE_ENUM_BOUND:
+        raise BoundExceeded(f"enumeration of {n}! simple elements exceeds bound {SIMPLE_ENUM_BOUND}")
     return [SimpleElement(n, p) for p in itertools.permutations(range(n))]

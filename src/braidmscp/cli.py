@@ -62,7 +62,6 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("conjugator", help="word text")
 
     p_attack = sub.add_parser("attack", help="run seeded attacks and report a table")
-    p_attack.add_argument("--instance", type=Path, help="attack one existing instance file")
     p_attack.add_argument("-n", type=int, default=3)
     p_attack.add_argument("-r", default="1", help="tuple length, or a comma list of them to sweep")
     p_attack.add_argument("--entry-len", type=int, default=4)
@@ -133,34 +132,7 @@ def _cmd_verify(args) -> int:
     return EXIT_NOT_CONJUGATE
 
 
-def _attack_instance(args) -> int:
-    inst = _load_instance(args.instance)
-    key_path = args.instance.with_name(args.instance.name + ".key")
-    planted = None
-    if key_path.exists():
-        planted = word_from_text(key_path.read_text().strip(), inst.n)
-    report = harness.run_attack(inst, planted, node_cap=args.cap)
-    header = ["instance", "found", "recovered", "matched", "nodes", "conjugations"]
-    if args.times:
-        header.append("ms")
-    cells = [
-        args.instance.name,
-        str(int(report.result.outcome is Outcome.FOUND)),
-        str(int(report.recovered_ok)),
-        "-" if report.matches_planted is None else str(int(report.matches_planted)),
-        str(report.nodes),
-        str(report.conjugations),
-    ]
-    if args.times:
-        cells.append(f"{report.wall_time * 1000:.1f}")
-    print("\t".join(header))
-    print("\t".join(cells))
-    return EXIT_OK
-
-
 def _cmd_attack(args) -> int:
-    if args.instance is not None:
-        return _attack_instance(args)
     try:
         r_values = [int(tok) for tok in args.r.split(",") if tok.strip()]
     except ValueError:
@@ -196,10 +168,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except CliError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_INPUT
-    except (BraidError, OSError) as ex:
+    except (CliError, BraidError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_INPUT
 

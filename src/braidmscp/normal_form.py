@@ -72,6 +72,7 @@ class NormalForm:
 
     def __post_init__(self):
         check_strand_count(self.n)
+        object.__setattr__(self, "codes", tuple(self.codes))
         # the codes of n strands run from the identity's to the half twist's
         lo, hi = _IDENTITY[self.n], _DELTA[self.n]
         for c in self.codes:

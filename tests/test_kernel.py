@@ -19,6 +19,7 @@ from braidmscp import (
     SimpleElement,
     conjugate,
     counters_report,
+    delta,
     export_graph,
     gen_instance,
     generator_simple,
@@ -35,7 +36,6 @@ from braidmscp.braid import (
     _START,
     _TAU,
     _braid_mul,
-    _lcomp_perm,
     _perm_inverse,
     _rcomp_perm,
     _tau_perm,
@@ -66,7 +66,7 @@ class TestCodes:
         for p in perms(n):
             code = SimpleElement(n, p).code
             assert _PERM[_RCOMP[code]] == _rcomp_perm(p)
-            assert _PERM[_LCOMP[code]] == _lcomp_perm(p)
+            assert _braid_mul(_PERM[_LCOMP[code]], p) == delta(n).perm
             assert _PERM[_TAU[code]] == _tau_perm(p)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])

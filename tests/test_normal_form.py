@@ -75,6 +75,13 @@ class TestNormalize:
             NormalForm(3, 0, (-1,))
         with pytest.raises(InvalidParams):
             NormalForm(3, 0, (generator_simple(3, 1),))
+        # codes given as a list are stored as a tuple, so the form is hashable
+        # and equals the one the package builds
+        c = generator_simple(3, 1).code
+        f = NormalForm(3, 0, [c])
+        assert f.codes == (c,)
+        assert f == normalize(BraidWord(3, (1,)))
+        assert hash(f) == hash(normalize(BraidWord(3, (1,))))
 
     def test_round_trip_word(self):
         f = normalize(BraidWord(3, (1, -2)))
