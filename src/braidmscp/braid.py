@@ -287,7 +287,7 @@ class BraidWord:
         check_strand_count(self.n)
         object.__setattr__(self, "letters", tuple(self.letters))
         for e in self.letters:
-            if not isinstance(e, int) or e == 0 or abs(e) > self.n - 1:
+            if type(e) is not int or e == 0 or abs(e) > self.n - 1:  # not a bool either
                 raise InvalidParams(f"letter {e!r} out of range for {self.n} strands")
 
     def __len__(self) -> int:

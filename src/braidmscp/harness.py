@@ -86,12 +86,23 @@ def gen_instance(params: GenParams) -> tuple[InstanceFile, BraidWord]:
 
 @dataclasses.dataclass
 class AttackReport:
+    """One attack; its outcome and counts are read from result, so each is stored once."""
+
     result: ConjugatorResult
-    recovered_ok: bool
     matches_planted: bool | None
-    nodes: int
-    conjugations: int
     wall_time: float
+
+    @property
+    def recovered_ok(self) -> bool:
+        return self.result.outcome is Outcome.FOUND
+
+    @property
+    def nodes(self) -> int:
+        return len(self.result.graph.nodes)
+
+    @property
+    def conjugations(self) -> int:
+        return self.result.counters.conjugations
 
 
 def run_attack(
@@ -113,18 +124,10 @@ def run_attack(
     start = time.perf_counter()
     result = solve_mscp(alpha, beta, node_cap)
     wall = time.perf_counter() - start
-    recovered = result.outcome is Outcome.FOUND
     matches = None
-    if planted is not None and recovered:
+    if planted is not None and result.outcome is Outcome.FOUND:
         matches = verify_conjugator(alpha, beta, planted)
-    return AttackReport(
-        result=result,
-        recovered_ok=recovered,
-        matches_planted=matches,
-        nodes=len(result.graph.nodes),
-        conjugations=result.counters.conjugations,
-        wall_time=wall,
-    )
+    return AttackReport(result=result, matches_planted=matches, wall_time=wall)
 
 
 @dataclasses.dataclass
@@ -154,11 +157,7 @@ def _run_trial(params: GenParams, node_cap: int) -> _Trial:
     inst, planted = gen_instance(params)
     rep = run_attack(inst, planted, node_cap)
     return _Trial(
-        rep.recovered_ok,
-        bool(rep.matches_planted),
-        rep.nodes,
-        rep.conjugations,
-        rep.wall_time,
+        rep.recovered_ok, bool(rep.matches_planted), rep.nodes, rep.conjugations, rep.wall_time
     )
 
 

@@ -32,6 +32,11 @@ from .normal_form import _WORD_TEXT
 from .solver import Entries, SummitGraph, _entries_key
 
 
+def _metadata_entry_ok(m) -> bool:
+    """The metadata rule, so that "# entry" reads back: one line, no outer whitespace."""
+    return isinstance(m, str) and m == m.strip() and m.splitlines() in ([], [m])
+
+
 @dataclasses.dataclass(frozen=True)
 class InstanceFile:
     """A conjugacy instance: two r-tuples of words over the same strand count."""
@@ -47,6 +52,8 @@ class InstanceFile:
         for w in self.alpha + self.beta:
             if w.n != self.n:
                 raise InvalidParams("instance words must share the strand count")
+        if not all(map(_metadata_entry_ok, self.metadata)):
+            raise InvalidParams(f"a metadata entry is not a single trimmed line: {self.metadata!r}")
 
     @property
     def r(self) -> int:
@@ -168,8 +175,8 @@ def instance_from_json(text: str) -> InstanceFile:
     for key, value in (("alpha", data["alpha"]), ("beta", data["beta"]), ("metadata", metadata)):
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise InstanceSyntaxError(f"bad JSON schema: {key} must be a list of strings")
-    if any(m.splitlines() not in ([], [m]) for m in metadata):  # written as one line each
-        raise InstanceSyntaxError("bad JSON schema: a metadata entry spans lines")
+    if not all(map(_metadata_entry_ok, metadata)):
+        raise InstanceSyntaxError("bad JSON schema: metadata must be trimmed single lines")
     if n < 2:
         raise InstanceSyntaxError(f"strand count must be at least 2, got {n}")
     alpha = [_parse_word(w, n, None, 0) for w in data["alpha"]]

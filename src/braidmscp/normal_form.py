@@ -72,6 +72,8 @@ class NormalForm:
 
     def __post_init__(self):
         check_strand_count(self.n)
+        if type(self.power) is not int:  # not a bool either
+            raise InvalidParams(f"power {self.power!r} is not an integer")
         object.__setattr__(self, "codes", tuple(self.codes))
         # the codes of n strands run from the identity's to the half twist's
         lo, hi = _IDENTITY[self.n], _DELTA[self.n]
@@ -162,16 +164,12 @@ def _prod_normal(n: int, left: Codes, right: Codes) -> tuple[int, Codes]:
     """Left-weight the concatenation of two already left-weighted sequences.
 
     Violations can only start at the junction, so the local move is applied
-    there and combed outward until a pair is already weighted.
+    there and combed outward until a pair is already weighted: at once when
+    the junction is weighted or a side is empty.  The strip takes a half
+    twist that right = (D,) combs to the front, as in p*s for s = D.
     """
-    if not left or not right:
-        return _strip(n, [*left, *right])
-    if not _START[_RCOMP[left[-1]]] & _START[right[0]]:
-        # Already weighted across the junction; weighted sequences carry no
-        # half twists or trivial factors, so there is nothing to strip.
-        return 0, (*left, *right)
     factors = [*left, *right]
-    _comb_forward(factors, len(left) - 1, len(factors) - 1)
+    _comb_forward(factors, max(len(left) - 1, 0), len(factors) - 1)
     return _strip(n, factors)
 
 
@@ -180,13 +178,12 @@ def _weight_seq(n: int, seq) -> tuple[int, Codes]:
 
     Appending a factor can only break the last pair, so the local move is
     combed back from there.  Half twists collect at the front, where combing
-    stops, and at most the new last factor can become trivial.
+    stops, and at most the new last factor can become trivial, to be popped;
+    so is an identity in seq, which only n = 2 gives (lcomp(s1) = e there).
     """
     ident = _IDENTITY[n]
     factors: list[int] = []
     for p in seq:
-        if p == ident:
-            continue
         factors.append(p)
         _comb_back(factors, len(factors) - 1)
         if factors[-1] == ident:
@@ -277,12 +274,11 @@ def _conj_raw(n: int, power: int, codes: Codes, s: int) -> tuple[int, Codes]:
     back from the end, and the list is stripped once.  The sweep may leave
     half twists at the front and trivial factors just before s; combing s
     back moves it past the trivials and any new half twist to the front, so
-    the one strip meets them only at the ends.
+    the one strip meets them only at the ends.  For s = e the list is
+    D A_1..A_l e, weighted, so the strip alone gives the result.  For s = D
+    the trivial head is swept to just before D, and combing D back flips
+    each factor it passes by the move (A, D) -> (D, tau A).
     """
-    if s == _IDENTITY[n]:
-        return power, codes
-    if s == _DELTA[n]:
-        return power, tuple(_TAU[a] for a in codes)
     factors = [_TAU[_LCOMP[s]] if power % 2 else _LCOMP[s], *codes, s]
     last = len(factors) - 1
     _comb_forward(factors, 0, last - 1)

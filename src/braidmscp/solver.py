@@ -16,10 +16,10 @@ closed under meet) suffice to keep the search complete, and each is found by
 a short ascent: starting from the bare generator, repeatedly absorb the
 complement forced by an entry that rejects the candidate, until every entry
 passes.  The candidate grows strictly while staying below the true minimum,
-so the ascent ends within half-twist length many steps.  The floor test of
-an entry D^j p builds the product p*s only when tau^j(s) does not already
-divide the first factor of p, and an ascent stops early once its candidate
-lies above a minimum found for an earlier generator.
+so the ascent ends within half-twist length many steps.  One step tests an
+entry D^j p and grows s if the entry rejects it, building p*s only when
+tau^j(s) is not a prefix of p, as a prefix of p is one of p*s; an ascent
+stops early once s lies above a minimum found for an earlier generator.
 
 The search from alpha stops at beta or at any tuple of beta's lift chain.
 Cycling a braid D^p A_1 ... A_l conjugates it by tau^p(A_1), and repeated
@@ -59,7 +59,6 @@ from .errors import (
     InvalidParams,
     LengthMismatch,
     NotInFloor,
-    NotSimple,
     StrandMismatch,
     VerificationFailed,
 )
@@ -112,7 +111,7 @@ def inf_vector(t: BraidTuple) -> InfFloor:
 
 
 def tuple_key(t: BraidTuple) -> str:
-    """Canonical serialization; sound dedup key by uniqueness of normal forms."""
+    """Canonical serialization, naming exported graph nodes; the search dedups on raw entries."""
     return _entries_key(_code_key(t))
 
 
@@ -156,38 +155,29 @@ def _active_entries(t: BraidTuple, floor: InfFloor) -> list[tuple[int, Codes]]:
     return _active(_code_key(t), floor)
 
 
-def _floor_break(n: int, parity: int, pcodes: Codes, s: int) -> tuple[int, Codes] | None:
-    """The raw product p*s when conjugating by s lowers this on-floor entry's infimum.
+def _floor_step(n: int, parity: int, pcodes: Codes, s: int) -> int | None:
+    """None when conjugating by s keeps this on-floor entry's infimum, else s grown.
 
-    The entry is D^j p with j on the floor, parity = j % 2 and p = A_1..A_l
-    as the codes pcodes; it keeps the floor exactly when tau^j(s) divides
-    the head of p*s.  Returns None when it does.  Shortcut: when tau^j(s)
-    already divides A_1 the product is not built, because A_1 divides p and
-    p divides p*s, so the simple A_1 divides the head of p*s and so does
-    tau^j(s).  The identity always passes, by the shortcut or, for p
-    trivial, because the product is then trivial too.
+    The entry is D^j p, parity = j % 2 and p = pcodes; it keeps the floor
+    exactly when t = tau^j(s) divides p*s, which is built only when t is not
+    a prefix of p, as a prefix of p is one of p*s.  A rejecting entry grows s
+    to s s' with (p s) s' = lcm(t, p s): _simple_prefix accepts every product
+    of power at least 1, so a rejected p*s has power 0 and the sweep needs no D.
     """
     t = _TAU[s] if parity else s
-    if pcodes and not _INV[t] & ~_INV[pcodes[0]]:
+    if _simple_prefix(n, t, 0, pcodes):
         return None
     ps = _prod_normal(n, pcodes, (s,))
-    return None if _simple_prefix(n, t, *ps) else ps
-
-
-def _ascend(n: int, parity: int, ps: tuple[int, Codes], s: int) -> int:
-    """Grow s by the complement the rejecting entry forces: s * s' where
-    (p s) s' is the lcm of tau^parity(s) and the product ps = p s."""
-    power, factors = ps
-    if power != 0:
-        raise NotSimple("a rejecting entry cannot have the half twist as a prefix of p*s")
-    return _mul(s, _lcm_sweep(_TAU[s] if parity else s, factors))
+    if _simple_prefix(n, t, *ps):
+        return None
+    return _mul(s, _lcm_sweep(t, ps[1]))
 
 
 def conjugation_keeps_floor(s: SimpleElement, t: BraidTuple, floor: InfFloor) -> bool:
     """Whether conjugating every entry by s keeps all infima at the floor or above."""
     check_same_strands(t, s)
     return all(
-        _floor_break(t.n, parity, pcodes, s.code) is None
+        _floor_step(t.n, parity, pcodes, s.code) is None
         for parity, pcodes in _active_entries(t, floor)
     )
 
@@ -202,9 +192,9 @@ def _minimal_conjugator_code(n: int, active, s: int, found=()) -> int | None:
     """
     for _ in range(n * (n - 1) // 2 + 1):
         for parity, pcodes in active:
-            ps = _floor_break(n, parity, pcodes, s)
-            if ps is not None:
-                s = _ascend(n, parity, ps, s)
+            grown = _floor_step(n, parity, pcodes, s)
+            if grown is not None:
+                s = grown
                 break
         else:
             return s

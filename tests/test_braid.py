@@ -50,6 +50,10 @@ class TestWords:
             BraidWord(3, (0,))
         with pytest.raises(InvalidParams):
             BraidWord(1, (1,))
+        # a letter is an int and not a bool: True would be written as "True"
+        for letters in ((True, -2), (1.0,), ("1",), (None,)):
+            with pytest.raises(InvalidParams):
+                BraidWord(3, letters)
 
     def test_text_round_trip(self):
         assert word_to_text(BraidWord(3, (1, -2))) == "1 -2"

@@ -11,6 +11,7 @@ from braidmscp import (
     IndexOutOfRange,
     InstanceFile,
     InstanceSyntaxError,
+    InvalidParams,
     Outcome,
     counters_report,
     export_graph,
@@ -48,6 +49,10 @@ class TestParse:
         inst = parse_instance(text)
         assert inst.metadata == ("seed 7", "note desk scale")
         assert write_instance(inst) == text
+        # an entry that would not read back as itself is refused
+        for meta in ((" padded ",), ("x\r",), ("a\nb",), ("a\u2028b",), ("ok", "tab\t")):
+            with pytest.raises(InvalidParams):
+                InstanceFile(3, inst.alpha, inst.beta, meta)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange) as exc:
@@ -121,6 +126,8 @@ class TestRoundTrip:
             '{"n": 3, "r": 1, "alpha": ["1"], "beta": ["2"], "metadata": "ab"}',
             '{"n": 3, "r": 1, "alpha": ["1"], "beta": ["2"], "metadata": ["a\\nb"]}',
             '{"n": 3, "r": 1, "alpha": ["1"], "beta": ["2"], "metadata": ["a\\u2028"]}',
+            '{"n": 3, "r": 1, "alpha": ["1"], "beta": ["2"], "metadata": [" x"]}',
+            '{"n": 3, "r": 1, "alpha": ["1"], "beta": ["2"], "metadata": ["x\\r"]}',
         ):
             with pytest.raises(InstanceSyntaxError):
                 instance_from_json(bad)

@@ -75,6 +75,10 @@ class TestNormalize:
             NormalForm(3, 0, (-1,))
         with pytest.raises(InvalidParams):
             NormalForm(3, 0, (generator_simple(3, 1),))
+        # the power is an int and not a bool, so nf_key never prints D^True
+        for power in (True, 0.5, 1.0, None, "1"):
+            with pytest.raises(InvalidParams):
+                NormalForm(3, power)
         # codes given as a list are stored as a tuple, so the form is hashable
         # and equals the one the package builds
         c = generator_simple(3, 1).code
@@ -223,13 +227,15 @@ class TestConjugate:
         return multiply(multiply(invert(snf), f), snf)
 
     def test_matches_two_products_at_larger_n(self):
-        # conjugate runs the one-pass sweep of normal_form._conj_raw
+        # conjugate runs the one-pass sweep of normal_form._conj_raw, which has
+        # no branch for the identity or the half twist, so both are given
+        # explicitly: random simples at this n almost never hit them
         rng = random.Random(19)
         for _ in range(300):
             n = rng.randint(6, 8)
             f = normalize(rand_word(rng, n, 24))
-            s = SimpleElement(n, tuple(rng.sample(range(n), n)))
-            assert conjugate(f, s) == self.by_two_products(f, s)
+            for s in (SimpleElement(n, tuple(rng.sample(range(n), n))), identity_simple(n), delta(n)):
+                assert conjugate(f, s) == self.by_two_products(f, s)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_two_products_for_every_simple(self, n):

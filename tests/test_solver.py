@@ -9,7 +9,6 @@ from braidmscp import (
     InvalidParams,
     LengthMismatch,
     NotInFloor,
-    NotSimple,
     Outcome,
     SearchCounters,
     SimpleElement,
@@ -46,9 +45,9 @@ from braidmscp.braid import _SIMPLE
 from braidmscp.normal_form import _prod_normal
 from braidmscp.solver import (
     _active_entries,
-    _ascend,
     _code_key,
     _entries_key,
+    _floor_step,
     _lift_chain,
     _minimal_codes,
     _path,
@@ -238,12 +237,13 @@ class TestMinimalConjugators:
 
     def test_ascent_rejects_half_twist_prefix(self):
         # p * s = (s1 s2) s1 is the half twist, so p * s has D as a prefix and
-        # every tau(s) divides it: such an entry can never reject s
+        # every tau(s) divides it: such an entry never rejects s, so the floor
+        # step never sweeps the lcm over a product of positive power
         p = simple_from_positive_word(BraidWord(3, (1, 2)))
         s = generator_simple(3, 1)
+        assert _prod_normal(3, (p.code,), (s.code,)) == (1, ())
         for parity in (0, 1):
-            with pytest.raises(NotSimple):
-                _ascend(3, parity, _prod_normal(3, (p.code,), (s.code,)), s.code)
+            assert _floor_step(3, parity, (p.code,), s.code) is None
 
     def test_no_proper_prefix_works(self):
         rng = random.Random(26)
