@@ -10,15 +10,13 @@ The primary format is line-based plain text so corpora diff cleanly:
 
 Words are space-separated signed integers with 1 <= |v| <= n-1; the empty
 word is the single token "e".  Comment lines start with "#" and round-trip.
-A JSON mirror of the same schema is provided for tooling, and explored
-search graphs export as an edge list or DOT.
+Explored search graphs export as an edge list or DOT.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import re
 
 from .braid import BraidWord, word_to_text
@@ -47,6 +45,8 @@ class InstanceFile:
     metadata: tuple[str, ...] = ()
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "metadata"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.alpha or len(self.alpha) != len(self.beta):
             raise InvalidParams("alpha and beta must be non-empty and of equal length")
         for w in self.alpha + self.beta:
@@ -63,7 +63,7 @@ class InstanceFile:
 _TOKEN = re.compile(r"\S+")
 
 
-def _parse_word(body: str, n: int, lineno: int | None, offset: int) -> BraidWord:
+def _parse_word(body: str, n: int, lineno: int, offset: int) -> BraidWord:
     tokens = list(_TOKEN.finditer(body))
     if not tokens:
         raise InstanceSyntaxError("missing word", lineno, offset)
@@ -144,46 +144,6 @@ def write_instance(inst: InstanceFile) -> str:
     lines.extend(f"alpha {word_to_text(w)}" for w in inst.alpha)
     lines.extend(f"beta {word_to_text(w)}" for w in inst.beta)
     return "\n".join(lines) + "\n"
-
-
-def instance_to_json(inst: InstanceFile) -> str:
-    """JSON mirror of the line schema, words in the same token grammar."""
-    return json.dumps(
-        {
-            "n": inst.n,
-            "r": inst.r,
-            "alpha": [word_to_text(w) for w in inst.alpha],
-            "beta": [word_to_text(w) for w in inst.beta],
-            "metadata": list(inst.metadata),
-        },
-        indent=2,
-    )
-
-
-def instance_from_json(text: str) -> InstanceFile:
-    """Parse the JSON mirror, with JSON types as strict as the line grammar."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as ex:
-        raise InstanceSyntaxError(f"bad JSON: {ex}") from None
-    if not isinstance(data, dict) or not {"n", "r", "alpha", "beta"} <= data.keys():
-        raise InstanceSyntaxError("bad JSON schema: expected an object with n, r, alpha and beta")
-    n, r, metadata = data["n"], data["r"], data.get("metadata", [])
-    for key in ("n", "r"):
-        if type(data[key]) is not int:  # a float or a bool is not an integer here
-            raise InstanceSyntaxError(f"bad JSON schema: {key} must be an integer")
-    for key, value in (("alpha", data["alpha"]), ("beta", data["beta"]), ("metadata", metadata)):
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise InstanceSyntaxError(f"bad JSON schema: {key} must be a list of strings")
-    if not all(map(_metadata_entry_ok, metadata)):
-        raise InstanceSyntaxError("bad JSON schema: metadata must be trimmed single lines")
-    if n < 2:
-        raise InstanceSyntaxError(f"strand count must be at least 2, got {n}")
-    alpha = [_parse_word(w, n, None, 0) for w in data["alpha"]]
-    beta = [_parse_word(w, n, None, 0) for w in data["beta"]]
-    if len(alpha) != r or len(beta) != r:
-        raise CountMismatch(f"declared r={r} but found {len(alpha)} alpha and {len(beta)} beta words")
-    return InstanceFile(n, tuple(alpha), tuple(beta), tuple(metadata))
 
 
 # ---------------------------------------------------------------------------

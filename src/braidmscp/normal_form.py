@@ -306,13 +306,21 @@ def _simple_prefix(n: int, s: int, power: int, codes: Codes) -> bool:
     return not _INV[s] & ~_INV[codes[0]]
 
 
-def _lcm_sweep(c: int, codes: Codes) -> int:
+def _lcm_sweep(n: int, c: int, codes: Codes) -> int:
     """The simple c' with A_1..A_l c' = join(c, A_1..A_l), for factors without a half twist.
 
     Past each factor A the pending simple c becomes the c' with
-    A c' = join(c, A).
+    A c' = join(c, A).  Once c divides a factor that c' is the identity,
+    whose complement past every later factor is the identity again, so the
+    sweep stops there; one bitmask test replaces the remaining lookups.
+    The result is simple since c and A_1..A_l both divide A_1..A_l D.  The
+    solver's floor test sweeps tau^j(s) through an entry's p this way and
+    cancels p on the left: tau^j(s) divides p*s exactly when the result
+    divides s.
     """
     for a in codes:
+        if not _INV[c] & ~_INV[a]:
+            return _IDENTITY[n]
         c = _left_complement(c, a)
     return c
 
@@ -336,7 +344,7 @@ def lcm_complement(s: SimpleElement, p: NormalForm) -> SimpleElement:
         raise NotPositive(f"braid has infimum {p.power} < 0")
     if p.power >= 1:
         return _SIMPLE[_IDENTITY[s.n]]
-    return _SIMPLE[_lcm_sweep(s.code, p.codes)]
+    return _SIMPLE[_lcm_sweep(s.n, s.code, p.codes)]
 
 
 def strand_permutation(f: NormalForm) -> tuple[int, ...]:

@@ -17,9 +17,11 @@ a short ascent: starting from the bare generator, repeatedly absorb the
 complement forced by an entry that rejects the candidate, until every entry
 passes.  The candidate grows strictly while staying below the true minimum,
 so the ascent ends within half-twist length many steps.  One step tests an
-entry D^j p and grows s if the entry rejects it, building p*s only when
-tau^j(s) is not a prefix of p, as a prefix of p is one of p*s; an ascent
-stops early once s lies above a minimum found for an earlier generator.
+entry D^j p and grows s if the entry rejects it, by lattice operations on
+simple elements alone: with t = tau^j(s) and c the simple with
+p*c = join(t, p), t divides p*s exactly when c divides s, and a rejected s
+grows to join(s, c), so the product p*s is never built.  An ascent stops
+early once s lies above a minimum found for an earlier generator.
 
 The search from alpha stops at beta or at any tuple of beta's lift chain.
 Cycling a braid D^p A_1 ... A_l conjugates it by tau^p(A_1), and repeated
@@ -50,6 +52,7 @@ from .braid import (
     BraidWord,
     SimpleElement,
     _code_word,
+    _left_complement,
     _mul,
     check_same_strands,
     word_concat,
@@ -67,9 +70,7 @@ from .normal_form import (
     NormalForm,
     _conj_raw,
     _lcm_sweep,
-    _prod_normal,
     _raw_key,
-    _simple_prefix,
     conjugate,
     invert,
     multiply,
@@ -159,18 +160,19 @@ def _floor_step(n: int, parity: int, pcodes: Codes, s: int) -> int | None:
     """None when conjugating by s keeps this on-floor entry's infimum, else s grown.
 
     The entry is D^j p, parity = j % 2 and p = pcodes; it keeps the floor
-    exactly when t = tau^j(s) divides p*s, which is built only when t is not
-    a prefix of p, as a prefix of p is one of p*s.  A rejecting entry grows s
-    to s s' with (p s) s' = lcm(t, p s): _simple_prefix accepts every product
-    of power at least 1, so a rejected p*s has power 0 and the sweep needs no D.
+    exactly when t = tau^j(s) divides p*s.  Let c be the simple with
+    p*c = join(t, p), which the sweep of t through p gives; c is simple
+    because t and p both divide p*D = D*tau(p).  Since p divides p*s, t
+    divides p*s exactly when join(t, p) = p*c does, and cancelling p on the
+    left, exactly when c divides s: one bitmask test.  A rejecting entry
+    grows s to s s' with (p s) s' = join(t, p s), the least multiple of s
+    whose product with p is divisible by t; by the same cancellation that
+    is the least multiple of s divisible by c, join(s, c).
     """
-    t = _TAU[s] if parity else s
-    if _simple_prefix(n, t, 0, pcodes):
+    c = _lcm_sweep(n, _TAU[s] if parity else s, pcodes)
+    if not _INV[c] & ~_INV[s]:
         return None
-    ps = _prod_normal(n, pcodes, (s,))
-    if _simple_prefix(n, t, *ps):
-        return None
-    return _mul(s, _lcm_sweep(t, ps[1]))
+    return _mul(s, _left_complement(c, s))
 
 
 def conjugation_keeps_floor(s: SimpleElement, t: BraidTuple, floor: InfFloor) -> bool:

@@ -7,9 +7,10 @@ left divisors are exactly the prefixes of reduced words.  Everything else
 (meets as maximal common divisors, joins as minimal common multiples) is
 computed by exhaustive search over those divisor sets.
 
-The search oracle bfs_search runs on reference copies of the conjugator
-ascent and of conjugation, ref_minimal_codes and ref_conj_raw, which build
-every product outright and skip none of the kernel's shortcuts.
+The search oracle bfs_search runs on reference copies of the floor test, the
+conjugator ascent and conjugation, ref_floor_step, ref_minimal_codes and
+ref_conj_raw, which build every product outright and skip none of the
+kernel's shortcuts.
 """
 
 from __future__ import annotations
@@ -158,26 +159,43 @@ def ref_conj_raw(n, power, codes, s):
     return power - 1 + d1 + d2, seq
 
 
+def ref_floor_step(n, parity, pcodes, s):
+    """The reference for solver._floor_step: the floor test on the product p*s.
+
+    Builds the whole product p*s and asks whether t = tau^j(s) divides its
+    head; a rejecting entry grows s to s s' with (p s) s' = join(t, p s),
+    s' swept through every factor of p*s.  Returns None when the entry
+    keeps the floor, else the grown s.
+    """
+    from braidmscp.braid import _TAU, _left_complement, _mul
+    from braidmscp.normal_form import _prod_normal, _simple_prefix
+
+    t = _TAU[s] if parity else s
+    power, factors = _prod_normal(n, pcodes, (s,))
+    if _simple_prefix(n, t, power, factors):
+        return None
+    if power != 0:
+        raise AssertionError("a rejecting product starts with the half twist")
+    for a in factors:
+        t = _left_complement(t, a)
+    return _mul(s, t)
+
+
 def ref_minimal_codes(n, active):
     """The reference for solver._minimal_codes: every ascent run to its end.
 
-    Each floor test builds the whole product p*s and asks whether tau^j(s)
-    divides its head; a rejecting entry grows s by the lcm complement.  The
+    Each floor test is ref_floor_step; a rejecting entry grows s.  The
     per-generator minima are deduplicated, and any element strictly
     divisible by another is dropped.
     """
-    from braidmscp.braid import _INV, _LETTERS, _TAU, _mul
-    from braidmscp.normal_form import _lcm_sweep, _prod_normal, _simple_prefix
+    from braidmscp.braid import _INV, _LETTERS
 
     def ascend(s):
         for _ in range(n * (n - 1) // 2 + 1):
             for parity, pcodes in active:
-                t = _TAU[s] if parity else s
-                power, factors = _prod_normal(n, pcodes, (s,))
-                if not _simple_prefix(n, t, power, factors):
-                    if power != 0:
-                        raise AssertionError("a rejecting product starts with the half twist")
-                    s = _mul(s, _lcm_sweep(t, factors))
+                grown = ref_floor_step(n, parity, pcodes, s)
+                if grown is not None:
+                    s = grown
                     break
             else:
                 return s

@@ -27,6 +27,7 @@ from braidmscp import (
     minimal_conjugator,
     minimal_conjugator_set,
     nf_to_word,
+    normalize,
     simple_divides,
     simple_from_positive_word,
     simple_to_word,
@@ -41,8 +42,7 @@ from braidmscp import (
 )
 import braidmscp.normal_form as normal_form_module
 import braidmscp.solver as solver_module
-from braidmscp.braid import _SIMPLE
-from braidmscp.normal_form import _prod_normal
+from braidmscp.braid import _DELTA, _IDENTITY, _SIMPLE
 from braidmscp.solver import (
     _active_entries,
     _code_key,
@@ -235,15 +235,31 @@ class TestMinimalConjugators:
             active = _active_entries(t, floor)
             assert _minimal_codes(n, active) == oracle.ref_minimal_codes(n, active)
 
-    def test_ascent_rejects_half_twist_prefix(self):
-        # p * s = (s1 s2) s1 is the half twist, so p * s has D as a prefix and
-        # every tau(s) divides it: such an entry never rejects s, so the floor
-        # step never sweeps the lcm over a product of positive power
+    def test_floor_step_matches_reference(self):
+        # fixed case: p * s = (s1 s2) s1 is the half twist, so no entry rejects s
         p = simple_from_positive_word(BraidWord(3, (1, 2)))
-        s = generator_simple(3, 1)
-        assert _prod_normal(3, (p.code,), (s.code,)) == (1, ())
+        gen = generator_simple(3, 1)
         for parity in (0, 1):
-            assert _floor_step(3, parity, (p.code,), s.code) is None
+            assert _floor_step(3, parity, (p.code,), gen.code) is None
+            assert oracle.ref_floor_step(3, parity, (p.code,), gen.code) is None
+        # sampled entries at n = 6..8, every fifth with an empty positive part,
+        # against the identity, the half twist and random simples
+        rng = random.Random(29)
+        outcomes = set()
+        for k in range(400):
+            n = rng.randint(6, 8)
+            pcodes = () if k % 5 == 0 else normalize(rand_word(rng, n, 16)).codes
+            if k % 7 == 0:
+                s = _IDENTITY[n]
+            elif k % 7 == 1:
+                s = _DELTA[n]
+            else:
+                s = SimpleElement(n, tuple(rng.sample(range(n), n))).code
+            for parity in (0, 1):
+                got = _floor_step(n, parity, pcodes, s)
+                assert got == oracle.ref_floor_step(n, parity, pcodes, s)
+                outcomes.add(got is None)
+        assert outcomes == {True, False}
 
     def test_no_proper_prefix_works(self):
         rng = random.Random(26)
