@@ -257,12 +257,18 @@ def invert(f: NormalForm) -> NormalForm:
     meet(rcomp(tau lcomp B), lcomp A) = tau meet(B, rcomp A) is trivial.
     Nor has it a trivial or half-twist factor.
     """
-    k = f.power
-    codes = tuple(
-        _TAU[_LCOMP[a]] if (k + i) % 2 else _LCOMP[a]
-        for i, a in reversed(list(enumerate(f.codes)))
-    )
-    return NormalForm(f.n, -k - len(codes), codes)
+    return NormalForm(f.n, *_invert_raw(f.power, f.codes))
+
+
+def _invert_raw(power: int, codes: Codes) -> tuple[int, Codes]:
+    """The inverse of D^power A_1..A_l as raw data, by invert's formula."""
+    flip = (power + len(codes) - 1) % 2  # A_l is flipped k + l - 1 times
+    out = []
+    for a in reversed(codes):
+        c = _LCOMP[a]
+        out.append(_TAU[c] if flip else c)
+        flip ^= 1
+    return -power - len(codes), tuple(out)
 
 
 def _conj_raw(n: int, power: int, codes: Codes, s: int) -> tuple[int, Codes]:

@@ -23,18 +23,31 @@ p*c = join(t, p), t divides p*s exactly when c divides s, and a rejected s
 grows to join(s, c), so the product p*s is never built.  An ascent stops
 early once s lies above a minimum found for an earlier generator.
 
-The search from alpha stops at beta or at any tuple of beta's lift chain.
-Cycling a braid D^p A_1 ... A_l conjugates it by tau^p(A_1), and repeated
-cycling raises the infimum of a braid that is below its summit infimum
-(Elrifai-Morton); the Lee-Lee algorithm lifts tuples this way before it
-searches.  Here the chain lifts beta alone, one cycling move per expanded
-node, each ascended like a minimal conjugator to keep every infimum of the
-tuple.  Each chain tuple is beta conjugated by a known product y, so a
-search that reaches one along the path P has found x = P y^-1.  A planted
-beta often sits far below alpha, and a BFS from alpha would first cross a
-large low-floor set to reach it; its lifts sit nearer alpha's level.  The
-chain only adds targets, so the order of the search, its single root and
-its completeness are those of the search for beta alone.
+The search runs between the summits of both sides, as the Lee-Lee
+algorithm does: over conjugates whose entries have high infimum and low
+supremum.  sup(a) = -inf(a^-1), and (s^-1 a s)^-1 = s^-1 a^-1 s, so a
+ceiling on the supremum of a_i is a floor on the infimum of a_i^-1: the
+solver works on the doubled tuple (a_1..a_r, a_1^-1..a_r^-1), and the floor
+test, the minimal conjugators and their meet closure apply to its 2r
+entries unchanged.  Cycling a braid D^p A_1 ... A_l conjugates it by
+tau^p(A_1), and repeated cycling raises the infimum of a braid that is
+below its summit infimum (Elrifai-Morton); cycling an inverse entry
+decycles the entry, which lowers its supremum.  solve_mscp lifts both
+doubled tuples this way (see _lift_chain), one move per side per round,
+and stops as soon as one side reaches a tuple the other already holds.
+Otherwise the floor is the componentwise minimum of the two final inf
+vectors, and summit_search runs from lifted alpha to any tuple of beta's
+chain that meets that floor.
+
+Why this stays complete: each lift is a conjugation by a known element,
+so a lifted tuple is conjugate to its start with a known conjugator, and
+the answer is x = y_a P y_b^-1 for the lifts y_a, y_b and the search path
+P.  The set of conjugates of the doubled tuple that meet a floor is
+connected under minimal floor-keeping conjugators, by the same meet
+closure as for r entries: it is just a floor on a 2r-tuple.  Both final
+lifts meet the floor.  So if alpha and beta are conjugate, lifted beta
+lies in the component of lifted alpha, and NOT_CONJUGATE still means that
+this component was exhausted.
 """
 
 from __future__ import annotations
@@ -56,7 +69,6 @@ from .braid import (
     _mul,
     check_same_strands,
     word_concat,
-    word_inverse,
 )
 from .errors import (
     InvalidParams,
@@ -69,6 +81,7 @@ from .normal_form import (
     Codes,
     NormalForm,
     _conj_raw,
+    _invert_raw,
     _lcm_sweep,
     _raw_key,
     conjugate,
@@ -126,11 +139,16 @@ def _code_key(t: BraidTuple) -> Entries:
     return tuple((e.power, e.codes) for e in t.entries)
 
 
+def _on_floor(entries: Entries, floor: InfFloor) -> bool:
+    """Whether each raw entry's power, its infimum, is at least its floor value."""
+    return all(power >= j for (power, _), j in zip(entries, floor))
+
+
 def meets_floor(t: BraidTuple, floor: InfFloor) -> bool:
     """Whether every entry has infimum at least the floor value."""
     if len(floor) != t.r:
         raise LengthMismatch(f"floor of length {len(floor)} against a {t.r}-tuple")
-    return all(e.inf >= j for e, j in zip(t.entries, floor))
+    return _on_floor(_code_key(t), floor)
 
 
 def conjugate_tuple(t: BraidTuple, s: SimpleElement) -> BraidTuple:
@@ -287,7 +305,11 @@ class SummitGraph:
 
     def tuple(self, key: Entries) -> BraidTuple:
         """The BraidTuple of a node key."""
-        return BraidTuple(self.n, tuple(NormalForm(self.n, p, c) for p, c in key))
+        return _tuple(self.n, key)
+
+
+def _tuple(n: int, entries: Entries) -> BraidTuple:
+    return BraidTuple(n, tuple(NormalForm(n, p, c) for p, c in entries))
 
 
 class Outcome(enum.Enum):
@@ -328,45 +350,56 @@ def _check_pair(alpha: BraidTuple, beta: BraidTuple) -> None:
 def _lift_chain(n: int, chain: dict[Entries, SummitNode], counters: SearchCounters):
     """Lift the one tuple in chain by cycling moves, one move per next().
 
-    A move cycles one entry D^p A_1 ... A_l, taking the entries in turn and
-    passing over powers of the half twist: its cycling factor tau^p(A_1) is
-    ascended to the minimal simple element above it whose conjugation keeps
-    the tuple's own inf vector, and the tuple is conjugated by that.  So no
-    move lowers an infimum.  A move to the half twist or to a tuple already
-    in chain is skipped.  Each new tuple is added to chain as the child of
-    the previous one, labelled by its conjugator, and yielded; a skipped
-    move yields None.  The chain ends after n(n-1)/2 moves in a row that
-    raise no infimum, the number of cycles within which cycling raises the
-    infimum of a single braid below its summit infimum, or when every entry
-    is a power of the half twist.
+    The moves act on the doubled tuple, the r entries followed by their
+    inverses (see _doubled), and chain is keyed by the r entries, which fix
+    the inverses.  A move cycles one entry D^p A_1 ... A_l of the doubled
+    tuple, taking the entries in turn and passing over powers of the half
+    twist: its cycling factor tau^p(A_1) is ascended to the minimal simple
+    element above it whose conjugation keeps the doubled tuple's own inf
+    vector, and the tuple is conjugated by that.  So no move lowers an
+    infimum or, through the inverse entries, raises a supremum; cycling an
+    inverse entry decycles the entry.  A move to the half twist or to a
+    tuple already in chain is skipped.  Each new tuple is added to chain as
+    the child of the previous one, labelled by its conjugator, and yielded;
+    a skipped move yields None.  The chain ends after n(n-1)/2 moves in a
+    row that raise no infimum, the number of cycles within which cycling
+    raises the infimum of a single braid below its summit infimum, or when
+    every entry is a power of the half twist.  It also ends once every
+    entry's move from the current tuple has been skipped: a move depends
+    only on the tuple and the entry, so every later move would be skipped
+    too, and the chain is the one the longer run would build.
     """
-    (current,) = chain
-    r = len(current)
-    turn = stale = 0
-    while stale < n * (n - 1) // 2:
-        for _ in range(r):
-            power, codes = current[turn % r]
-            turn += 1
-            if codes:
-                break
-        else:
-            return
+    (key,) = chain
+    current = _doubled(key)
+    width = len(current)
+    turn = stale = skipped = 0
+    movable = sum(1 for _, codes in current if codes)
+    while stale < n * (n - 1) // 2 and skipped < movable:
+        power, codes = current[turn % width]
+        turn += 1
+        if not codes:
+            continue
         counters.lift_moves += 1
         stale += 1
         active = [(p % 2, c) for p, c in current]
         s = _minimal_conjugator_code(n, active, _TAU[codes[0]] if power % 2 else codes[0])
-        if s == _DELTA[n]:
+        lifted = None if s == _DELTA[n] else tuple(_conj_raw(n, p, c, s) for p, c in key)
+        if lifted is None or lifted in chain:
+            skipped += 1
             yield None
             continue
-        lifted = tuple(_conj_raw(n, p, c, s) for p, c in current)
-        if lifted in chain:
-            yield None
-            continue
-        chain[lifted] = SummitNode(current, s)
-        if any(new[0] > old[0] for new, old in zip(lifted, current)):
+        chain[lifted] = SummitNode(key, s)
+        doubled = _doubled(lifted)
+        if any(new[0] > old[0] for new, old in zip(doubled, current)):
             stale = 0
-        current = lifted
+        key, current, skipped = lifted, doubled, 0
+        movable = sum(1 for _, codes in current if codes)
         yield lifted
+
+
+def _doubled(entries: Entries) -> Entries:
+    """The raw entries followed by their inverses: a floor on both is a floor and a ceiling."""
+    return entries + tuple(_invert_raw(power, codes) for power, codes in entries)
 
 
 def summit_search(
@@ -374,67 +407,78 @@ def summit_search(
     beta: BraidTuple,
     floor: InfFloor,
     node_cap: int = DEFAULT_NODE_CAP,
+    chain: dict[Entries, SummitNode] | None = None,
 ) -> ConjugatorResult:
-    """Breadth-first search from alpha for beta or a cycling lift of beta.
+    """Breadth-first search from alpha for beta, or for a tuple of beta's lift chain.
 
-    Expands each tuple by its minimal conjugator set in ascending generator
-    order, so sequential runs are deterministic.  The search runs on raw
-    entries, (power, factor codes) per entry, and these key the graph: the
-    floor is validated once, here, since every minimal conjugator keeps it; a
-    child is conjugated entry by entry on codes and looked up among the nodes
-    before anything else is built.  Normal forms are unique, so equal entries
-    mean equal tuples and the node dict is the only dedup structure.  The
-    search builds no NormalForm, BraidTuple, SimpleElement or key string.
+    The floor has 2r values, one per entry of the doubled tuple
+    (a_1..a_r, a_1^-1..a_r^-1): the last r cap the suprema, since
+    sup(a) = -inf(a^-1).  A floor of r values leaves the suprema free: every
+    floor test zips the doubled entries with the floor, so the inverse
+    entries go untested.  Nodes are keyed and conjugated on their r raw
+    entries, (power, factor codes) per entry, which fix the inverse entries;
+    those are derived once per expansion by invert's formula and join the
+    floor test.  Each tuple is expanded by the minimal conjugator set of its
+    doubled entries in ascending generator order, so sequential runs are
+    deterministic.  The floor is validated once, here, since every minimal
+    conjugator keeps it; a child is conjugated entry by entry on codes and
+    looked up among the nodes before anything else is built.  Normal forms
+    are unique, so equal entries mean equal tuples and the node dict is the
+    only dedup structure.  The search builds no NormalForm, BraidTuple,
+    SimpleElement or key string.
 
-    The targets are beta and its lift chain (see _lift_chain), grown by one
-    cycling move after each expansion that did not meet a target.  A chain
-    tuple is t = y^-1 beta y for the product y of the conjugators on its
-    chain path, so when the search reaches t along the path P from alpha,
-    x = P y^-1 conjugates alpha to beta.  A new chain tuple that the search
-    has already visited is a meeting too.
+    chain is beta's lift chain, as _lift_chain builds it; without one the
+    chain is beta alone.  Every chain tuple that meets the floor is a
+    target, and alpha and at least one target must meet it.  A chain tuple
+    is t = y^-1 beta y for the product y of the conjugators on its chain
+    path, so when the search reaches t along the path P from alpha,
+    x = P y^-1 conjugates alpha to beta.
 
-    Why the targets are sound: every chain tuple is conjugate to beta and
-    keeps infima at least beta's, so it lies in the floor set, and beta stays
-    a target.  So FOUND is right, a search for a tuple not conjugate to
-    alpha meets no target and exhausts the component exactly as a search for
-    beta alone does, and since the chain never changes which nodes are
-    expanded or in what order, the search stops at the same node as a
-    search for beta alone or earlier, never later.  The graph keeps one
-    root, and ABORTED still happens exactly at node_cap.
-    Exhausting the frontier without meeting a target proves the tuples are
-    not conjugate within the floor; exceeding node_cap aborts without a
-    verdict.
+    Why the targets are sound: every target is conjugate to beta and lies
+    in the floor set, so FOUND is right.  The targets never change which
+    nodes are expanded or in what order, so the search stops at the same
+    node as a search for beta alone or earlier, and a search for a tuple
+    not conjugate to alpha meets no target and exhausts the component of
+    alpha exactly.  The floor set of the doubled tuple is connected under
+    minimal floor-keeping conjugators (the meet closure of the r-entry case
+    applied to 2r entries), so exhausting the frontier proves that no
+    target is conjugate to alpha, and so neither is beta; exceeding node_cap
+    aborts without a verdict.  The graph keeps one root, and ABORTED
+    happens exactly at node_cap.
     """
     _check_pair(alpha, beta)
     if node_cap < 1:
         raise InvalidParams("node_cap must be at least 1")
-    for t in (alpha, beta):
-        if not meets_floor(t, floor):
-            raise NotInFloor("both tuples must satisfy the infimum floor")
+    r = alpha.r
+    if len(floor) not in (r, 2 * r):
+        raise LengthMismatch(f"floor of length {len(floor)} against a {r}-tuple")
+    root = _code_key(alpha)
+    if chain is None:
+        chain = {_code_key(beta): SummitNode(None, None)}
+    elif next(iter(chain)) != _code_key(beta):
+        raise InvalidParams("the lift chain does not start at beta")
+    targets = {key for key in chain if _on_floor(_doubled(key), floor)}
+    if not targets or not _on_floor(_doubled(root), floor):
+        raise NotInFloor("alpha and a tuple of beta's chain must satisfy the floor")
 
     n = alpha.n
     counters = SearchCounters()
-    root = _code_key(alpha)
     nodes = {root: SummitNode(None, None)}
-    targets = {_code_key(beta): SummitNode(None, None)}
     graph = SummitGraph(n, root, nodes, counters)
 
     def result(outcome, conjugator=None, reason=None):
         return ConjugatorResult(outcome, conjugator, reason, graph)
 
     def found(key):
-        x = [_code_word(s) for s in _path(nodes, key)]
-        y_inv = [word_inverse(_code_word(s)) for s in reversed(_path(targets, key))]
-        return result(Outcome.FOUND, word_concat(BraidWord(n, ()), *x, *y_inv))
+        return result(Outcome.FOUND, _conjugator(n, _path(nodes, key), _path(chain, key)))
 
-    if root in targets:  # alpha is beta
+    if root in targets:
         return found(root)
 
-    lifts = _lift_chain(n, targets, counters)
     queue = deque([root])
     while queue:
         entries = queue.popleft()
-        moves = _minimal_codes(n, _active(entries, floor))
+        moves = _minimal_codes(n, _active(_doubled(entries), floor))
         counters.nodes_expanded += 1
         counters.set_size_sum += len(moves)
         counters.set_size_max = max(counters.set_size_max, len(moves))
@@ -449,11 +493,30 @@ def summit_search(
             if child in targets:
                 return found(child)
             queue.append(child)
-        # None, from a skipped move or an ended chain, is never a node key
-        lifted = next(lifts, None)
-        if lifted in nodes:
-            return found(lifted)
     return result(Outcome.NOT_CONJUGATE)
+
+
+def _conjugator(n: int, forward: list[int], backward: list[int]) -> BraidWord:
+    """The word of the product of the simples in forward times the inverse of that of backward."""
+    letters = [e for s in forward for e in _code_word(s).letters]
+    letters += [-e for s in reversed(backward) for e in reversed(_code_word(s).letters)]
+    return BraidWord(n, tuple(letters))
+
+
+def _lockstep(n: int, a_chain, b_chain, counters: SearchCounters) -> Entries | None:
+    """Lift both chains in turn, one move each per round, until one reaches a tuple the other holds.
+
+    Returns that tuple, or None once both chains have ended.
+    """
+    sides = deque([(_lift_chain(n, a_chain, counters), b_chain), (_lift_chain(n, b_chain, counters), a_chain)])
+    while sides:
+        moves, other = sides.popleft()
+        for step in moves:  # one move; a chain that has ended leaves the rotation
+            if step in other:
+                return step
+            sides.append((moves, other))
+            break
+    return None
 
 
 def solve_mscp(
@@ -463,13 +526,43 @@ def solve_mscp(
 ) -> ConjugatorResult:
     """Find x with x^-1 alpha x = beta, or decide there is none.
 
-    Uses the componentwise minimum of the two infimum vectors as the floor,
-    which both tuples satisfy by construction, and re-verifies any found
-    conjugator before returning it.
+    Equal tuples are answered by the empty word before any other work.
+    Otherwise both doubled tuples (a_1..a_r, a_1^-1..a_r^-1) are lifted by
+    _lift_chain in lockstep, one move per side per round, which raises
+    infima and lowers suprema.  Each lift is a conjugation by a known
+    product, y_a on alpha's side and y_b on beta's.  As soon as one chain
+    reaches a tuple the other already holds, x = y_a y_b^-1, and the graph
+    is that tuple alone.  Otherwise the floor is the componentwise minimum
+    of the two final 2r-entry inf vectors, which both final lifts meet, and
+    summit_search runs from lifted alpha to every tuple of beta's chain
+    that meets it, giving x = y_a P y_b^-1.  The set it searches is
+    connected under minimal conjugators (see the module docstring), so
+    NOT_CONJUGATE means that lifted alpha's component holds no lift of
+    beta, and so no conjugate of beta at all.  A found conjugator is
+    re-verified on the original tuples before it is returned.
     """
     _check_pair(alpha, beta)
-    floor = tuple(min(a.inf, b.inf) for a, b in zip(alpha.entries, beta.entries))
-    outcome = summit_search(alpha, beta, floor, node_cap)
+    n = alpha.n
+    counters = SearchCounters()
+    a_key, b_key = _code_key(alpha), _code_key(beta)
+    if a_key == b_key:
+        graph = SummitGraph(n, a_key, {a_key: SummitNode(None, None)}, counters)
+        return ConjugatorResult(Outcome.FOUND, BraidWord(n, ()), None, graph)
+
+    a_chain = {a_key: SummitNode(None, None)}
+    b_chain = {b_key: SummitNode(None, None)}
+    met = _lockstep(n, a_chain, b_chain, counters)
+    if met is not None:
+        x = _conjugator(n, _path(a_chain, met), _path(b_chain, met))
+        graph = SummitGraph(n, met, {met: SummitNode(None, None)}, counters)
+        outcome = ConjugatorResult(Outcome.FOUND, x, None, graph)
+    else:
+        a_top, b_top = next(reversed(a_chain)), next(reversed(b_chain))
+        floor = tuple(min(a[0], b[0]) for a, b in zip(_doubled(a_top), _doubled(b_top)))
+        outcome = summit_search(_tuple(n, a_top), beta, floor, node_cap, b_chain)
+        outcome.counters.lift_moves = counters.lift_moves
+        if outcome.outcome is Outcome.FOUND:
+            outcome.conjugator = word_concat(_conjugator(n, _path(a_chain, a_top), []), outcome.conjugator)
     if outcome.outcome is Outcome.FOUND and not verify_conjugator(alpha, beta, outcome.conjugator):
         raise VerificationFailed("search returned a conjugator that fails verification")
     return outcome

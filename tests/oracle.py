@@ -10,7 +10,8 @@ computed by exhaustive search over those divisor sets.
 The search oracle bfs_search runs on reference copies of the floor test, the
 conjugator ascent and conjugation, ref_floor_step, ref_minimal_codes and
 ref_conj_raw, which build every product outright and skip none of the
-kernel's shortcuts.
+kernel's shortcuts.  Inverse entries, for floors on the doubled tuple
+(a_1..a_r, a_1^-1..a_r^-1), are each checked by multiplying them back.
 """
 
 from __future__ import annotations
@@ -139,6 +140,31 @@ def floor_component(alpha, floor) -> set[str]:
     return set(seen)
 
 
+@functools.lru_cache(maxsize=None)
+def ref_inverse(n, power, codes):
+    """The inverse of D^power A_1..A_l as raw data, checked by its product.
+
+    invert's result g is taken only once f * g is the identity: the inverse
+    is unique, so that product, built by multiply's junction comb rather
+    than by invert's formula, proves it.
+    """
+    from braidmscp import NormalForm, invert, multiply
+
+    f = NormalForm(n, power, codes)
+    g = invert(f)
+    if not multiply(f, g).is_identity():
+        raise AssertionError("invert gave a wrong inverse")
+    return g.power, g.codes
+
+
+def doubled(t):
+    """The 2r-tuple (a_1..a_r, a_1^-1..a_r^-1) of an r-tuple, inverses by ref_inverse."""
+    from braidmscp import BraidTuple, NormalForm
+
+    inverses = (NormalForm(t.n, *ref_inverse(t.n, e.power, e.codes)) for e in t.entries)
+    return BraidTuple(t.n, t.entries + tuple(inverses))
+
+
 def ref_conj_raw(n, power, codes, s):
     """s^-1 D^power A_1..A_l s as raw data, by two junction products.
 
@@ -181,6 +207,19 @@ def ref_floor_step(n, parity, pcodes, s):
     return _mul(s, t)
 
 
+def ref_ascend(n, active, s):
+    """The minimal floor-keeping simple above s, every floor test by ref_floor_step."""
+    for _ in range(n * (n - 1) // 2 + 1):
+        for parity, pcodes in active:
+            grown = ref_floor_step(n, parity, pcodes, s)
+            if grown is not None:
+                s = grown
+                break
+        else:
+            return s
+    raise AssertionError("the ascent did not reach the half twist in time")
+
+
 def ref_minimal_codes(n, active):
     """The reference for solver._minimal_codes: every ascent run to its end.
 
@@ -190,33 +229,61 @@ def ref_minimal_codes(n, active):
     """
     from braidmscp.braid import _INV, _LETTERS
 
-    def ascend(s):
-        for _ in range(n * (n - 1) // 2 + 1):
-            for parity, pcodes in active:
-                grown = ref_floor_step(n, parity, pcodes, s)
-                if grown is not None:
-                    s = grown
-                    break
-            else:
-                return s
-        raise AssertionError("the ascent did not reach the half twist in time")
-
     found = []
     for i in range(1, n):
-        r_i = ascend(_LETTERS[n][i])
+        r_i = ref_ascend(n, active, _LETTERS[n][i])
         if r_i not in found:
             found.append(r_i)
     return [s for s in found if not any(o != s and not _INV[o] & ~_INV[s] for o in found)]
 
 
+def ref_lift_chain(t):
+    """The lift chain of solver._lift_chain, run move by move to the stale bound.
+
+    Conjugates all 2r entries of the doubled tuple by ref_conj_raw, ascends
+    by ref_ascend, and stops only after n(n-1)/2 moves in a row that raise
+    no infimum, or when every entry is a half-twist power; it keeps no
+    count of skipped moves.  Returns the chain keyed by r entries, each
+    mapped to its parent key and edge code.
+    """
+    from braidmscp.braid import _DELTA, _TAU
+
+    n, r = t.n, t.r
+    current = doubled(t)
+    current = tuple((e.power, e.codes) for e in current.entries)
+    chain = {current[:r]: (None, None)}
+    turn = stale = 0
+    while stale < n * (n - 1) // 2:
+        if not any(codes for _, codes in current):
+            break
+        power, codes = current[turn % (2 * r)]
+        turn += 1
+        if not codes:
+            continue
+        stale += 1
+        active = [(p % 2, c) for p, c in current]
+        s = ref_ascend(n, active, _TAU[codes[0]] if power % 2 else codes[0])
+        lifted = tuple(ref_conj_raw(n, p, c, s) for p, c in current)
+        if s == _DELTA[n] or lifted[:r] in chain:
+            continue
+        if lifted[r:] != tuple(ref_inverse(n, p, c) for p, c in lifted[:r]):
+            raise AssertionError("conjugation does not commute with inversion")
+        chain[lifted[:r]] = (current[:r], s)
+        if any(new[0] > old[0] for new, old in zip(lifted, current)):
+            stale = 0
+        current = lifted
+    return chain
+
+
 def bfs_search(alpha, beta, floor, node_cap):
     """Breadth-first search from alpha for beta alone, with no lift-chain targets.
 
-    This is the one-sided search that summit_search ran before it also
-    stopped at cycling lifts of beta.  It expands the same minimal conjugator
-    sets in the same order and builds the same graph, so a search with more
-    targets visits a prefix of these nodes, with the same parents and edges,
-    and reaches a verdict no later.  It expands and conjugates through the
+    This is the one-sided search that summit_search runs when it is given no
+    lift chain.  It expands the same minimal conjugator sets in the same
+    order and builds the same graph, so a search with more targets visits a
+    prefix of these nodes, with the same parents and edges, and reaches a
+    verdict no later.  A floor of 2r values also bounds the inverse entries,
+    as summit_search's does.  It expands and conjugates through the
     reference kernel above, not the package's, so a kernel change that
     alters a move or a child shows as a different graph.
     """
@@ -255,7 +322,10 @@ def bfs_search(alpha, beta, floor, node_cap):
     queue = deque([root])
     while queue:
         entries = queue.popleft()
-        moves = ref_minimal_codes(n, _active(entries, floor))
+        doubled_entries = entries
+        if len(floor) > len(entries):
+            doubled_entries += tuple(ref_inverse(n, power, codes) for power, codes in entries)
+        moves = ref_minimal_codes(n, _active(doubled_entries, floor))
         counters.nodes_expanded += 1
         counters.set_size_sum += len(moves)
         counters.set_size_max = max(counters.set_size_max, len(moves))

@@ -324,7 +324,7 @@ def test_criterion_11_io_and_cli_contract(tmp_path, capsys):
 
     seen_codes.add(cli_main(["solve", str(worked)]))
     seen_codes.add(cli_main(["solve", str(nonconj)]))
-    seen_codes.add(cli_main(["solve", str(worked), "--cap", "1"]))
+    seen_codes.add(cli_main(["solve", str(nonconj), "--cap", "1"]))
     seen_codes.add(cli_main(["solve", str(malformed)]))
     seen_codes.add(cli_main(["verify", str(worked), "2 1"]))
     seen_codes.add(cli_main(["verify", str(worked), "1"]))

@@ -2,6 +2,8 @@ from braidmscp.cli import main
 
 WORKED = "n 3\nr 1\nalpha 1\nbeta 2\n"
 NONCONJ = "n 3\nr 1\nalpha 1\nbeta 1 1 1\n"
+# the lift chains of the swap pair do not meet, so its solve searches
+SWAP = "n 3\nr 2\nalpha 1\nalpha 2\nbeta 2\nbeta 1\n"
 
 
 def run_cli(capsys, *argv):
@@ -43,11 +45,13 @@ class TestSolve:
         assert out == "NOT CONJUGATE\n"
 
     def test_cap(self, tmp_path, capsys):
-        path = tmp_path / "w.inst"
-        path.write_text(WORKED)
+        # sigma_1 and sigma_1^3 are not conjugate, and the search set of
+        # lifted sigma_1 holds 2 tuples
+        path = tmp_path / "nc.inst"
+        path.write_text(NONCONJ)
         code, out, _ = run_cli(capsys, "solve", str(path), "--cap", "1")
         assert code == 2
-        assert out.startswith("ABORTED")
+        assert out == "ABORTED: node cap 1 exceeded\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "/nonexistent/file.inst")
@@ -60,21 +64,36 @@ class TestSolve:
         assert code == 3
 
     def test_graph_export(self, tmp_path, capsys):
-        path = tmp_path / "w.inst"
-        path.write_text(WORKED)
+        path = tmp_path / "s.inst"
+        path.write_text(SWAP)
         dot = tmp_path / "g.dot"
         edges = tmp_path / "g.edges"
         assert run_cli(capsys, "solve", str(path), "--graph", str(dot))[0] == 0
         assert dot.read_text().startswith("digraph")
         assert run_cli(capsys, "solve", str(path), "--graph", str(edges))[0] == 0
-        assert edges.read_text().strip().split(maxsplit=2)[2] == "2 1"
+        assert edges.read_text().strip().split(maxsplit=2)[2] == "1 2 1"
+
+    def test_graph_export_of_a_lift_meeting(self, tmp_path, capsys):
+        # the lift chains of sigma_1 and sigma_2 meet: one node, no edge
+        path = tmp_path / "w.inst"
+        path.write_text(WORKED)
+        dot = tmp_path / "g.dot"
+        edges = tmp_path / "g.edges"
+        assert run_cli(capsys, "solve", str(path), "--graph", str(dot))[0] == 0
+        assert run_cli(capsys, "solve", str(path), "--graph", str(edges))[0] == 0
+        assert edges.read_text() == ""
+        assert dot.read_text().count("doublecircle") == 1 and "->" not in dot.read_text()
 
     def test_stats(self, tmp_path, capsys):
         path = tmp_path / "w.inst"
         path.write_text(WORKED)
         code, out, _ = run_cli(capsys, "solve", str(path), "--stats")
         assert code == 0
-        assert out.splitlines()[0] == "nodes=2" and out.endswith("2 1\n")
+        assert out.splitlines()[0] == "nodes=1" and out.endswith("2 1\n")
+        path.write_text(SWAP)
+        code, out, _ = run_cli(capsys, "solve", str(path), "--stats")
+        assert code == 0
+        assert out.splitlines()[:2] == ["nodes=2", "nodes_expanded=1"] and out.endswith("1 2 1\n")
 
 
 class TestGen:
@@ -189,12 +208,14 @@ class TestContract:
 
         path = tmp_path / "w.inst"
         path.write_text(WORKED)
+        nonconj = tmp_path / "nc.inst"
+        nonconj.write_text(NONCONJ)
         sequence = [
             ["solve", str(path), "--stats"],
             ["nf", "-n", "3", "--bogus", "1"],
             ["verify", str(path), "2 1"],
             ["nf", "-n", "4", "1 -2 3"],
-            ["solve", str(path), "--cap", "1"],
+            ["solve", str(nonconj), "--cap", "1"],
             ["attack", "-n", "3", "--trials", "1", "--seed", "2"],
             ["verify", str(path), "1"],
         ]

@@ -80,7 +80,7 @@ class TestRunAttack:
         assert report.result.outcome is Outcome.FOUND
         assert report.recovered_ok
         assert report.matches_planted
-        assert report.nodes == 2
+        assert report.nodes == 1  # the lift chains meet
         assert report.wall_time >= 0
 
     def test_wrong_planted_key(self):
@@ -99,7 +99,8 @@ class TestRunAttack:
         assert report.matches_planted is None
 
     def test_cap_abort(self):
-        inst = parse_instance("n 3\nr 1\nalpha 1\nbeta 2\n")
+        # not conjugate, with 2 tuples in lifted alpha's search set
+        inst = parse_instance("n 3\nr 1\nalpha 1\nbeta 1 1 1\n")
         report = run_attack(inst, node_cap=1)
         assert report.result.outcome is Outcome.ABORTED
         assert not report.recovered_ok

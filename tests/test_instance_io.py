@@ -29,6 +29,8 @@ from braidmscp.instance_io import key_hash
 from test_acceptance import corpus_params
 
 WORKED = "n 3\nr 1\nalpha 1\nbeta 2\n"
+# the lift chains of the swap pair do not meet, so its solve searches
+SWAP = "n 3\nr 2\nalpha 1\nalpha 2\nbeta 2\nbeta 1\n"
 
 
 class TestParse:
@@ -117,8 +119,8 @@ class TestRoundTrip:
         assert InstanceFile(3, (w,), [w]) == InstanceFile(3, (w,), (w,))
 
 
-def solved_worked_example():
-    inst = parse_instance(WORKED)
+def solved_swap_pair():
+    inst = parse_instance(SWAP)
     alpha = tuple_from_words(inst.n, inst.alpha)
     beta = tuple_from_words(inst.n, inst.beta)
     return solve_mscp(alpha, beta)
@@ -148,23 +150,26 @@ def reference_export(graph, format):
 
 class TestGraphExport:
     def test_matches_reference(self):
+        # each planted pair, and its twin with an extra letter on beta's last
+        # entry, which is not conjugate and exhausts or overruns its component
         outcomes = set()
         for seed in range(30):
             params = GenParams(n=3 + seed % 4, r=1 + seed % 3, entry_length=5, conjugator_length=4, seed=seed)
             inst, _ = gen_instance(params)
             alpha = tuple_from_words(inst.n, inst.alpha)
-            beta = tuple_from_words(inst.n, inst.beta)
-            res = solve_mscp(alpha, beta, node_cap=300)
-            outcomes.add(res.outcome)
-            for format in ("edgelist", "dot"):
-                assert export_graph(res.graph, format) == reference_export(res.graph, format)
-        assert outcomes == {Outcome.FOUND, Outcome.ABORTED}
+            tampered = [*inst.beta[:-1], BraidWord(inst.n, inst.beta[-1].letters + (1,))]
+            for beta_words in (inst.beta, tampered):
+                res = solve_mscp(alpha, tuple_from_words(inst.n, beta_words), node_cap=300)
+                outcomes.add(res.outcome)
+                for format in ("edgelist", "dot"):
+                    assert export_graph(res.graph, format) == reference_export(res.graph, format)
+        assert outcomes == set(Outcome)
 
     # sha256 of the edge list, DOT and counters report of the first 20 corpus
-    # instances.  Instances 1, 4, 8, 10 and 16 stop at a lift of beta, with
-    # 14, 6, 7, 18 and 10 nodes instead of 16, 33, 16, 478 and 645; the other
-    # 15 give the same bytes as a search that stops on beta alone.
-    PINNED_DIGEST = "99b7f7c539d34714afdf42245890bf057283da71b861629e5c50c1bab47777d9"
+    # instances.  Instances 4, 8, 15 and 16 end where the lift chains of
+    # alpha and beta meet, a one-node graph; 1, 9 and 10 search from lifted
+    # alpha, with 2, 2 and 11 nodes; the other 13 have equal tuples.
+    PINNED_DIGEST = "e9d635a3cb2cc5b9cee31cfc70c1293f413ddd3a8e276e2d40b14c680f4da6ee"
 
     def test_pinned_bytes(self):
         digest = hashlib.sha256()
@@ -186,33 +191,33 @@ class TestGraphExport:
         assert "->" not in dot
 
     def test_worked_example_edge(self):
-        res = solved_worked_example()
+        res = solved_swap_pair()
         edgelist = export_graph(res.graph, "edgelist")
         lines = edgelist.strip().splitlines()
         assert len(lines) == 1
         src, dst, word = lines[0].split(maxsplit=2)
-        assert word == "2 1"
+        assert word == "1 2 1"
         assert src == node_name(res.graph, res.graph.root)
         assert src != dst
 
     def test_dot_syntax(self):
-        res = solved_worked_example()
+        res = solved_swap_pair()
         dot = export_graph(res.graph, "dot")
         assert dot.splitlines()[0] == "digraph summit {"
         assert dot.rstrip().endswith("}")
-        assert '[label="2 1"]' in dot
+        assert '[label="1 2 1"]' in dot
         # every non-brace line is a node or edge statement ending in ;
         for line in dot.splitlines()[1:-1]:
             assert line.rstrip().endswith(";")
             assert re.match(r'\s+"[0-9a-f]{12}"', line)
 
     def test_deterministic(self):
-        a = export_graph(solved_worked_example().graph, "dot")
-        b = export_graph(solved_worked_example().graph, "dot")
+        a = export_graph(solved_swap_pair().graph, "dot")
+        b = export_graph(solved_swap_pair().graph, "dot")
         assert a == b
 
     def test_counters_report(self):
-        res = solved_worked_example()
+        res = solved_swap_pair()
         report = counters_report(res.graph)
         data = dict(line.split("=") for line in report.strip().splitlines())
         assert data["nodes"] == "2"

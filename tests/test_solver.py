@@ -15,6 +15,7 @@ from braidmscp import (
     StrandMismatch,
     SummitGraph,
     SummitNode,
+    GenParams,
     conjugate_tuple,
     conjugation_keeps_floor,
     delta,
@@ -51,6 +52,7 @@ from braidmscp.solver import (
     _lift_chain,
     _minimal_codes,
     _path,
+    _tuple,
 )
 from test_acceptance import corpus_params, non_conjugacy_instances
 
@@ -62,6 +64,32 @@ def words_tuple(n, *letter_lists):
 def rand_word(rng, n, max_len, min_len=0):
     length = rng.randint(min_len, max_len)
     return BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)))
+
+
+def lift_chain(t):
+    """t's lift chain, run alone to its end."""
+    chain = {_code_key(t): SummitNode(None, None)}
+    for _ in _lift_chain(t.n, chain, SearchCounters()):
+        pass
+    return chain
+
+
+def lift_top(t):
+    """The last tuple of t's lift chain."""
+    return _tuple(t.n, next(reversed(lift_chain(t))))
+
+
+def raw_floor(alpha, beta):
+    return tuple(min(a.inf, b.inf) for a, b in zip(alpha.entries, beta.entries))
+
+
+def summit_floor(alpha, beta):
+    """The floor of both doubled tuples: infima, then the negated suprema."""
+    return raw_floor(alpha, beta) + tuple(min(-a.sup, -b.sup) for a, b in zip(alpha.entries, beta.entries))
+
+
+def chain_word(n, chain, key):
+    return word_concat(BraidWord(n, ()), *(simple_to_word(_SIMPLE[s]) for s in _path(chain, key)))
 
 
 def keeps_floor_by_full_conjugation(s, t, floor):
@@ -320,11 +348,20 @@ class TestSummitSearch:
         for a, b in zip(alpha.entries, beta.entries):
             assert exponent_sum(nf_to_word(a)) == exponent_sum(nf_to_word(b))
             assert strand_permutation(a) == strand_permutation(b)
-        floor = tuple(min(a.inf, b.inf) for a, b in zip(alpha.entries, beta.entries))
-        component = oracle.floor_component(alpha, floor)
-        assert tuple_key(beta) not in component
+        assert tuple_key(beta) not in oracle.floor_component(alpha, raw_floor(alpha, beta))
         res = solve_mscp(alpha, beta)
         assert res.outcome is Outcome.NOT_CONJUGATE
+        # the search ran from lifted alpha at the floor of both lifted doubled
+        # tuples, and visited exactly that floor set's component, projected
+        # onto the first r entries
+        a_top, b_top = lift_top(alpha), lift_top(beta)
+        assert res.graph.root == _code_key(a_top)
+        doubled = oracle.doubled(a_top)
+        floor = tuple(min(a.inf, b.inf) for a, b in zip(doubled.entries, oracle.doubled(b_top).entries))
+        doubled_component = oracle.floor_component(doubled, floor)
+        component = {" ; ".join(key.split(" ; ")[: alpha.r]) for key in doubled_component}
+        assert len(component) == len(doubled_component)
+        assert tuple_key(b_top) not in component
         assert {tuple_key(res.graph.tuple(key)) for key in res.graph.nodes} == component
 
     def test_node_cap(self):
@@ -339,18 +376,26 @@ class TestSummitSearch:
             summit_search(alpha, beta, (1,))
 
     def test_graph_edges_replay(self):
+        # planted pairs, every second one tampered with an extra letter; the
+        # planted ones mostly meet while lifting, so the tampered ones, which
+        # exhaust their component, give most of the edges
         rng = random.Random(27)
-        alpha_words = [rand_word(rng, 4, 5, min_len=1), rand_word(rng, 4, 5, min_len=1)]
-        x = rand_word(rng, 4, 4)
-        alpha = tuple_from_words(4, alpha_words)
-        beta = tuple_from_words(4, [word_concat(word_inverse(x), w, x) for w in alpha_words])
-        res = solve_mscp(alpha, beta)
-        assert res.outcome is Outcome.FOUND
-        graph = res.graph
-        assert len(graph.nodes) >= 2
-        for key, node in graph.nodes.items():
-            if node.parent is not None:
-                assert conjugate_tuple(graph.tuple(node.parent), _SIMPLE[node.edge]) == graph.tuple(key)
+        outcomes, nodes = set(), 0
+        for k in range(8):
+            alpha_words = [rand_word(rng, 4, 5, min_len=1), rand_word(rng, 4, 5, min_len=1)]
+            x = rand_word(rng, 4, 4)
+            beta_words = [word_concat(word_inverse(x), w, x) for w in alpha_words]
+            if k % 2:
+                beta_words[-1] = word_concat(beta_words[-1], BraidWord(4, (1,)))
+            res = solve_mscp(tuple_from_words(4, alpha_words), tuple_from_words(4, beta_words))
+            outcomes.add(res.outcome)
+            graph = res.graph
+            nodes += len(graph.nodes)
+            for key, node in graph.nodes.items():
+                if node.parent is not None:
+                    assert conjugate_tuple(graph.tuple(node.parent), _SIMPLE[node.edge]) == graph.tuple(key)
+        assert outcomes == {Outcome.FOUND, Outcome.NOT_CONJUGATE}
+        assert nodes == 69
 
 
 class TestCompactNodeStore:
@@ -378,7 +423,11 @@ class TestCompactNodeStore:
             res = solve_mscp(alpha, beta, node_cap=cap)
             outcomes.add(res.outcome)
             graph = res.graph
-            assert graph.tuple(graph.root) == alpha
+            # the root is lifted alpha, or a tuple both lift chains hold
+            a_chain = lift_chain(alpha)
+            assert graph.root in a_chain
+            if graph.root != next(reversed(a_chain)):
+                assert graph.root in lift_chain(beta) and len(graph.nodes) == 1
             key_ids = {id(key) for key in graph.nodes}
             for key, node in graph.nodes.items():
                 t = graph.tuple(key)
@@ -445,15 +494,19 @@ class TestLiftChain:
                 stale += 1
                 if lifted is not None:
                     assert chain[lifted].parent == current
-                    old, new = [p for p, _ in current], [p for p, _ in lifted]
-                    assert all(a <= b for a, b in zip(old, new))
+                    old = [(e.inf, e.sup) for e in _tuple(beta.n, current).entries]
+                    new = [(e.inf, e.sup) for e in _tuple(beta.n, lifted).entries]
+                    # no infimum falls and no supremum rises
+                    assert all(a[0] <= b[0] and a[1] >= b[1] for a, b in zip(old, new))
                     if new != old:
                         raises += 1
                         stale = 0
                     current = lifted
                 assert stale <= bound
-            # it stops at the bound, or when every entry is a half-twist power
-            assert stale == bound or not any(codes for _, codes in current)
+            # it stops at the bound, when every entry is a half-twist power, or
+            # once every entry of the doubled tuple has had a skipped move
+            movable = 2 * sum(1 for _, codes in current if codes)
+            assert stale == bound or not movable or steps[-movable:] == [None] * movable
             assert {key for key in steps if key is not None} == set(chain) - {_code_key(beta)}
         assert raises > 0
 
@@ -461,7 +514,7 @@ class TestLiftChain:
         # desk corpus instance 4: beta sits two below alpha (inf -3 against -1)
         alpha = words_tuple(3, (2, 2, -1, 1, 2, -1, 2))
         beta = words_tuple(3, (-2, 1, 2, 2, -1, 1, 2, -1, 2, -1, 2))
-        res = summit_search(alpha, beta, (-3,))
+        res = summit_search(alpha, beta, (-3,), chain=lift_chain(beta))
         ref = oracle.bfs_search(alpha, beta, (-3,), 1000)
         assert res.outcome is ref.outcome is Outcome.FOUND
         assert len(res.graph.nodes) < len(ref.graph.nodes)
@@ -476,6 +529,26 @@ class TestLiftChain:
         assert verify_conjugator(beta, res.graph.tuple(met[0]), y)
         assert met[0] in self.run_chain(beta)[0]
 
+    def test_matches_reference_chain(self):
+        # the reference conjugates all 2r entries, ascends through the
+        # reference kernel and runs every move to the stale bound
+        for beta in self.betas():
+            chain, _ = self.run_chain(beta)
+            ref = oracle.ref_lift_chain(beta)
+            assert [(key, node.parent, node.edge) for key, node in chain.items()] == [
+                (key, parent, edge) for key, (parent, edge) in ref.items()
+            ]
+
+    def test_chain_targets_need_the_floor(self):
+        alpha, beta = words_tuple(3, (1,)), words_tuple(3, (2,))
+        with pytest.raises(InvalidParams):
+            summit_search(alpha, beta, (0,), chain=lift_chain(alpha))
+        with pytest.raises(LengthMismatch):
+            summit_search(alpha, beta, (0, -1, -1))
+        # beta = sigma_2^3 has sup 3, above the ceiling of sigma_1's sup 1
+        with pytest.raises(NotInFloor):
+            summit_search(alpha, words_tuple(3, (2, 2, 2)), (0, -1))
+
 
 class TestDifferentialOracle:
     """summit_search against the one-sided BFS of oracle.bfs_search.
@@ -488,22 +561,33 @@ class TestDifferentialOracle:
 
     @staticmethod
     def check(alpha, beta, node_cap=DEFAULT_NODE_CAP):
-        floor = tuple(min(a.inf, b.inf) for a, b in zip(alpha.entries, beta.entries))
-        res = summit_search(alpha, beta, floor, node_cap)
-        ref = oracle.bfs_search(alpha, beta, floor, node_cap)
-        new, old = list(res.graph.nodes.items()), list(ref.graph.nodes.items())
-        assert new == old[: len(new)]
-        assert res.counters.nodes_expanded <= ref.counters.nodes_expanded
-        assert res.counters.lift_moves <= res.counters.nodes_expanded
-        if ref.outcome is not Outcome.ABORTED or res.outcome is Outcome.ABORTED:
-            assert res.outcome is ref.outcome
-        if res.outcome is Outcome.ABORTED:
-            assert len(new) == node_cap
-        if res.outcome is Outcome.FOUND:
-            assert verify_conjugator(alpha, beta, res.conjugator)
-            if len(new) == len(old):
-                assert res.conjugator == ref.conjugator
-        return len(new), len(old)
+        """Sizes of the search, given beta's chain, and of the oracle, searching for beta alone.
+
+        Once from raw alpha at the raw floor, and once as solve_mscp runs
+        it: from lifted alpha at the floor of both lifted doubled tuples,
+        where the oracle searches for lifted beta.
+        """
+        chain = lift_chain(beta)
+        a_top, b_top = lift_top(alpha), _tuple(beta.n, next(reversed(chain)))
+        runs = ((alpha, beta, raw_floor(alpha, beta)), (a_top, b_top, summit_floor(a_top, b_top)))
+        sizes = []
+        for start, target, floor in runs:
+            res = summit_search(start, beta, floor, node_cap, chain)
+            ref = oracle.bfs_search(start, target, floor, node_cap)
+            new, old = list(res.graph.nodes.items()), list(ref.graph.nodes.items())
+            assert new == old[: len(new)]
+            assert res.counters.nodes_expanded <= ref.counters.nodes_expanded
+            if ref.outcome is not Outcome.ABORTED or res.outcome is Outcome.ABORTED:
+                assert res.outcome is ref.outcome
+            if res.outcome is Outcome.ABORTED:
+                assert len(new) == node_cap
+            if res.outcome is Outcome.FOUND:
+                assert verify_conjugator(start, beta, res.conjugator)
+                if len(new) == len(old):
+                    y = chain_word(beta.n, chain, _code_key(target))
+                    assert res.conjugator == word_concat(ref.conjugator, word_inverse(y))
+            sizes.append((len(new), len(old)))
+        return sizes
 
     def test_desk_corpus(self):
         sizes = []
@@ -511,7 +595,8 @@ class TestDifferentialOracle:
             inst, _ = gen_instance(params)
             alpha, beta = tuple_from_words(inst.n, inst.alpha), tuple_from_words(inst.n, inst.beta)
             sizes.append(self.check(alpha, beta, node_cap=1000))
-        assert sum(new for new, _ in sizes) < sum(old for _, old in sizes)
+        for k in (0, 1):  # the chain targets stop both searches earlier
+            assert sum(s[k][0] for s in sizes) < sum(s[k][1] for s in sizes)
 
     def test_non_conjugacy_instances(self):
         self.check(words_tuple(3, (1,)), words_tuple(3, (1, 1, 1)))
@@ -571,25 +656,73 @@ class TestSolve:
         from braidmscp.cli import main
 
         search = solver_module.summit_search
+        calls = []
 
-        def wrong_search(alpha, beta, floor, node_cap):
-            res = search(alpha, beta, floor, node_cap)
+        def wrong_search(alpha, *args):
+            res = search(alpha, *args)
             assert res.outcome is Outcome.FOUND
+            calls.append(res.conjugator)
             res.conjugator = BraidWord(alpha.n, (1,))
             return res
 
         monkeypatch.setattr(solver_module, "summit_search", wrong_search)
-        alpha, beta = words_tuple(3, (1,)), words_tuple(3, (2,))
-        assert not verify_conjugator(alpha, beta, BraidWord(3, (1,)))
+        # the swap pair's lift chains do not meet, so solve_mscp searches
+        alpha, beta = words_tuple(3, (1,), (2,)), words_tuple(3, (2,), (1,))
         with pytest.raises(VerificationFailed):
             solve_mscp(alpha, beta)
         path = tmp_path / "w.inst"
-        path.write_text("n 3\nr 1\nalpha 1\nbeta 2\n")
+        path.write_text("n 3\nr 2\nalpha 1\nalpha 2\nbeta 2\nbeta 1\n")
         capsys.readouterr()
         assert main(["solve", str(path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "verification" in captured.err
+        assert len(calls) == 2
+
+    def test_lockstep_meeting(self):
+        # sigma_1 and sigma_2: beta's chain reaches a tuple alpha's chain holds
+        alpha, beta = words_tuple(3, (1,)), words_tuple(3, (2,))
+        res = solve_mscp(alpha, beta)
+        assert res.outcome is Outcome.FOUND
+        assert list(res.graph.nodes) == [res.graph.root]
+        assert res.counters.nodes_expanded == 0 and res.counters.lift_moves == 3
+        a_chain, b_chain = lift_chain(alpha), lift_chain(beta)
+        met = res.graph.root
+        assert met in a_chain and met in b_chain
+        y_a, y_b = chain_word(3, a_chain, met), chain_word(3, b_chain, met)
+        assert res.conjugator == word_concat(y_a, word_inverse(y_b))
+        assert res.conjugator.letters == (2, 1)
+        assert verify_conjugator(alpha, beta, res.conjugator)
+
+    def test_hard_tier_instance(self):
+        # hard n=8 r=3 seed 1: the lifted vectors are incomparable, and a
+        # target on beta's chain below its last tuple is met
+        inst, _ = gen_instance(GenParams(8, 3, 16, 12, seed=1))
+        alpha, beta = tuple_from_words(8, inst.alpha), tuple_from_words(8, inst.beta)
+        res = solve_mscp(alpha, beta, node_cap=1000)
+        assert res.outcome is Outcome.FOUND
+        assert len(res.graph.nodes) == 139
+        assert verify_conjugator(alpha, beta, res.conjugator)
+
+    def test_outcomes_match_bfs_at_the_raw_floor(self):
+        # planted pairs at n <= 4, every third one tampered with an extra
+        # letter, against the one-sided BFS from raw alpha at the raw floor
+        rng = random.Random(41)
+        outcomes = []
+        for k in range(300):
+            n, r = rng.randint(2, 4), rng.randint(1, 3)
+            words = [rand_word(rng, n, 4, min_len=1) for _ in range(r)]
+            x = rand_word(rng, n, 3)
+            beta_words = [word_concat(word_inverse(x), w, x) for w in words]
+            if k % 3 == 2:
+                beta_words[-1] = word_concat(beta_words[-1], BraidWord(n, (1,)))
+            alpha, beta = tuple_from_words(n, words), tuple_from_words(n, beta_words)
+            res = solve_mscp(alpha, beta)
+            ref = oracle.bfs_search(alpha, beta, raw_floor(alpha, beta), 5_000)
+            assert res.outcome is ref.outcome
+            outcomes.append(res.outcome)
+        assert outcomes.count(Outcome.FOUND) == 200
+        assert outcomes.count(Outcome.NOT_CONJUGATE) == 100
 
     def test_search_nodes_stay_in_floor_and_conjugate(self):
         rng = random.Random(29)
