@@ -23,6 +23,7 @@ from .braid import BraidWord, word_to_text
 from .errors import (
     CountMismatch,
     IndexOutOfRange,
+    InstanceFormatError,
     InstanceSyntaxError,
     InvalidParams,
 )
@@ -64,25 +65,36 @@ _TOKEN = re.compile(r"\S+")
 
 
 def _parse_word(body: str, n: int, lineno: int, offset: int) -> BraidWord:
+    """The word of one alpha or beta line, whose body starts after offset characters."""
+    tokens = body.split()
+    if tokens == ["e"]:
+        return BraidWord(n, ())
+    try:
+        letters = tuple(map(int, tokens))
+    except ValueError:
+        letters = ()
+    if letters and 0 not in letters and -n < min(letters) and max(letters) < n:
+        return BraidWord(n, letters)
+    raise _word_error(body, n, lineno, offset)
+
+
+def _word_error(body: str, n: int, lineno: int, offset: int) -> InstanceFormatError:
+    """The error of the first token of a word that does not parse, at its column."""
     tokens = list(_TOKEN.finditer(body))
     if not tokens:
-        raise InstanceSyntaxError("missing word", lineno, offset)
-    if len(tokens) == 1 and tokens[0].group() == "e":
-        return BraidWord(n, ())
-    letters = []
+        return InstanceSyntaxError("missing word", lineno, offset)
     for m in tokens:
         col = offset + m.start() + 1
         tok = m.group()
         if tok == "e":
-            raise InstanceSyntaxError("'e' cannot appear inside a word", lineno, col)
+            return InstanceSyntaxError("'e' cannot appear inside a word", lineno, col)
         try:
             v = int(tok)
         except ValueError:
-            raise InstanceSyntaxError(f"bad letter token {tok!r}", lineno, col) from None
+            return InstanceSyntaxError(f"bad letter token {tok!r}", lineno, col)
         if v == 0 or abs(v) > n - 1:
-            raise IndexOutOfRange(f"letter {v} out of range 1..{n - 1}", lineno, col)
-        letters.append(v)
-    return BraidWord(n, tuple(letters))
+            return IndexOutOfRange(f"letter {v} out of range 1..{n - 1}", lineno, col)
+    raise AssertionError(f"word {body!r} parses")
 
 
 def _parse_int_line(line: str, key: str, lineno: int) -> int:

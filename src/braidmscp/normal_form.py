@@ -15,13 +15,22 @@ is already left-weighted exactly when no letter starts both rcomp(a) and b,
 one AND of two start-set bitmasks, which is tested before any meet is
 computed.
 
-Normalization rewrites each inverse letter as D^-1 times a left complement,
-pushes the D powers to the front through the flip tau, then restores
-left-weightedness with the local move "transfer meet(rcomp(A), B) from B to
-A".  The move sends (A, D) to (D, tau(A)) and (trivial, B) to (B, trivial),
-so half twists bubble to the front and trivial factors to the back, where
-they are stripped.  Products of two already-weighted sequences only need the
-move combed outward from the junction, which keeps multiplication cheap.
+Normalization rewrites each inverse letter as D^-1 times a left complement
+and appends the factors one at a time, restoring left-weightedness with the
+local move "transfer meet(rcomp(A), B) from B to A".  The move sends
+(trivial, B) to (B, trivial), so trivial factors go to the back, where they
+are stripped.  A move that leaves D at position k has only one
+continuation, (A, D) -> (D, tau(A)) past every earlier factor, so D leaves
+the list at once and counts into the power.  That is cheap in a tau-frame:
+the move commutes with the flip, _fix_pair(tau a, tau b) = tau(_fix_pair(a,
+b)), so the list holds tau^g of each factor under one parity bit g and
+stands for D^power tau^g(list).  Taking D out of X D Y flips the shorter of
+X and Y, and flipping Y toggles g.  A D^-1 moved to the power toggles g too,
+a factor p is appended as tau^g(p), and the list is flipped once at the end
+if g is odd.  Normalization never leaves D in the list, so none of its
+moves has D as its right factor.  Products of two already-weighted
+sequences only need the move combed outward from the junction, which keeps
+multiplication cheap.
 Conjugating by a simple s adds one factor at each end of a weighted
 sequence, so it is left-weighted in one pass over one list: a forward sweep
 from the new head, then s combed back from the tail, then a single strip.
@@ -125,31 +134,66 @@ def _fix_pair(a: int, b: int) -> tuple[int, int]:
     return _LCOMP[y], b
 
 
-def _comb_back(factors: list[int], i: int) -> None:
-    """Restore left-weightedness of pairs below i after factor i changed."""
+def _take_half_twist(factors: list[int], k: int, b: int) -> int:
+    """Take out of the list the half twist that a move left at k, b the move's right factor.
+
+    The one continuation of such a move is (A, D) -> (D, tau A) past every
+    earlier factor, so D leaves at once for the power.  In the tau-frame
+    the list X D Y, read as D^P tau^g(X D Y), is D^(P+1) tau^(g+1)(X)
+    tau^g(Y): either X is flipped and g kept, or Y is flipped and g
+    toggled.  The shorter side is flipped; returns 1 when g toggles.
+    """
+    factors[k + 1] = b
+    if 2 * k < len(factors):
+        del factors[k]
+        factors[:k] = [_TAU[c] for c in factors[:k]]
+        return 0
+    factors[k:] = [_TAU[c] for c in factors[k + 1 :]]
+    return 1
+
+
+def _comb_back(factors: list[int], i: int, top: int, g: int) -> int:
+    """Restore left-weightedness of pairs below i after factor i changed.
+
+    The factors are stored in the tau-frame of parity g, and the frame
+    parity after the comb is returned.  A move that forms the half twist
+    top ends the comb: the half twist leaves the list, one factor shorter.
+    """
     for k in range(i - 1, -1, -1):
         a, b = _fix_pair(factors[k], factors[k + 1])
         if a == factors[k]:
             break
+        if a == top:
+            return g ^ _take_half_twist(factors, k, b)
         factors[k], factors[k + 1] = a, b
+    return g
 
 
-def _comb_forward(factors: list[int], i: int, stop: int) -> None:
-    """Left-weight factors[:stop + 1] when only pairs from i on are unweighted.
+def _comb_forward(factors: list[int], i: int, top: int, g: int) -> int:
+    """Left-weight the list when only pairs from i on are unweighted; returns the frame parity.
 
-    Sweeps the pairs (k, k + 1) for k from i below stop, combing back after
-    each change, and stops at the first pair that is already weighted.
+    Sweeps the pairs (k, k + 1) from k = i, combing back after each change,
+    and stops at the first pair that is already weighted.  A half twist
+    that forms leaves the list, which moves the next pair down to k.
     """
-    for k in range(i, stop):
+    k = i
+    while k < len(factors) - 1:
         a, b = _fix_pair(factors[k], factors[k + 1])
         if a == factors[k]:
             break
+        if a == top:
+            g ^= _take_half_twist(factors, k, b)
+            continue
         factors[k], factors[k + 1] = a, b
-        _comb_back(factors, k)
+        m = len(factors)
+        g = _comb_back(factors, k, top, g)
+        if len(factors) == m:
+            k += 1
+    return g
 
 
-def _strip(n: int, factors: list[int]) -> tuple[int, Codes]:
-    """Absorb leading half twists into the power and drop trailing trivials."""
+def _strip(n: int, factors: list[int], g: int = 0) -> tuple[int, Codes]:
+    """Absorb leading half twists into the power, drop trailing trivials, and leave the tau-frame."""
     ident = _IDENTITY[n]
     top = _DELTA[n]
     lo, hi = 0, len(factors)
@@ -157,54 +201,44 @@ def _strip(n: int, factors: list[int]) -> tuple[int, Codes]:
         lo += 1
     while lo < hi and factors[hi - 1] == ident:
         hi -= 1
+    if g:
+        return lo, tuple([_TAU[c] for c in factors[lo:hi]])
     return lo, tuple(factors[lo:hi])
 
 
-def _prod_normal(n: int, left: Codes, right: Codes) -> tuple[int, Codes]:
-    """Left-weight the concatenation of two already left-weighted sequences.
+def _weight_seq(n: int, letters) -> tuple[int, Codes]:
+    """Left normal form of a word's letters, appending one simple factor at a time.
 
-    Violations can only start at the junction, so the local move is applied
-    there and combed outward until a pair is already weighted: at once when
-    the junction is weighted or a side is empty.  The strip takes a half
-    twist that right = (D,) combs to the front, as in p*s for s = D.
+    Letter i gives the simple s_i and letter -i gives D^-1 lcomp(s_i).  The
+    list holds tau^g of each factor, so that it stands for D^power tau^g(list):
+    a D^-1 moved to the power toggles g, and a factor p is appended as
+    tau^g(p).  Appending can only break the last pair, so the local move is
+    combed back from there; a half twist it forms leaves at once, and at
+    most the new last factor can become trivial, to be popped.  Neither a
+    half twist nor the identity stays in the list: at n = 2 the letter 1 is
+    D itself, which counts into the power and toggles g, and lcomp(s_1) is
+    trivial and popped.
     """
-    factors = [*left, *right]
-    _comb_forward(factors, max(len(left) - 1, 0), len(factors) - 1)
-    return _strip(n, factors)
-
-
-def _weight_seq(n: int, seq) -> tuple[int, Codes]:
-    """Left-weight an arbitrary sequence of simple factors, appending one at a time.
-
-    Appending a factor can only break the last pair, so the local move is
-    combed back from there.  Half twists collect at the front, where combing
-    stops, and at most the new last factor can become trivial, to be popped;
-    so is an identity in seq, which only n = 2 gives (lcomp(s1) = e there).
-    """
-    ident = _IDENTITY[n]
+    codes = _LETTERS[n]
+    ident, top = _IDENTITY[n], _DELTA[n]
     factors: list[int] = []
-    for p in seq:
-        factors.append(p)
-        _comb_back(factors, len(factors) - 1)
+    power = g = 0
+    for e in letters:
+        p = codes[e]
+        if e < 0:
+            power -= 1
+            g ^= 1
+        if p == top:
+            power += 1
+            g ^= 1
+            continue
+        factors.append(_TAU[p] if g else p)
+        m = len(factors)
+        g = _comb_back(factors, m - 1, top, g)
+        power += m - len(factors)
         if factors[-1] == ident:
             factors.pop()
-    return _strip(n, factors)
-
-
-def _push_half_twists(items: list[tuple[int, int]]) -> tuple[int, list[int]]:
-    """Move the D^d prefixes of a factor sequence to the front.
-
-    Each item (d, p) denotes D^d * p; commuting D^d leftwards applies tau^d
-    to every factor it passes, i.e. factor j picks up the total d of the
-    items to its right.
-    """
-    total = 0
-    out = []
-    for d, p in reversed(items):
-        out.append(_TAU[p] if total % 2 else p)
-        total += d
-    out.reverse()
-    return total, out
+    return power, tuple([_TAU[c] for c in factors] if g else factors)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +252,7 @@ def normalize(w: BraidWord) -> NormalForm:
     A positive letter contributes its own simple element; an inverse letter
     contributes D^-1 times the left complement of the generator.
     """
-    letters = _LETTERS[w.n]
-    power, seq = _push_half_twists([(-1 if e < 0 else 0, letters[e]) for e in w.letters])
-    extra, factors = _weight_seq(w.n, seq)
-    return NormalForm(w.n, power + extra, factors)
+    return NormalForm(w.n, *_weight_seq(w.n, w.letters))
 
 
 def nf_of_simple(s: SimpleElement) -> NormalForm:
@@ -240,11 +271,20 @@ def nf_to_word(f: NormalForm) -> BraidWord:
 
 
 def multiply(f: NormalForm, g: NormalForm) -> NormalForm:
-    """Normal form of the product fg."""
+    """Normal form of the product fg.
+
+    D^j A D^k B = D^(j+k) tau^k(A) B, one list of two weighted sequences.
+    Violations can only start at the junction, so the local move is applied
+    there and combed outward until a pair is already weighted; each half
+    twist that forms on the way counts into the power.
+    """
     check_same_strands(f, g)
     left = tuple(_TAU[a] for a in f.codes) if g.power % 2 else f.codes
-    extra, codes = _prod_normal(f.n, left, g.codes)
-    return NormalForm(f.n, f.power + g.power + extra, codes)
+    factors = [*left, *g.codes]
+    frame = _comb_forward(factors, max(len(left) - 1, 0), _DELTA[f.n], 0)
+    extra = len(left) + len(g.codes) - len(factors)
+    d, codes = _strip(f.n, factors, frame)
+    return NormalForm(f.n, f.power + g.power + extra + d, codes)
 
 
 def invert(f: NormalForm) -> NormalForm:
@@ -276,21 +316,23 @@ def _conj_raw(n: int, power: int, codes: Codes, s: int) -> tuple[int, Codes]:
 
     s^-1 D^k A.. s = D^(k-1) tau^k(lcomp(s)) A_1 .. A_l s, one list with the
     weighted sequence between two new factors, left-weighted in one pass:
-    a forward sweep from the head weights head A_1 .. A_l, then s is combed
-    back from the end, and the list is stripped once.  The sweep may leave
-    half twists at the front and trivial factors just before s; combing s
-    back moves it past the trivials and any new half twist to the front, so
-    the one strip meets them only at the ends.  For s = e the list is
-    D A_1..A_l e, weighted, so the strip alone gives the result.  For s = D
-    the trivial head is swept to just before D, and combing D back flips
-    each factor it passes by the move (A, D) -> (D, tau A).
+    a forward sweep from the head weights head A_1 .. A_l, then s is
+    appended in the list's tau-frame and combed back, and the list is
+    stripped once.  Every half twist that forms leaves the list at once.
+    The sweep may leave a trivial factor at the end, which s passes by the
+    move (e, B) -> (B, e).  For s = e the list is D A_1..A_l e, weighted,
+    so the strip alone gives the result.  For s = D the trivial head is
+    swept to the end, and D forms at once in the last pair and leaves.
     """
-    factors = [_TAU[_LCOMP[s]] if power % 2 else _LCOMP[s], *codes, s]
-    last = len(factors) - 1
-    _comb_forward(factors, 0, last - 1)
-    _comb_back(factors, last)
-    d, seq = _strip(n, factors)
-    return power - 1 + d, seq
+    top = _DELTA[n]
+    head = _LCOMP[s]
+    factors = [_TAU[head] if power % 2 else head, *codes]
+    g = _comb_forward(factors, 0, top, 0)
+    factors.append(_TAU[s] if g else s)
+    g = _comb_back(factors, len(factors) - 1, top, g)
+    extra = len(codes) + 2 - len(factors)
+    d, seq = _strip(n, factors, g)
+    return power - 1 + extra + d, seq
 
 
 def conjugate(f: NormalForm, s: SimpleElement) -> NormalForm:

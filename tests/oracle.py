@@ -12,6 +12,9 @@ conjugator ascent and conjugation, ref_floor_step, ref_minimal_codes and
 ref_conj_raw, which build every product outright and skip none of the
 kernel's shortcuts.  Inverse entries, for floors on the doubled tuple
 (a_1..a_r, a_1^-1..a_r^-1), are each checked by multiplying them back.
+Every product here is left-weighted by the reference comb below, a copy of
+the plain comb that bubbles each half twist to the front one pair move at a
+time, so none of them runs the package's comb.
 """
 
 from __future__ import annotations
@@ -141,18 +144,104 @@ def floor_component(alpha, floor) -> set[str]:
 
 
 @functools.lru_cache(maxsize=None)
+def ref_fix_pair(a, b):
+    """The one-pair move: the head meet(rcomp(a), b) of b moves into a."""
+    from braidmscp.braid import _LCOMP, _RCOMP, _START, _peel
+
+    y = _RCOMP[a]
+    if not _START[y] & _START[b]:
+        return a, b
+    y, b = _peel(y, b)
+    return _LCOMP[y], b
+
+
+def ref_comb_back(factors, i):
+    """Re-weight the pairs below i after factor i changed, one move per pair.
+
+    A half twist that forms moves on by (A, D) -> (D, tau A), pair by pair,
+    until it meets the front or another half twist.
+    """
+    for k in range(i - 1, -1, -1):
+        a, b = ref_fix_pair(factors[k], factors[k + 1])
+        if a == factors[k]:
+            break
+        factors[k], factors[k + 1] = a, b
+
+
+def ref_comb_forward(factors, i, stop):
+    """Weight factors[:stop + 1] when only pairs from i on are unweighted."""
+    for k in range(i, stop):
+        a, b = ref_fix_pair(factors[k], factors[k + 1])
+        if a == factors[k]:
+            break
+        factors[k], factors[k + 1] = a, b
+        ref_comb_back(factors, k)
+
+
+def ref_strip(n, factors):
+    """Leading half twists into the power, trailing trivial factors dropped."""
+    from braidmscp.braid import _DELTA, _IDENTITY
+
+    lo, hi = 0, len(factors)
+    while lo < hi and factors[lo] == _DELTA[n]:
+        lo += 1
+    while lo < hi and factors[hi - 1] == _IDENTITY[n]:
+        hi -= 1
+    return lo, tuple(factors[lo:hi])
+
+
+def ref_prod_normal(n, left, right):
+    """Weight the concatenation of two weighted sequences, combed from the junction."""
+    factors = [*left, *right]
+    ref_comb_forward(factors, max(len(left) - 1, 0), len(factors) - 1)
+    return ref_strip(n, factors)
+
+
+def ref_normalize(n, letters):
+    """Normal form of a word as (power, codes), one factor appended at a time.
+
+    Each inverse letter is D^-1 lcomp(s_i); the D powers are first moved to
+    the front, flipping every factor they pass, and the factors are then
+    appended one by one, each combed back from the end.
+    """
+    from braidmscp.braid import _IDENTITY, _LETTERS, _TAU
+
+    power, seq = 0, []
+    for e in reversed(letters):
+        p = _LETTERS[n][e]
+        seq.append(_TAU[p] if power % 2 else p)
+        power -= e < 0
+    factors = []
+    for p in reversed(seq):
+        factors.append(p)
+        ref_comb_back(factors, len(factors) - 1)
+        if factors[-1] == _IDENTITY[n]:
+            factors.pop()
+    d, codes = ref_strip(n, factors)
+    return power + d, codes
+
+
+def ref_multiply(n, f, g):
+    """The product of two raw normal forms (power, codes), combed from the junction."""
+    from braidmscp.braid import _TAU
+
+    left = tuple(_TAU[a] for a in f[1]) if g[0] % 2 else f[1]
+    d, codes = ref_prod_normal(n, left, g[1])
+    return f[0] + g[0] + d, codes
+
+
+@functools.lru_cache(maxsize=None)
 def ref_inverse(n, power, codes):
     """The inverse of D^power A_1..A_l as raw data, checked by its product.
 
     invert's result g is taken only once f * g is the identity: the inverse
-    is unique, so that product, built by multiply's junction comb rather
-    than by invert's formula, proves it.
+    is unique, so that product, built by the reference comb rather than by
+    invert's formula, proves it.
     """
-    from braidmscp import NormalForm, invert, multiply
+    from braidmscp import NormalForm, invert
 
-    f = NormalForm(n, power, codes)
-    g = invert(f)
-    if not multiply(f, g).is_identity():
+    g = invert(NormalForm(n, power, codes))
+    if ref_multiply(n, (power, codes), (g.power, g.codes)) != (0, ()):
         raise AssertionError("invert gave a wrong inverse")
     return g.power, g.codes
 
@@ -170,18 +259,17 @@ def ref_conj_raw(n, power, codes, s):
 
     The reference for normal_form._conj_raw: the head tau^k(lcomp(s)) is
     multiplied onto the weighted sequence, the result is stripped, and s is
-    multiplied onto that.
+    multiplied onto that, both by the reference comb.
     """
     from braidmscp.braid import _DELTA, _IDENTITY, _LCOMP, _TAU
-    from braidmscp.normal_form import _prod_normal
 
     if s == _IDENTITY[n]:
         return power, codes
     if s == _DELTA[n]:
         return power, tuple(_TAU[a] for a in codes)
     head = _TAU[_LCOMP[s]] if power % 2 else _LCOMP[s]
-    d1, seq = _prod_normal(n, (head,), codes)
-    d2, seq = _prod_normal(n, seq, (s,))
+    d1, seq = ref_prod_normal(n, (head,), codes)
+    d2, seq = ref_prod_normal(n, seq, (s,))
     return power - 1 + d1 + d2, seq
 
 
@@ -194,10 +282,10 @@ def ref_floor_step(n, parity, pcodes, s):
     keeps the floor, else the grown s.
     """
     from braidmscp.braid import _TAU, _left_complement, _mul
-    from braidmscp.normal_form import _prod_normal, _simple_prefix
+    from braidmscp.normal_form import _simple_prefix
 
     t = _TAU[s] if parity else s
-    power, factors = _prod_normal(n, pcodes, (s,))
+    power, factors = ref_prod_normal(n, pcodes, (s,))
     if _simple_prefix(n, t, power, factors):
         return None
     if power != 0:

@@ -92,6 +92,25 @@ class TestParse:
         assert exc.value.line == 3
         assert exc.value.col == 9
 
+    @pytest.mark.parametrize(
+        "line, error, message, col",
+        [
+            ("alpha 1\t\te 2", InstanceSyntaxError, "'e' cannot appear inside a word", 10),
+            ("alpha  2   -1 e", InstanceSyntaxError, "'e' cannot appear inside a word", 15),
+            ("alpha 1\t \tx2 1", InstanceSyntaxError, "bad letter token 'x2'", 11),
+            ("alpha 1  q  e", InstanceSyntaxError, "bad letter token 'q'", 10),
+            ("alpha 1\t\t-3 q", IndexOutOfRange, "letter -3 out of range 1..2", 10),
+            ("alpha   2  0\t1", IndexOutOfRange, "letter 0 out of range 1..2", 12),
+        ],
+    )
+    def test_columns_past_tabs_and_repeated_spaces(self, line, error, message, col):
+        # the first token that fails names the error, at its 1-based column
+        with pytest.raises(error) as exc:
+            parse_instance(f"n 3\nr 1\n{line}\nbeta 1\n")
+        assert type(exc.value) is error
+        assert message in str(exc.value)
+        assert (exc.value.line, exc.value.col) == (3, col)
+
 
 class TestRoundTrip:
     def test_random_instances(self):

@@ -101,6 +101,8 @@ class TestLeftWeighting:
             # the start-set fast path reports "already weighted" exactly
             # when the meet is trivial
             assert (not _START[_RCOMP[ca]] & _START[cb]) == (h == ident)
+            # the move commutes with the flip, which the comb's tau-frame needs
+            assert _fix_pair(_TAU[ca], _TAU[cb]) == (_TAU[fa], _TAU[fb])
 
 
 def package_caches():

@@ -35,7 +35,8 @@ from braidmscp import (
     word_concat,
     word_inverse,
 )
-from braidmscp.braid import _braid_mul, _gen_perm, _id_perm
+from braidmscp import normal_form
+from braidmscp.braid import _DELTA, _IDENTITY, _braid_mul, _gen_perm, _id_perm
 
 
 def rand_word(rng, n, max_len, min_len=0):
@@ -254,6 +255,59 @@ class TestConjugate:
             s = rng.choice(enumerate_simples(n))
             assert exponent_sum(nf_to_word(conjugate(f, s))) == exponent_sum(nf_to_word(f))
             assert exponent_sum(nf_to_word(f)) == exponent_sum(w)
+
+
+class TestCombAgainstReference:
+    """normalize, multiply and conjugation against the oracle's comb.
+
+    The oracle bubbles every half twist to the front one pair move at a
+    time; the package takes it out of the list in one step.  The words run
+    up to 256 letters and include all-positive and all-negative ones; at
+    n = 2 every letter is a half twist.
+    """
+
+    @staticmethod
+    def sample(rng, n):
+        words = [rand_word(rng, n, 256) for _ in range(8)]
+        for sign in (1, -1):
+            length = rng.randint(1, 256)
+            words.append(BraidWord(n, tuple(sign * rng.randint(1, n - 1) for _ in range(length))))
+        return words
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_matches_reference(self, n):
+        rng = random.Random(40 + n)
+        forms = []
+        for w in self.sample(rng, n):
+            f = normalize(w)
+            assert (f.power, f.codes) == oracle.ref_normalize(n, w.letters)
+            forms.append(f)
+        # f^-1 f cancels all the way, so half twists form deep inside the list
+        for f, g in [*zip(forms, forms[1:] + forms[:1]), *((invert(f), f) for f in forms)]:
+            h = multiply(f, g)
+            assert (h.power, h.codes) == oracle.ref_multiply(n, (f.power, f.codes), (g.power, g.codes))
+        perm = tuple(rng.sample(range(n), n))
+        for f in forms:
+            for s in (SimpleElement(n, perm).code, _IDENTITY[n], _DELTA[n]):
+                got = normal_form._conj_raw(n, f.power, f.codes, s)
+                assert got == oracle.ref_conj_raw(n, f.power, f.codes, s)
+
+    def test_no_pair_move_meets_a_half_twist(self, monkeypatch):
+        # a half twist that forms leaves the list at once, so no pair move
+        # ever gets it as its right factor, as bubbling it forward would
+        moved = []
+        inner = normal_form._fix_pair
+
+        def recording(a, b):
+            moved.append(b)
+            return inner(a, b)
+
+        monkeypatch.setattr(normal_form, "_fix_pair", recording)
+        rng = random.Random(8)
+        for _ in range(20):
+            normalize(rand_word(rng, 8, 256, min_len=256))
+        assert moved
+        assert _DELTA[8] not in moved
 
 
 class TestPrefixAndLcm:
