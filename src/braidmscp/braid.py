@@ -30,12 +30,19 @@ elsewhere the package stores a simple element as its code alone.
 Table-driven permutation braids follow the CBraid library (J. C. Cha).
 
 The divisors of D form a lattice under left divisibility.  The meet of two
-simples is found by peeling common first letters off both until none is
-left.  Reversing a permutation is an order-reversing involution of the
+simples is found by peeling their common first letters, and a common first
+letter is a position where both permutations descend.  One insertion pass
+over the pairs (y[k], z[k]) peels them all: each pair moves left past the
+pairs before it that beat it in both coordinates.  The peel takes and
+returns permutations, so callers hand it the permutations they already
+hold.  Reversing a permutation is an order-reversing involution of the
 lattice, so it turns meets into joins: the join of a and b is b times the
-left complement that a peel of the mirrored elements leaves.  Both are
-cross-checked in the test suite against a brute-force divisor enumeration
-built from reduced-word prefixes.
+left complement that a peel of the reversed permutations leaves.  When a
+and b have no common ascent there is nothing to peel, the join is D, and
+the complement is rcomp(b).  Both are cross-checked in the test suite
+against a brute-force divisor enumeration built from reduced-word
+prefixes, and at larger n against the letter-by-letter peel of the test
+oracle.
 
 The flip tau is conjugation by the half twist, tau(x) = D^-1 x D.  Since D^2
 is central, tau is an involution, so for any exponent k only its parity
@@ -207,6 +214,8 @@ _LCOMP = _LazyTable(lambda c: _TAU[_RCOMP[c]])
 _START = _LazyTable(_start_set)
 _INV = _LazyTable(_inversion_set)
 _LETTERS = _LazyTable(_letter_codes)
+# The valid letters of a word on n strands: 1 <= |e| <= n - 1.
+_LETTER_SET = _LazyTable(lambda n: frozenset(range(1 - n, n)) - {0})
 _SIMPLE = _LazyTable(lambda c: SimpleElement(len(_PERM[c]), _PERM[c]))
 # Codes of the identity and the half twist per strand count: the identity has
 # the first rank and the half twist, which reverses the order, the last.
@@ -214,30 +223,31 @@ _IDENTITY = _LazyTable(lambda n: _OFFSET[n])
 _DELTA = _LazyTable(lambda n: _OFFSET[n + 1] - 1)
 
 
-def _peel(y: int, z: int) -> tuple[int, int]:
-    """Divide the meet m of y and z off the front of both: (m^-1 y, m^-1 z).
+def _peel(yp: Perm, zp: Perm) -> tuple[list[int], list[int]]:
+    """Divide the meet m of y and z off the front of both: (m^-1 y, m^-1 z), as permutations.
 
-    Letter i+1 starts a simple x exactly when x[i] > x[i+1], and any common
-    first letter divides the meet, so peeling common first letters until
-    none is left is exact.  Peeling swaps positions i and i+1, which leaves
-    no first letter at i and can only add first letters at i-1 and i+1.
+    Letter i+1 starts a simple x exactly when x[i] > x[i+1], and peeling it
+    swaps positions i and i+1.  Any common first letter divides the meet,
+    and once none is left the remaining meet is trivial, so every order of
+    peeling common first letters ends in the same pair: the end state is
+    unique.  One insertion pass reaches it.  The pair (y[k], z[k]) moves
+    left past each pair before it that beats it in both coordinates; every
+    such step swaps a common descent, so it peels a common first letter.
+    Before step k the first k pairs have no common descent.  After it the
+    moved pair has none with its left neighbour, which stopped it, nor with
+    its right one, which beats it, and all other neighbours were neighbours
+    before; so the pass ends with no common descent anywhere.
     """
-    common = _START[y] & _START[z]
-    if not common:
-        return y, z
-    p, q = list(_PERM[y]), list(_PERM[z])
-    last = len(p) - 2
-    while common:
-        bit = common & -common
-        i = bit.bit_length() - 1
-        p[i], p[i + 1] = p[i + 1], p[i]
-        q[i], q[i + 1] = q[i + 1], q[i]
-        common ^= bit
-        if i and p[i - 1] > p[i] and q[i - 1] > q[i]:
-            common |= bit >> 1
-        if i < last and p[i + 1] > p[i + 2] and q[i + 1] > q[i + 2]:
-            common |= bit << 1
-    return _CODE[tuple(p)], _CODE[tuple(q)]
+    p, q = list(yp), list(zp)
+    for k in range(1, len(p)):
+        y, z = p[k], q[k]
+        j = k
+        while j and p[j - 1] > y and q[j - 1] > z:
+            p[j], q[j] = p[j - 1], q[j - 1]
+            j -= 1
+        if j < k:
+            p[j], q[j] = y, z
+    return p, q
 
 
 def _mul(a: int, b: int) -> int:
@@ -247,28 +257,29 @@ def _mul(a: int, b: int) -> int:
     return _CODE[_braid_mul(_PERM[a], _PERM[b])]
 
 
-def _mirror(c: int) -> int:
-    """The reversed permutation: an order-reversing involution of the lattice."""
-    return _CODE[_PERM[c][::-1]]
-
-
 def _meet(a: int, b: int) -> int:
     """Greatest common left divisor m: peeling leaves r = m^-1 a, so m = a r^-1."""
-    rest, _ = _peel(a, b)
-    rinv = _perm_inverse(_PERM[rest])
-    return _CODE[tuple(rinv[x] for x in _PERM[a])]
+    pa = _PERM[a]
+    rest, _ = _peel(pa, _PERM[b])
+    rinv = _perm_inverse(rest)
+    return _CODE[tuple([rinv[x] for x in pa])]
 
 
 @functools.lru_cache(maxsize=None)
 def _left_complement(a: int, b: int) -> int:
     """The simple c with b * c = join(a, b).
 
-    The join is the mirror of meet(mirror a, mirror b) = m, and as
-    permutations mirror(x) = D x, so peeling m off mirror(b) leaves a z with
-    b = join * z: c is z^-1.
+    The join is the mirror of m = meet(mirror a, mirror b), where the mirror
+    x[::-1] = D x reverses the lattice order, so peeling m off mirror(b)
+    leaves a z with b = join * z: c is z^-1.  A common first letter of the
+    mirrors is a common ascent of a and b.  Without one m is trivial, the
+    join is D, and c is rcomp(b).
     """
-    _, z = _peel(_mirror(a), _mirror(b))
-    return _CODE[_perm_inverse(_PERM[z])]
+    pa = _PERM[a]
+    if (_START[a] | _START[b]).bit_count() == len(pa) - 1:
+        return _RCOMP[b]
+    _, z = _peel(pa[::-1], _PERM[b][::-1])
+    return _CODE[_perm_inverse(z)]
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +296,12 @@ class BraidWord:
 
     def __post_init__(self):
         check_strand_count(self.n)
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for e in self.letters:
+        letters = tuple(self.letters)
+        object.__setattr__(self, "letters", letters)
+        # two set tests in C; True == 1.0 == 1, so the types are tested too
+        if {*map(type, letters)} <= {int} and _LETTER_SET[self.n].issuperset(letters):
+            return
+        for e in letters:
             if type(e) is not int or e == 0 or abs(e) > self.n - 1:  # not a bool either
                 raise InvalidParams(f"letter {e!r} out of range for {self.n} strands")
 

@@ -22,8 +22,8 @@ local move "transfer meet(rcomp(A), B) from B to A".  The move sends
 are stripped.  A move that leaves D at position k has only one
 continuation, (A, D) -> (D, tau(A)) past every earlier factor, so D leaves
 the list at once and counts into the power.  That is cheap in a tau-frame:
-the move commutes with the flip, _fix_pair(tau a, tau b) = tau(_fix_pair(a,
-b)), so the list holds tau^g of each factor under one parity bit g and
+the move commutes with the flip, move(tau a, tau b) = tau(move(a, b)),
+so the list holds tau^g of each factor under one parity bit g and
 stands for D^power tau^g(list).  Taking D out of X D Y flips the shorter of
 X and Y, and flipping Y toggles g.  A D^-1 moved to the power toggles g too,
 a factor p is appended as tau^g(p), and the list is flipped once at the end
@@ -34,16 +34,18 @@ multiplication cheap.
 Conjugating by a simple s adds one factor at each end of a weighted
 sequence, so it is left-weighted in one pass over one list: a forward sweep
 from the new head, then s combed back from the tail, then a single strip.
-Only the one-pair move _fix_pair is memoised, since most calls hit it; whole
-normal forms, conjugates and products rarely repeat, so they are recomputed.
+Only the one-pair move is kept, in the table _PAIR_MOVE keyed by the pair
+(a, b), since most lookups hit it; the comb reads it by subscript.  Whole
+normal forms, conjugates and products rarely repeat, so they are
+recomputed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 from .braid import (
+    _CODE,
     _DELTA,
     _IDENTITY,
     _INV,
@@ -120,18 +122,22 @@ def inf_sup(f: NormalForm) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _fix_pair(a: int, b: int) -> tuple[int, int]:
-    """Left-weight one adjacent pair by moving the head h = meet(rcomp(a), b) of b into a.
+def _pair_move(pair: tuple[int, int]) -> tuple[int, int]:
+    """Left-weight one adjacent pair (a, b) by moving the head h = meet(rcomp(a), b) of b into a.
 
     Peeling h off rcomp(a) leaves rcomp(a*h), so a*h is the left complement
     of what remains.
     """
+    a, b = pair
     y = _RCOMP[a]
     if not _START[y] & _START[b]:
-        return a, b
-    y, b = _peel(y, b)
-    return _LCOMP[y], b
+        return pair
+    p, q = _peel(_PERM[y], _PERM[b])
+    return _LCOMP[_CODE[tuple(p)]], _CODE[tuple(q)]
+
+
+# The left-weighting move of each pair (a, b) that the comb meets.
+_PAIR_MOVE = _LazyTable(_pair_move)
 
 
 def _take_half_twist(factors: list[int], k: int, b: int) -> int:
@@ -160,7 +166,7 @@ def _comb_back(factors: list[int], i: int, top: int, g: int) -> int:
     top ends the comb: the half twist leaves the list, one factor shorter.
     """
     for k in range(i - 1, -1, -1):
-        a, b = _fix_pair(factors[k], factors[k + 1])
+        a, b = _PAIR_MOVE[factors[k], factors[k + 1]]
         if a == factors[k]:
             break
         if a == top:
@@ -178,7 +184,7 @@ def _comb_forward(factors: list[int], i: int, top: int, g: int) -> int:
     """
     k = i
     while k < len(factors) - 1:
-        a, b = _fix_pair(factors[k], factors[k + 1])
+        a, b = _PAIR_MOVE[factors[k], factors[k + 1]]
         if a == factors[k]:
             break
         if a == top:
@@ -419,5 +425,5 @@ def nf_key(f: NormalForm) -> str:
 def validate_normal_form(f: NormalForm) -> None:
     """Assert the left-weightedness invariant; test and debugging aid."""
     for a, b in zip(f.codes, f.codes[1:]):
-        if _fix_pair(a, b) != (a, b):
+        if _PAIR_MOVE[a, b] != (a, b):
             raise AssertionError(f"factors {_PERM[a]} | {_PERM[b]} are not left-weighted")

@@ -14,7 +14,9 @@ kernel's shortcuts.  Inverse entries, for floors on the doubled tuple
 (a_1..a_r, a_1^-1..a_r^-1), are each checked by multiplying them back.
 Every product here is left-weighted by the reference comb below, a copy of
 the plain comb that bubbles each half twist to the front one pair move at a
-time, so none of them runs the package's comb.
+time, so none of them runs the package's comb.  Its pair moves peel with
+ref_peel, a copy of the letter-by-letter meet, so they share no meet with
+the package either; ref_meet and ref_left_complement are built on it too.
 """
 
 from __future__ import annotations
@@ -143,15 +145,60 @@ def floor_component(alpha, floor) -> set[str]:
     return set(seen)
 
 
+def ref_peel(y: int, z: int) -> tuple[int, int]:
+    """Divide the meet m of y and z off the front of both: (m^-1 y, m^-1 z).
+
+    Letter i+1 starts a simple x exactly when x[i] > x[i+1], and any common
+    first letter divides the meet, so peeling common first letters until
+    none is left is exact.  Peeling swaps positions i and i+1, which leaves
+    no first letter at i and can only add first letters at i-1 and i+1.
+    """
+    from braidmscp.braid import _CODE, _PERM, _START
+
+    common = _START[y] & _START[z]
+    if not common:
+        return y, z
+    p, q = list(_PERM[y]), list(_PERM[z])
+    last = len(p) - 2
+    while common:
+        bit = common & -common
+        i = bit.bit_length() - 1
+        p[i], p[i + 1] = p[i + 1], p[i]
+        q[i], q[i + 1] = q[i + 1], q[i]
+        common ^= bit
+        if i and p[i - 1] > p[i] and q[i - 1] > q[i]:
+            common |= bit >> 1
+        if i < last and p[i + 1] > p[i + 2] and q[i + 1] > q[i + 2]:
+            common |= bit << 1
+    return _CODE[tuple(p)], _CODE[tuple(q)]
+
+
+def ref_meet(a: int, b: int) -> int:
+    """Greatest common left divisor of two codes: a times the inverse of what ref_peel leaves of a."""
+    from braidmscp.braid import _CODE, _PERM, _perm_inverse
+
+    rest, _ = ref_peel(a, b)
+    rinv = _perm_inverse(_PERM[rest])
+    return _CODE[tuple(rinv[x] for x in _PERM[a])]
+
+
+def ref_left_complement(a: int, b: int) -> int:
+    """The code c with b * c = join(a, b), by ref_peel on the reversed permutations."""
+    from braidmscp.braid import _CODE, _PERM, _perm_inverse
+
+    _, z = ref_peel(_CODE[_PERM[a][::-1]], _CODE[_PERM[b][::-1]])
+    return _CODE[_perm_inverse(_PERM[z])]
+
+
 @functools.lru_cache(maxsize=None)
 def ref_fix_pair(a, b):
     """The one-pair move: the head meet(rcomp(a), b) of b moves into a."""
-    from braidmscp.braid import _LCOMP, _RCOMP, _START, _peel
+    from braidmscp.braid import _LCOMP, _RCOMP, _START
 
     y = _RCOMP[a]
     if not _START[y] & _START[b]:
         return a, b
-    y, b = _peel(y, b)
+    y, b = ref_peel(y, b)
     return _LCOMP[y], b
 
 

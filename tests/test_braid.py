@@ -55,6 +55,13 @@ class TestWords:
             with pytest.raises(InvalidParams):
                 BraidWord(3, letters)
 
+    @pytest.mark.parametrize("bad", [True, 1.0, 0, 5, -5])
+    def test_bad_last_letter_of_a_long_word_is_named(self, bad):
+        rng = random.Random(5)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(255))
+        with pytest.raises(InvalidParams, match=f"letter {bad!r} out of range for 5 strands"):
+            BraidWord(5, (*letters, bad))
+
     def test_text_round_trip(self):
         assert word_to_text(BraidWord(3, (1, -2))) == "1 -2"
         assert word_to_text(BraidWord(3, ())) == "e"

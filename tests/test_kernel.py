@@ -3,11 +3,14 @@
 Simple elements are coded by Lehmer rank plus a per-strand-count offset, and
 each code's complements, flip, start set and inversion set come from lazily
 filled tables.  These tests pin the tables to the permutation functions and
-the left-weighting move to the brute-force meet of tests/oracle.py.
+the left-weighting move to the brute-force meet of tests/oracle.py, and the
+meet, the join complement and the move at larger n to references built on
+the oracle's letter-by-letter peel.
 """
 
 import itertools
 import math
+import random
 import sys
 
 import pytest
@@ -36,11 +39,14 @@ from braidmscp.braid import (
     _START,
     _TAU,
     _braid_mul,
+    _left_complement,
+    _meet,
+    _peel,
     _perm_inverse,
     _rcomp_perm,
     _tau_perm,
 )
-from braidmscp.normal_form import _fix_pair
+from braidmscp.normal_form import _PAIR_MOVE
 from test_acceptance import corpus_params
 
 
@@ -96,13 +102,49 @@ class TestLeftWeighting:
         for a, b in itertools.product(perms(n), repeat=2):
             ca, cb = SimpleElement(n, a).code, SimpleElement(n, b).code
             h, wa, wb = weighted_by_oracle(a, b)
-            fa, fb = _fix_pair(ca, cb)
+            fa, fb = _PAIR_MOVE[ca, cb]
             assert (_PERM[fa], _PERM[fb]) == (wa, wb)
             # the start-set fast path reports "already weighted" exactly
             # when the meet is trivial
             assert (not _START[_RCOMP[ca]] & _START[cb]) == (h == ident)
             # the move commutes with the flip, which the comb's tau-frame needs
-            assert _fix_pair(_TAU[ca], _TAU[cb]) == (_TAU[fa], _TAU[fb])
+            assert _PAIR_MOVE[_TAU[ca], _TAU[cb]] == (_TAU[fa], _TAU[fb])
+
+
+def sampled_pairs(n, count):
+    """Codes of random pairs, pairs one swap apart, equal pairs and pairs with no common ascent."""
+    rng = random.Random(n)
+    pairs = []
+    for _ in range(count):
+        a = rng.sample(range(n), n)
+        b = rng.sample(range(n), n)
+        near = list(a)
+        i = rng.randrange(n - 1)
+        near[i], near[i + 1] = near[i + 1], near[i]
+        # reversing the values turns every ascent of a into a descent
+        for other in (b, near, a, [n - 1 - x for x in a]):
+            pairs.append((SimpleElement(n, a).code, SimpleElement(n, other).code))
+    return pairs
+
+
+class TestMeetAgainstReference:
+    """The insertion-pass meet against the letter-by-letter peel of tests/oracle.py.
+
+    The exhaustive tests above stop at n = 5; these sample strand counts
+    where a meet runs to dozens of letters.
+    """
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 12])
+    def test_sampled_pairs(self, n):
+        join_is_delta = 0
+        for a, b in sampled_pairs(n, 150):
+            ry, rz = oracle.ref_peel(a, b)
+            assert _peel(_PERM[a], _PERM[b]) == (list(_PERM[ry]), list(_PERM[rz]))
+            assert _meet(a, b) == oracle.ref_meet(a, b)
+            assert _left_complement(a, b) == oracle.ref_left_complement(a, b)
+            assert _PAIR_MOVE[a, b] == oracle.ref_fix_pair(a, b)
+            join_is_delta += (_START[a] | _START[b]).bit_count() == n - 1
+        assert join_is_delta >= 150
 
 
 def package_caches():
@@ -127,7 +169,6 @@ class TestMemoSet:
             if not isinstance(c, dict)
         }
         assert memos == {
-            "braidmscp.normal_form._fix_pair",
             "braidmscp.braid._left_complement",
             "braidmscp.cli._build_parser",
         }
@@ -139,6 +180,7 @@ class TestColdStart:
         caches = package_caches()
         tables = [c for c in caches if isinstance(c, dict)]
         assert len(tables) >= 8
+        assert _PAIR_MOVE and any(t is _PAIR_MOVE for t in tables)
         for cache in caches:
             cache.cache_clear()
         assert all(not table for table in tables)

@@ -292,20 +292,15 @@ class TestCombAgainstReference:
                 got = normal_form._conj_raw(n, f.power, f.codes, s)
                 assert got == oracle.ref_conj_raw(n, f.power, f.codes, s)
 
-    def test_no_pair_move_meets_a_half_twist(self, monkeypatch):
+    def test_no_pair_move_meets_a_half_twist(self):
         # a half twist that forms leaves the list at once, so no pair move
-        # ever gets it as its right factor, as bubbling it forward would
-        moved = []
-        inner = normal_form._fix_pair
-
-        def recording(a, b):
-            moved.append(b)
-            return inner(a, b)
-
-        monkeypatch.setattr(normal_form, "_fix_pair", recording)
+        # ever gets it as its right factor, as bubbling it forward would;
+        # the move table, cleared first, keys every pair the comb looked up
+        normal_form._PAIR_MOVE.cache_clear()
         rng = random.Random(8)
         for _ in range(20):
             normalize(rand_word(rng, 8, 256, min_len=256))
+        moved = [b for _, b in normal_form._PAIR_MOVE]
         assert moved
         assert _DELTA[8] not in moved
 
