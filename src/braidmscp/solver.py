@@ -48,6 +48,18 @@ closure as for r entries: it is just a floor on a 2r-tuple.  Both final
 lifts meet the floor.  So if alpha and beta are conjugate, lifted beta
 lies in the component of lifted alpha, and NOT_CONJUGATE still means that
 this component was exhausted.
+
+The search also raises its floor while it runs.  When a visited tuple X
+and a target t both lie above the floor, the componentwise minimum F_t of
+their inf vectors is a floor that both meet, and the search restarts from
+X at F_t.  This stays complete: X is conjugate to alpha by its tree path
+and t to beta by its chain path, so if alpha and beta are conjugate then
+t is a conjugate of X that meets F_t, and it lies in X's component of
+that floor set, which is connected under minimal floor-keeping
+conjugators by the same meet closure.  So exhausting the restarted
+search still proves NOT_CONJUGATE.  Each raise lifts a coordinate and
+lowers none, and F_t never exceeds a target's vector, so raises are
+finite.
 """
 
 from __future__ import annotations
@@ -139,16 +151,16 @@ def _code_key(t: BraidTuple) -> Entries:
     return tuple((e.power, e.codes) for e in t.entries)
 
 
-def _on_floor(entries: Entries, floor: InfFloor) -> bool:
-    """Whether each raw entry's power, its infimum, is at least its floor value."""
-    return all(power >= j for (power, _), j in zip(entries, floor))
+def _meets(vector: InfFloor, floor: InfFloor) -> bool:
+    """Whether the inf vector is at least the floor in every coordinate."""
+    return all(i >= j for i, j in zip(vector, floor))
 
 
 def meets_floor(t: BraidTuple, floor: InfFloor) -> bool:
     """Whether every entry has infimum at least the floor value."""
     if len(floor) != t.r:
         raise LengthMismatch(f"floor of length {len(floor)} against a {t.r}-tuple")
-    return _on_floor(_code_key(t), floor)
+    return _meets(inf_vector(t), floor)
 
 
 def conjugate_tuple(t: BraidTuple, s: SimpleElement) -> BraidTuple:
@@ -279,6 +291,7 @@ class SearchCounters:
     set_size_max: int = 0
     set_size_sum: int = 0
     lift_moves: int = 0
+    floor_raises: int = 0
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -435,16 +448,36 @@ def summit_search(
     x = P y^-1 conjugates alpha to beta.
 
     Why the targets are sound: every target is conjugate to beta and lies
-    in the floor set, so FOUND is right.  The targets never change which
-    nodes are expanded or in what order, so the search stops at the same
-    node as a search for beta alone or earlier, and a search for a tuple
-    not conjugate to alpha meets no target and exhausts the component of
-    alpha exactly.  The floor set of the doubled tuple is connected under
-    minimal floor-keeping conjugators (the meet closure of the r-entry case
-    applied to 2r entries), so exhausting the frontier proves that no
-    target is conjugate to alpha, and so neither is beta; exceeding node_cap
-    aborts without a verdict.  The graph keeps one root, and ABORTED
-    happens exactly at node_cap.
+    in the floor set, so FOUND is right.  Until the floor rises, the
+    targets never change which nodes are expanded or in what order, so the
+    search stops at the same node as a search for beta alone or earlier,
+    and a search for a tuple not conjugate to alpha that never raises meets
+    no target and exhausts the component of alpha exactly.  The floor set
+    of the doubled tuple is connected under minimal floor-keeping
+    conjugators (the meet closure of the r-entry case applied to 2r
+    entries), so exhausting the frontier proves that no target is
+    conjugate to alpha, and so neither is beta; exceeding node_cap aborts
+    without a verdict.  The graph keeps one root, and ABORTED happens
+    exactly at node_cap.
+
+    The floor rises during the search.  When a node X is taken off the
+    queue and some entry of its doubled tuple lies above the floor, each
+    target t gives F_t, the componentwise minimum of X's and t's inf
+    vectors cut to the floor's length; F_t meets the floor, since X and t
+    both do.  If the F_t of largest sum (the first in chain order on a tie)
+    lies strictly above the floor, it becomes the floor, the targets
+    shrink to the chain tuples that meet it, the queue is emptied, and the
+    search restarts from X.  This is sound because X = P^-1 alpha P along
+    its tree path P and t is a conjugate of beta, and both meet F_t: if
+    alpha and beta are conjugate, t lies in X's component of the set that
+    meets F_t, which minimal floor-keeping conjugators connect, so the
+    restarted search reaches a target, and exhausting it still proves that
+    none is conjugate to alpha.  Raises are finite: each lifts at least one
+    coordinate, none falls, and the floor stays below a target's vector.
+    The graph keeps the first parent of every node, so it stays one tree
+    rooted at alpha and found paths run through it.  A raise starts a new
+    visited set, so nodes met before it are expanded again at the new
+    floor.  Only a node new to the graph counts against node_cap.
     """
     _check_pair(alpha, beta)
     if node_cap < 1:
@@ -457,8 +490,11 @@ def summit_search(
         chain = {_code_key(beta): SummitNode(None, None)}
     elif next(iter(chain)) != _code_key(beta):
         raise InvalidParams("the lift chain does not start at beta")
-    targets = {key for key in chain if _on_floor(_doubled(key), floor)}
-    if not targets or not _on_floor(_doubled(root), floor):
+    # each chain tuple that meets the floor, with its inf vector cut to the floor's length
+    width = len(floor)
+    vectors = ((key, tuple(power for power, _ in _doubled(key)[:width])) for key in chain)
+    targets = {key: v for key, v in vectors if _meets(v, floor)}
+    if not targets or not _meets([power for power, _ in _doubled(root)], floor):
         raise NotInFloor("alpha and a tuple of beta's chain must satisfy the floor")
 
     n = alpha.n
@@ -476,16 +512,32 @@ def summit_search(
         return found(root)
 
     queue = deque([root])
+    seen = {root}  # this phase's visited set; a raise starts a new one
     while queue:
         entries = queue.popleft()
-        moves = _minimal_codes(n, _active(_doubled(entries), floor))
+        doubled = _doubled(entries)
+        active = _active(doubled, floor)
+        if len(active) < width:  # an entry lies above the floor
+            raised = _raised_floor(floor, doubled, targets.values())
+            if raised is not None:
+                floor = raised
+                targets = {key: v for key, v in targets.items() if _meets(v, floor)}
+                queue.clear()
+                seen = {entries}
+                counters.floor_raises += 1
+                active = _active(doubled, floor)
+        moves = _minimal_codes(n, active)
         counters.nodes_expanded += 1
         counters.set_size_sum += len(moves)
         counters.set_size_max = max(counters.set_size_max, len(moves))
         for s in moves:
             counters.conjugations += 1
             child = tuple(_conj_raw(n, power, codes, s) for power, codes in entries)
-            if child in nodes:
+            if child in seen:
+                continue
+            seen.add(child)
+            if child in nodes:  # met before the raise: it keeps its first parent
+                queue.append(child)
                 continue
             if len(nodes) >= node_cap:
                 return result(Outcome.ABORTED, reason=f"node cap {node_cap} exceeded")
@@ -494,6 +546,24 @@ def summit_search(
                 return found(child)
             queue.append(child)
     return result(Outcome.NOT_CONJUGATE)
+
+
+def _raised_floor(floor: InfFloor, doubled: Entries, vectors) -> InfFloor | None:
+    """The floor of largest sum (first in chain order on a tie) met by the node and a target.
+
+    For each target's inf vector v_t, in chain order, F_t is the
+    componentwise minimum of v_t and the node's own vector; both meet floor,
+    so F_t >= floor.  The first F_t of largest sum wins, and None means
+    that every F_t equals floor.  Floors are only partially ordered, so
+    another F_t can be higher than the winner in some coordinate.
+    """
+    mine = [power for power, _ in doubled]
+    best, top = None, sum(floor)
+    for v in vectors:
+        f = tuple(map(min, mine, v))
+        if sum(f) > top:
+            best, top = f, sum(f)
+    return best
 
 
 def _conjugator(n: int, forward: list[int], backward: list[int]) -> BraidWord:
@@ -535,10 +605,10 @@ def solve_mscp(
     is that tuple alone.  Otherwise the floor is the componentwise minimum
     of the two final 2r-entry inf vectors, which both final lifts meet, and
     summit_search runs from lifted alpha to every tuple of beta's chain
-    that meets it, giving x = y_a P y_b^-1.  The set it searches is
-    connected under minimal conjugators (see the module docstring), so
-    NOT_CONJUGATE means that lifted alpha's component holds no lift of
-    beta, and so no conjugate of beta at all.  A found conjugator is
+    that meets it, raising the floor as it goes, giving x = y_a P y_b^-1.
+    Each set it searches is connected under minimal conjugators (see the
+    module docstring), so NOT_CONJUGATE means that lifted alpha's component
+    holds no lift of beta, and so no conjugate of beta at all.  A found conjugator is
     re-verified on the original tuples before it is returned.
     """
     _check_pair(alpha, beta)

@@ -92,6 +92,25 @@ def chain_word(n, chain, key):
     return word_concat(BraidWord(n, ()), *(simple_to_word(_SIMPLE[s]) for s in _path(chain, key)))
 
 
+def spied_search(*args):
+    """summit_search(*args), and the doubled entries and floor of each call to _active, in order.
+
+    A search calls _active once per expansion, and once more for the node
+    that raises the floor, at the raised floor.
+    """
+    calls = []
+    active = solver_module._active
+
+    def spy(entries, floor):
+        calls.append((entries, floor))
+        return active(entries, floor)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_active", spy)
+        res = summit_search(*args)
+    return res, calls
+
+
 def keeps_floor_by_full_conjugation(s, t, floor):
     """Oracle: conjugate every entry outright and compare infima."""
     return meets_floor(conjugate_tuple(t, s), floor)
@@ -565,27 +584,41 @@ class TestDifferentialOracle:
 
         Once from raw alpha at the raw floor, and once as solve_mscp runs
         it: from lifted alpha at the floor of both lifted doubled tuples,
-        where the oracle searches for lifted beta.
+        where the oracle searches for lifted beta.  A search that raises
+        its floor is the oracle's search only up to the first raise; after
+        it, the outcomes are compared where the oracle reaches a verdict.
         """
         chain = lift_chain(beta)
         a_top, b_top = lift_top(alpha), _tuple(beta.n, next(reversed(chain)))
         runs = ((alpha, beta, raw_floor(alpha, beta)), (a_top, b_top, summit_floor(a_top, b_top)))
         sizes = []
         for start, target, floor in runs:
-            res = summit_search(start, beta, floor, node_cap, chain)
+            res, calls = spied_search(start, beta, floor, node_cap, chain)
             ref = oracle.bfs_search(start, target, floor, node_cap)
             new, old = list(res.graph.nodes.items()), list(ref.graph.nodes.items())
-            assert new == old[: len(new)]
-            assert res.counters.nodes_expanded <= ref.counters.nodes_expanded
-            if ref.outcome is not Outcome.ABORTED or res.outcome is Outcome.ABORTED:
-                assert res.outcome is ref.outcome
+            if res.counters.floor_raises:
+                # the node X that raised is expanded twice, at the old floor
+                # and then at the raised one, before any child of X is built
+                first = next(k for k, (_, f) in enumerate(calls) if f != floor)
+                expanded = [entries[: start.r] for entries, _ in calls[:first]]
+                assert expanded == [key for key, _ in old[:first]]
+                done = set(expanded[:-1])
+                size = 1 + sum(1 for _, node in old if node.parent in done)
+                assert new[:size] == old[:size]
+                if ref.outcome is not Outcome.ABORTED:
+                    assert res.outcome is ref.outcome
+            else:
+                assert new == old[: len(new)]
+                assert res.counters.nodes_expanded <= ref.counters.nodes_expanded
+                if ref.outcome is not Outcome.ABORTED or res.outcome is Outcome.ABORTED:
+                    assert res.outcome is ref.outcome
+                if res.outcome is Outcome.FOUND and len(new) == len(old):
+                    y = chain_word(beta.n, chain, _code_key(target))
+                    assert res.conjugator == word_concat(ref.conjugator, word_inverse(y))
             if res.outcome is Outcome.ABORTED:
                 assert len(new) == node_cap
             if res.outcome is Outcome.FOUND:
                 assert verify_conjugator(start, beta, res.conjugator)
-                if len(new) == len(old):
-                    y = chain_word(beta.n, chain, _code_key(target))
-                    assert res.conjugator == word_concat(ref.conjugator, word_inverse(y))
             sizes.append((len(new), len(old)))
         return sizes
 
@@ -607,6 +640,85 @@ class TestDifferentialOracle:
         pairs = TestSummitSearch.NON_CONJUGATE
         for alpha_letters, beta_letters in zip(pairs[::2], pairs[1::2]):
             self.check(words_tuple(3, *alpha_letters), words_tuple(3, *beta_letters))
+
+
+class TestFloorRaise:
+    """summit_search raises its floor to what a visited tuple and a target both meet."""
+
+    @staticmethod
+    def pairs():
+        # planted pairs at n <= 4, every second one tampered with an extra
+        # letter, so that it is not conjugate
+        rng = random.Random(43)
+        for k in range(400):
+            n, r = rng.randint(2, 4), rng.randint(1, 3)
+            words = [rand_word(rng, n, 4, min_len=1) for _ in range(r)]
+            x = rand_word(rng, n, 3)
+            beta_words = [word_concat(word_inverse(x), w, x) for w in words]
+            if k % 2:
+                beta_words[-1] = word_concat(beta_words[-1], BraidWord(n, (1,)))
+            yield tuple_from_words(n, words), tuple_from_words(n, beta_words)
+
+    def test_verdicts_match_the_oracle(self):
+        raised = []
+        for alpha, beta in self.pairs():
+            floor = raw_floor(alpha, beta)
+            res = summit_search(alpha, beta, floor, 5_000, lift_chain(beta))
+            if not res.counters.floor_raises:
+                continue
+            ref = oracle.bfs_search(alpha, beta, floor, 5_000)
+            if ref.outcome is not Outcome.ABORTED:
+                assert res.outcome is ref.outcome
+            if res.outcome is Outcome.FOUND:
+                assert verify_conjugator(alpha, beta, res.conjugator)
+            raised.append(res.outcome)
+        assert raised.count(Outcome.FOUND) > 0
+        assert raised.count(Outcome.NOT_CONJUGATE) > 0
+
+    def test_floors_rise_to_a_target_and_bound_every_expansion(self):
+        raises = 0
+        for alpha, beta in self.pairs():
+            floor = raw_floor(alpha, beta)
+            chain = lift_chain(beta)
+            res, calls = spied_search(alpha, beta, floor, 5_000, chain)
+            vectors = [tuple(e.inf for e in _tuple(beta.n, key).entries) for key in chain]
+            previous = floor
+            for entries, f in calls:
+                # floors never fall, and a raised one lies below a target's vector
+                assert all(a <= b for a, b in zip(previous, f))
+                if f != previous:
+                    assert any(all(a <= b for a, b in zip(f, v)) for v in vectors)
+                # every expansion meets the floor it runs at
+                assert all(power >= j for (power, _), j in zip(entries, f))
+                previous = f
+            assert len({floor, *(f for _, f in calls)}) == res.counters.floor_raises + 1
+            raises += res.counters.floor_raises
+        assert raises > 0
+
+    def test_abort_at_the_cap_after_a_raise(self):
+        # hard n=8 r=3 seed 1 raises its floor once, with 4 nodes built
+        inst, _ = gen_instance(GenParams(8, 3, 16, 12, seed=1))
+        alpha, beta = tuple_from_words(8, inst.alpha), tuple_from_words(8, inst.beta)
+        before = solve_mscp(alpha, beta, node_cap=4)
+        assert before.outcome is Outcome.ABORTED and before.counters.floor_raises == 0
+        for cap in (5, 12):
+            res = solve_mscp(alpha, beta, node_cap=cap)
+            assert res.outcome is Outcome.ABORTED
+            assert res.counters.floor_raises == 1
+            assert len(res.graph.nodes) == cap
+        assert solve_mscp(alpha, beta, node_cap=13).outcome is Outcome.FOUND
+
+    def test_graph_stays_one_tree(self):
+        # nodes met again after a raise keep their first parent
+        for alpha, beta in self.pairs():
+            res = summit_search(alpha, beta, raw_floor(alpha, beta), 5_000, lift_chain(beta))
+            graph = res.graph
+            order = {key: k for k, key in enumerate(graph.nodes)}
+            assert next(iter(graph.nodes)) == graph.root
+            for key, node in list(graph.nodes.items())[1:]:
+                # every parent was built before its child, so the parents form a tree
+                assert order[node.parent] < order[key]
+                assert conjugate_tuple(graph.tuple(node.parent), _SIMPLE[node.edge]) == graph.tuple(key)
 
 
 class TestSolve:
@@ -695,13 +807,15 @@ class TestSolve:
         assert verify_conjugator(alpha, beta, res.conjugator)
 
     def test_hard_tier_instance(self):
-        # hard n=8 r=3 seed 1: the lifted vectors are incomparable, and a
-        # target on beta's chain below its last tuple is met
+        # hard n=8 r=3 seed 1: the lifted vectors are incomparable, so the
+        # search starts at their minimum and raises it once; a target on
+        # beta's chain below its last tuple is met
         inst, _ = gen_instance(GenParams(8, 3, 16, 12, seed=1))
         alpha, beta = tuple_from_words(8, inst.alpha), tuple_from_words(8, inst.beta)
         res = solve_mscp(alpha, beta, node_cap=1000)
         assert res.outcome is Outcome.FOUND
-        assert len(res.graph.nodes) == 139
+        assert len(res.graph.nodes) == 13
+        assert res.counters.floor_raises == 1
         assert verify_conjugator(alpha, beta, res.conjugator)
 
     def test_outcomes_match_bfs_at_the_raw_floor(self):
