@@ -31,6 +31,7 @@ from .solver import (
     DEFAULT_NODE_CAP,
     ConjugatorResult,
     Outcome,
+    _check_node_cap,
     solve_mscp,
     tuple_from_words,
     verify_conjugator,
@@ -191,6 +192,7 @@ def batch_stats(
         raise InvalidParams("trials must be non-negative")
     if jobs < 1:
         raise InvalidParams(f"jobs must be at least 1, got {jobs}")
+    _check_node_cap(node_cap)
     if trials == 0:
         return []
     tasks = [dataclasses.replace(p, seed=p.seed + k) for p in points for k in range(trials)]

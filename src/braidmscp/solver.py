@@ -360,6 +360,11 @@ def _check_pair(alpha: BraidTuple, beta: BraidTuple) -> None:
     check_same_strands(alpha, beta)
 
 
+def _check_node_cap(node_cap: int) -> None:
+    if node_cap < 1:
+        raise InvalidParams("node_cap must be at least 1")
+
+
 def _lift_chain(n: int, chain: dict[Entries, SummitNode], counters: SearchCounters):
     """Lift the one tuple in chain by cycling moves, one move per next().
 
@@ -480,8 +485,7 @@ def summit_search(
     floor.  Only a node new to the graph counts against node_cap.
     """
     _check_pair(alpha, beta)
-    if node_cap < 1:
-        raise InvalidParams("node_cap must be at least 1")
+    _check_node_cap(node_cap)
     r = alpha.r
     if len(floor) not in (r, 2 * r):
         raise LengthMismatch(f"floor of length {len(floor)} against a {r}-tuple")
@@ -596,7 +600,9 @@ def solve_mscp(
 ) -> ConjugatorResult:
     """Find x with x^-1 alpha x = beta, or decide there is none.
 
-    Equal tuples are answered by the empty word before any other work.
+    The node cap is checked first, so that no input answers under a cap
+    below 1.  Equal tuples are answered by the empty word before any other
+    work.
     Otherwise both doubled tuples (a_1..a_r, a_1^-1..a_r^-1) are lifted by
     _lift_chain in lockstep, one move per side per round, which raises
     infima and lowers suprema.  Each lift is a conjugation by a known
@@ -612,6 +618,7 @@ def solve_mscp(
     re-verified on the original tuples before it is returned.
     """
     _check_pair(alpha, beta)
+    _check_node_cap(node_cap)
     n = alpha.n
     counters = SearchCounters()
     a_key, b_key = _code_key(alpha), _code_key(beta)

@@ -53,6 +53,21 @@ class TestSolve:
         assert code == 2
         assert out == "ABORTED: node cap 1 exceeded\n"
 
+    def test_cap_below_one(self, tmp_path, capsys):
+        # the lift chains of the generated pair meet, so only the cap check
+        # keeps solve from answering without a search
+        path = tmp_path / "t.inst"
+        assert run_cli(capsys, "gen", str(path), "-n", "4", "-r", "2", "--seed", "1")[0] == 0
+        assert run_cli(capsys, "solve", str(path))[0] == 0
+        swap = tmp_path / "s.inst"
+        swap.write_text(SWAP)
+        for inst in (path, swap):
+            code, out, err = run_cli(capsys, "solve", str(inst), "--cap", "0")
+            assert (code, out) == (3, "")
+            assert "node_cap" in err
+        assert run_cli(capsys, "attack", "-n", "3", "--cap", "0")[0] == 3
+        assert run_cli(capsys, "attack", "--trials", "0", "--cap", "0")[0] == 3
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "/nonexistent/file.inst")
         assert code == 3

@@ -63,6 +63,8 @@ class TestGenInstance:
             GenParams(n=3, r=1, entry_length=1, conjugator_length=-1, seed=0)
         with pytest.raises(InvalidParams):
             batch_stats([desk_params()], trials=1, jobs=0)
+        with pytest.raises(InvalidParams):
+            batch_stats([desk_params()], trials=0, node_cap=0)
 
     def test_random_word_length_and_range(self):
         import random

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -263,7 +264,8 @@ class TestCombAgainstReference:
     The oracle bubbles every half twist to the front one pair move at a
     time; the package takes it out of the list in one step.  The words run
     up to 256 letters and include all-positive and all-negative ones; at
-    n = 2 every letter is a half twist.
+    n = 2 every letter is a half twist.  normalize cancels inverse pairs
+    first, so the comb also gets each word's raw letters directly.
     """
 
     @staticmethod
@@ -280,7 +282,9 @@ class TestCombAgainstReference:
         forms = []
         for w in self.sample(rng, n):
             f = normalize(w)
-            assert (f.power, f.codes) == oracle.ref_normalize(n, w.letters)
+            expected = oracle.ref_normalize(n, w.letters)
+            assert (f.power, f.codes) == expected
+            assert normal_form._weight_seq(n, w.letters) == expected
             forms.append(f)
         # f^-1 f cancels all the way, so half twists form deep inside the list
         for f, g in [*zip(forms, forms[1:] + forms[:1]), *((invert(f), f) for f in forms)]:
@@ -303,6 +307,96 @@ class TestCombAgainstReference:
         moved = [b for _, b in normal_form._PAIR_MOVE]
         assert moved
         assert _DELTA[8] not in moved
+
+
+def reducible_pairs(letters):
+    """Positions i whose letter e meets e^-1 later with only letters commuting with e between."""
+    for i, e in enumerate(letters):
+        for f in letters[i + 1 :]:
+            if f == -e:
+                yield i
+                break
+            if abs(abs(f) - abs(e)) == 1:
+                break
+
+
+class TestCancelPairs:
+    """normalize's cancellation of e .. e^-1 across far-commuting letters.
+
+    The oracle normalizes the raw letters without cancelling, so each check
+    compares a cancelled word's normal form with its uncancelled one.
+    """
+
+    @staticmethod
+    def check(w):
+        kept = normal_form._cancel_pairs(w.n, w.letters)
+        assert len(kept) <= len(w.letters)
+        assert not list(reducible_pairs(kept))
+        f = normalize(w)
+        assert (f.power, f.codes) == oracle.ref_normalize(w.n, w.letters)
+        return kept
+
+    def test_built_to_cancel(self):
+        rng = random.Random(61)
+        for n in range(4, 10):
+            for _ in range(10):
+                u, v = rand_word(rng, n, 12), rand_word(rng, n, 12)
+                w = word_concat(u, v, word_inverse(v), word_inverse(u))
+                assert self.check(w) == []
+                assert normalize(w) == NormalForm(n, 0)
+                # e c e^-1 with every letter of c two or more indices from e,
+                # or of e's own index where no index is that far
+                a = rng.randint(1, n - 1)
+                far = [i for i in range(1, n) if abs(i - a) >= 2] or [a]
+                c = tuple(rng.choice((1, -1)) * rng.choice(far) for _ in range(rng.randint(1, 12)))
+                e = rng.choice((1, -1)) * a
+                assert self.check(BraidWord(n, (e, *c, -e))) == self.check(BraidWord(n, c))
+
+    def test_word_times_inverse_is_d0(self):
+        rng = random.Random(62)
+        for n in range(2, 10):
+            w = rand_word(rng, n, 64)
+            assert self.check(word_concat(w, word_inverse(w))) == []
+            assert nf_key(normalize(word_concat(w, word_inverse(w)))) == "D^0"
+
+    def test_neighbour_blocks(self):
+        # s_2 does not commute with s_1 or s_3, so neither pair cancels
+        assert self.check(BraidWord(4, (1, 2, -1))) == [1, 2, -1]
+        assert self.check(BraidWord(4, (-3, 2, 3))) == [-3, 2, 3]
+        # the blocker cancels first, and then the outer pair does
+        assert self.check(BraidWord(4, (1, 2, -2, -1))) == []
+        assert self.check(BraidWord(5, (1, 3, 1, -3, -1))) == [1]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_few_commuting_letters(self, n):
+        rng = random.Random(63 + n)
+        for _ in range(40):
+            self.check(rand_word(rng, n, 64))
+
+    def test_conjugate_shaped_words(self):
+        # x^-1 a x, the shape of the published entries that verify normalizes
+        rng = random.Random(64)
+        for n in range(4, 13):
+            for _ in range(6):
+                a, x = rand_word(rng, n, 32), rand_word(rng, n, 24)
+                self.check(word_concat(word_inverse(x), a, x))
+
+    def test_empty_word(self):
+        assert self.check(BraidWord(5, ())) == []
+        assert normalize(BraidWord(5, ())) == NormalForm(5, 0)
+
+    def test_adversarial_word_is_linear(self):
+        # every s_1 s_1^-1 pair sits behind 10,000 commuting letters: a pass
+        # that walked back over them on every letter would take seconds here
+        n = 12
+        w = BraidWord(n, (7,) * 10_000 + (1, -1) * 5_000)
+        start = time.perf_counter()
+        kept = normal_form._cancel_pairs(n, w.letters)
+        took = time.perf_counter() - start
+        assert kept == [7] * 10_000
+        assert took < 1.0
+        assert normalize(w) == normalize(BraidWord(n, (7,) * 10_000))
+        assert normalize(w).codes == (generator_simple(n, 7).code,) * 10_000
 
 
 class TestPrefixAndLcm:

@@ -746,6 +746,19 @@ class TestSolve:
         with pytest.raises(LengthMismatch):
             solve_mscp(words_tuple(3, (1,)), words_tuple(3, (1,), (2,)))
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_node_cap_checked_before_any_work(self, cap):
+        # equal tuples, lift chains that meet (sigma_1 and sigma_2), and the
+        # swap pair, which reaches the search: each rejects the cap alike
+        for alpha, beta in [
+            (words_tuple(3, (1,)), words_tuple(3, (1,))),
+            (words_tuple(3, (1,)), words_tuple(3, (2,))),
+            (words_tuple(3, (1,), (2,)), words_tuple(3, (2,), (1,))),
+        ]:
+            with pytest.raises(InvalidParams):
+                solve_mscp(alpha, beta, node_cap=cap)
+        assert solve_mscp(words_tuple(3, (1,)), words_tuple(3, (2,)), node_cap=1).outcome is Outcome.FOUND
+
     def test_round_trip_random(self):
         rng = random.Random(28)
         for _ in range(60):
