@@ -387,13 +387,16 @@ def word_from_text(text: str, n: int) -> BraidWord:
         return BraidWord(n, ())
     if not tokens:
         raise InvalidParams("empty word text; the identity is written 'e'")
-    letters = []
-    for tok in tokens:
-        try:
-            letters.append(int(tok))
-        except ValueError:
-            raise InvalidParams(f"bad letter token {tok!r}") from None
-    return BraidWord(n, tuple(letters))
+    try:
+        letters = tuple(map(int, tokens))
+    except ValueError:
+        for tok in tokens:  # name the first token that int() rejects
+            try:
+                int(tok)
+            except ValueError:
+                raise InvalidParams(f"bad letter token {tok!r}") from None
+        raise
+    return BraidWord(n, letters)
 
 
 # ---------------------------------------------------------------------------

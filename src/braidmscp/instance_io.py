@@ -19,7 +19,7 @@ import dataclasses
 import hashlib
 import re
 
-from .braid import BraidWord, word_to_text
+from .braid import BraidWord, word_from_text, word_to_text
 from .errors import (
     CountMismatch,
     IndexOutOfRange,
@@ -66,16 +66,10 @@ _TOKEN = re.compile(r"\S+")
 
 def _parse_word(body: str, n: int, lineno: int, offset: int) -> BraidWord:
     """The word of one alpha or beta line, whose body starts after offset characters."""
-    tokens = body.split()
-    if tokens == ["e"]:
-        return BraidWord(n, ())
     try:
-        letters = tuple(map(int, tokens))
-    except ValueError:
-        letters = ()
-    if letters and 0 not in letters and -n < min(letters) and max(letters) < n:
-        return BraidWord(n, letters)
-    raise _word_error(body, n, lineno, offset)
+        return word_from_text(body, n)
+    except InvalidParams:
+        raise _word_error(body, n, lineno, offset) from None
 
 
 def _word_error(body: str, n: int, lineno: int, offset: int) -> InstanceFormatError:

@@ -35,19 +35,25 @@ below its summit infimum (Elrifai-Morton); cycling an inverse entry
 decycles the entry, which lowers its supremum.  solve_mscp lifts both
 doubled tuples this way (see _lift_chain), one move per side per round,
 and stops as soon as one side reaches a tuple the other already holds.
-Otherwise the floor is the componentwise minimum of the two final inf
-vectors, and summit_search runs from lifted alpha to any tuple of beta's
-chain that meets that floor.
+The search (_search) then runs at the componentwise minimum F of the two
+final inf vectors, from the tuple where the chains met, or else from
+lifted alpha, and every tuple of beta's chain that meets F is a target.
+Equal tuples and chains that meet are answered at once, since the root is
+a target; every answer leaves the solver through that one search.
 
-Why this stays complete: each lift is a conjugation by a known element,
-so a lifted tuple is conjugate to its start with a known conjugator, and
-the answer is x = y_a P y_b^-1 for the lifts y_a, y_b and the search path
-P.  The set of conjugates of the doubled tuple that meet a floor is
-connected under minimal floor-keeping conjugators, by the same meet
-closure as for r entries: it is just a floor on a 2r-tuple.  Both final
-lifts meet the floor.  So if alpha and beta are conjugate, lifted beta
-lies in the component of lifted alpha, and NOT_CONJUGATE still means that
-this component was exhausted.
+Why this is sound and complete: each lift is a conjugation by a known
+element, so the answer is x = y_a P y_b^-1 for the lift y_a to the root,
+the search path P and the chain path y_b to the target met.  Every target
+is conjugate to beta and meets the floor, so FOUND is right.  The set of
+conjugates of the doubled tuple that meet a floor is connected under
+minimal floor-keeping conjugators, by the same meet closure as for r
+entries: it is just a floor on a 2r-tuple.  Both final lifts meet F, so if
+alpha and beta are conjugate, lifted beta lies in the component of lifted
+alpha.  Until the floor rises, the targets never change which nodes are
+expanded or in what order, so the search stops where a search for beta
+alone would, or earlier, and exhausting the frontier proves that no
+target, and so not beta, is conjugate to alpha: NOT_CONJUGATE.  A search
+that exceeds its node cap aborts without a verdict.
 
 The search also raises its floor while it runs.  When a visited tuple X
 and a target t both lie above the floor, the componentwise minimum F_t of
@@ -80,7 +86,6 @@ from .braid import (
     _left_complement,
     _mul,
     check_same_strands,
-    word_concat,
 )
 from .errors import (
     InvalidParams,
@@ -381,20 +386,21 @@ def _lift_chain(n: int, chain: dict[Entries, SummitNode], counters: SearchCounte
     the child of the previous one, labelled by its conjugator, and yielded;
     a skipped move yields None.  The chain ends after n(n-1)/2 moves in a
     row that raise no infimum, the number of cycles within which cycling
-    raises the infimum of a single braid below its summit infimum, or when
-    every entry is a power of the half twist.  It also ends once every
-    entry's move from the current tuple has been skipped: a move depends
-    only on the tuple and the entry, so every later move would be skipped
-    too, and the chain is the one the longer run would build.
+    raises the infimum of a single braid below its summit infimum.  It also
+    ends once a turn has come to every entry of the doubled tuple since the
+    chain last grew: a move depends only on the tuple and the entry, so
+    every later move would be skipped too, and the chain is the one the
+    longer run would build.  A turn on a half-twist power makes no move, so
+    a tuple of half-twist powers ends the chain after one round of turns.
     """
     (key,) = chain
     current = _doubled(key)
     width = len(current)
-    turn = stale = skipped = 0
-    movable = sum(1 for _, codes in current if codes)
-    while stale < n * (n - 1) // 2 and skipped < movable:
+    turn = stale = idle = 0
+    while stale < n * (n - 1) // 2 and idle < width:
         power, codes = current[turn % width]
         turn += 1
+        idle += 1
         if not codes:
             continue
         counters.lift_moves += 1
@@ -403,21 +409,24 @@ def _lift_chain(n: int, chain: dict[Entries, SummitNode], counters: SearchCounte
         s = _minimal_conjugator_code(n, active, _TAU[codes[0]] if power % 2 else codes[0])
         lifted = None if s == _DELTA[n] else tuple(_conj_raw(n, p, c, s) for p, c in key)
         if lifted is None or lifted in chain:
-            skipped += 1
             yield None
             continue
         chain[lifted] = SummitNode(key, s)
         doubled = _doubled(lifted)
         if any(new[0] > old[0] for new, old in zip(doubled, current)):
             stale = 0
-        key, current, skipped = lifted, doubled, 0
-        movable = sum(1 for _, codes in current if codes)
+        key, current, idle = lifted, doubled, 0
         yield lifted
 
 
 def _doubled(entries: Entries) -> Entries:
     """The raw entries followed by their inverses: a floor on both is a floor and a ceiling."""
     return entries + tuple(_invert_raw(power, codes) for power, codes in entries)
+
+
+def _vector(entries: Entries) -> InfFloor:
+    """The inf vector of the doubled tuple, read off without inverting: inf(a^-1) = -sup(a)."""
+    return tuple(power for power, _ in entries) + tuple(-power - len(codes) for power, codes in entries)
 
 
 def summit_search(
@@ -433,56 +442,11 @@ def summit_search(
     (a_1..a_r, a_1^-1..a_r^-1): the last r cap the suprema, since
     sup(a) = -inf(a^-1).  A floor of r values leaves the suprema free: every
     floor test zips the doubled entries with the floor, so the inverse
-    entries go untested.  Nodes are keyed and conjugated on their r raw
-    entries, (power, factor codes) per entry, which fix the inverse entries;
-    those are derived once per expansion by invert's formula and join the
-    floor test.  Each tuple is expanded by the minimal conjugator set of its
-    doubled entries in ascending generator order, so sequential runs are
-    deterministic.  The floor is validated once, here, since every minimal
-    conjugator keeps it; a child is conjugated entry by entry on codes and
-    looked up among the nodes before anything else is built.  Normal forms
-    are unique, so equal entries mean equal tuples and the node dict is the
-    only dedup structure.  The search builds no NormalForm, BraidTuple,
-    SimpleElement or key string.
-
-    chain is beta's lift chain, as _lift_chain builds it; without one the
-    chain is beta alone.  Every chain tuple that meets the floor is a
-    target, and alpha and at least one target must meet it.  A chain tuple
-    is t = y^-1 beta y for the product y of the conjugators on its chain
-    path, so when the search reaches t along the path P from alpha,
-    x = P y^-1 conjugates alpha to beta.
-
-    Why the targets are sound: every target is conjugate to beta and lies
-    in the floor set, so FOUND is right.  Until the floor rises, the
-    targets never change which nodes are expanded or in what order, so the
-    search stops at the same node as a search for beta alone or earlier,
-    and a search for a tuple not conjugate to alpha that never raises meets
-    no target and exhausts the component of alpha exactly.  The floor set
-    of the doubled tuple is connected under minimal floor-keeping
-    conjugators (the meet closure of the r-entry case applied to 2r
-    entries), so exhausting the frontier proves that no target is
-    conjugate to alpha, and so neither is beta; exceeding node_cap aborts
-    without a verdict.  The graph keeps one root, and ABORTED happens
-    exactly at node_cap.
-
-    The floor rises during the search.  When a node X is taken off the
-    queue and some entry of its doubled tuple lies above the floor, each
-    target t gives F_t, the componentwise minimum of X's and t's inf
-    vectors cut to the floor's length; F_t meets the floor, since X and t
-    both do.  If the F_t of largest sum (the first in chain order on a tie)
-    lies strictly above the floor, it becomes the floor, the targets
-    shrink to the chain tuples that meet it, the queue is emptied, and the
-    search restarts from X.  This is sound because X = P^-1 alpha P along
-    its tree path P and t is a conjugate of beta, and both meet F_t: if
-    alpha and beta are conjugate, t lies in X's component of the set that
-    meets F_t, which minimal floor-keeping conjugators connect, so the
-    restarted search reaches a target, and exhausting it still proves that
-    none is conjugate to alpha.  Raises are finite: each lifts at least one
-    coordinate, none falls, and the floor stays below a target's vector.
-    The graph keeps the first parent of every node, so it stays one tree
-    rooted at alpha and found paths run through it.  A raise starts a new
-    visited set, so nodes met before it are expanded again at the new
-    floor.  Only a node new to the graph counts against node_cap.
+    entries go untested.  chain is beta's lift chain, as _lift_chain builds
+    it; without one the chain is beta alone.  Every chain tuple that meets
+    the floor is a target, and alpha and at least one target must meet it.
+    The checks are made here; the search is _search, and the module
+    docstring says why its verdicts are sound.
     """
     _check_pair(alpha, beta)
     _check_node_cap(node_cap)
@@ -494,15 +458,51 @@ def summit_search(
         chain = {_code_key(beta): SummitNode(None, None)}
     elif next(iter(chain)) != _code_key(beta):
         raise InvalidParams("the lift chain does not start at beta")
-    # each chain tuple that meets the floor, with its inf vector cut to the floor's length
-    width = len(floor)
-    vectors = ((key, tuple(power for power, _ in _doubled(key)[:width])) for key in chain)
-    targets = {key: v for key, v in vectors if _meets(v, floor)}
-    if not targets or not _meets([power for power, _ in _doubled(root)], floor):
+    if not _meets(_vector(root), floor) or not any(_meets(_vector(key), floor) for key in chain):
         raise NotInFloor("alpha and a tuple of beta's chain must satisfy the floor")
+    return _search(alpha.n, root, floor, node_cap, chain, SearchCounters(), [])
 
-    n = alpha.n
-    counters = SearchCounters()
+
+def _search(
+    n: int,
+    root: Entries,
+    floor: InfFloor,
+    node_cap: int,
+    chain: dict[Entries, SummitNode],
+    counters: SearchCounters,
+    lead: list[int],
+) -> ConjugatorResult:
+    """The search of summit_search on raw entries, its root reached from alpha along lead.
+
+    A root that chain holds is answered at once, with a one-node graph.
+    Otherwise the targets are the chain tuples that meet the floor; the
+    caller has checked that the root and some chain tuple meet it.  Nodes are keyed
+    and conjugated on their r raw entries, (power, factor codes) per entry,
+    which fix the inverse entries; those are derived once per expansion by
+    invert's formula and join the floor test.  Each tuple is expanded by the
+    minimal conjugator set of its doubled entries in ascending generator
+    order, so sequential runs are deterministic, and every minimal
+    conjugator keeps the floor, so a child is conjugated entry by entry on
+    codes and looked up among the nodes before anything else is built.
+    Normal forms are unique, so equal entries mean equal tuples and the
+    node dict is the only dedup structure.  The search builds no
+    NormalForm, BraidTuple, SimpleElement or key string.
+
+    A chain tuple t is y^-1 beta y for the product y of the conjugators on
+    its chain path, so when the search reaches t along the path P from the
+    root, x = L P y^-1 conjugates alpha to beta, with L the product of lead.
+    When a node X is taken off the queue and some entry of its doubled
+    tuple lies above the floor, each target t gives F_t, the componentwise
+    minimum of X's and t's inf vectors cut to the floor's length.  If the
+    F_t of largest sum (the first in chain order on a tie) lies strictly
+    above the floor, it becomes the floor, the targets shrink to the chain
+    tuples that meet it, the queue is emptied, and the search restarts from
+    X.  The graph keeps the first parent of every node, so it stays one
+    tree rooted at the root and found paths run through it.  A raise starts
+    a new visited set, so nodes met before it are expanded again at the new
+    floor.  Only a node new to the graph counts against node_cap, and
+    ABORTED happens exactly there.
+    """
     nodes = {root: SummitNode(None, None)}
     graph = SummitGraph(n, root, nodes, counters)
 
@@ -510,11 +510,15 @@ def summit_search(
         return ConjugatorResult(outcome, conjugator, reason, graph)
 
     def found(key):
-        return result(Outcome.FOUND, _conjugator(n, _path(nodes, key), _path(chain, key)))
+        return result(Outcome.FOUND, _conjugator(n, lead + _path(nodes, key), _path(chain, key)))
 
-    if root in targets:
+    if root in chain:
         return found(root)
 
+    # each chain tuple that meets the floor, with its inf vector cut to the floor's length
+    width = len(floor)
+    vectors = ((key, _vector(key)[:width]) for key in chain)
+    targets = {key: v for key, v in vectors if _meets(v, floor)}
     queue = deque([root])
     seen = {root}  # this phase's visited set; a raise starts a new one
     while queue:
@@ -577,11 +581,16 @@ def _conjugator(n: int, forward: list[int], backward: list[int]) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-def _lockstep(n: int, a_chain, b_chain, counters: SearchCounters) -> Entries | None:
+def _lockstep(n: int, a_chain, b_chain, counters: SearchCounters) -> Entries:
     """Lift both chains in turn, one move each per round, until one reaches a tuple the other holds.
 
-    Returns that tuple, or None once both chains have ended.
+    Returns that tuple, which both chains then hold, or the last tuple of
+    alpha's chain once both chains have ended.  alpha is returned before
+    any move when beta's chain already holds it.
     """
+    (a_key,) = a_chain
+    if a_key in b_chain:
+        return a_key
     sides = deque([(_lift_chain(n, a_chain, counters), b_chain), (_lift_chain(n, b_chain, counters), a_chain)])
     while sides:
         moves, other = sides.popleft()
@@ -590,7 +599,7 @@ def _lockstep(n: int, a_chain, b_chain, counters: SearchCounters) -> Entries | N
                 return step
             sides.append((moves, other))
             break
-    return None
+    return next(reversed(a_chain))
 
 
 def solve_mscp(
@@ -601,45 +610,23 @@ def solve_mscp(
     """Find x with x^-1 alpha x = beta, or decide there is none.
 
     The node cap is checked first, so that no input answers under a cap
-    below 1.  Equal tuples are answered by the empty word before any other
-    work.
-    Otherwise both doubled tuples (a_1..a_r, a_1^-1..a_r^-1) are lifted by
-    _lift_chain in lockstep, one move per side per round, which raises
-    infima and lowers suprema.  Each lift is a conjugation by a known
-    product, y_a on alpha's side and y_b on beta's.  As soon as one chain
-    reaches a tuple the other already holds, x = y_a y_b^-1, and the graph
-    is that tuple alone.  Otherwise the floor is the componentwise minimum
-    of the two final 2r-entry inf vectors, which both final lifts meet, and
-    summit_search runs from lifted alpha to every tuple of beta's chain
-    that meets it, raising the floor as it goes, giving x = y_a P y_b^-1.
-    Each set it searches is connected under minimal conjugators (see the
-    module docstring), so NOT_CONJUGATE means that lifted alpha's component
-    holds no lift of beta, and so no conjugate of beta at all.  A found conjugator is
-    re-verified on the original tuples before it is returned.
+    below 1.  Both doubled tuples are then lifted in lockstep (_lockstep),
+    and _search runs at the componentwise minimum of the two final inf
+    vectors, from where the chains met, or from lifted alpha, to the tuples
+    of beta's chain.  Equal tuples and chains that meet are answered by the
+    search at its root.  The module docstring says why the verdicts are
+    sound.  A found conjugator is re-verified on the original tuples before
+    it is returned.
     """
     _check_pair(alpha, beta)
     _check_node_cap(node_cap)
     n = alpha.n
     counters = SearchCounters()
-    a_key, b_key = _code_key(alpha), _code_key(beta)
-    if a_key == b_key:
-        graph = SummitGraph(n, a_key, {a_key: SummitNode(None, None)}, counters)
-        return ConjugatorResult(Outcome.FOUND, BraidWord(n, ()), None, graph)
-
-    a_chain = {a_key: SummitNode(None, None)}
-    b_chain = {b_key: SummitNode(None, None)}
-    met = _lockstep(n, a_chain, b_chain, counters)
-    if met is not None:
-        x = _conjugator(n, _path(a_chain, met), _path(b_chain, met))
-        graph = SummitGraph(n, met, {met: SummitNode(None, None)}, counters)
-        outcome = ConjugatorResult(Outcome.FOUND, x, None, graph)
-    else:
-        a_top, b_top = next(reversed(a_chain)), next(reversed(b_chain))
-        floor = tuple(min(a[0], b[0]) for a, b in zip(_doubled(a_top), _doubled(b_top)))
-        outcome = summit_search(_tuple(n, a_top), beta, floor, node_cap, b_chain)
-        outcome.counters.lift_moves = counters.lift_moves
-        if outcome.outcome is Outcome.FOUND:
-            outcome.conjugator = word_concat(_conjugator(n, _path(a_chain, a_top), []), outcome.conjugator)
+    a_chain = {_code_key(alpha): SummitNode(None, None)}
+    b_chain = {_code_key(beta): SummitNode(None, None)}
+    root = _lockstep(n, a_chain, b_chain, counters)
+    floor = tuple(map(min, _vector(next(reversed(a_chain))), _vector(next(reversed(b_chain)))))
+    outcome = _search(n, root, floor, node_cap, b_chain, counters, _path(a_chain, root))
     if outcome.outcome is Outcome.FOUND and not verify_conjugator(alpha, beta, outcome.conjugator):
         raise VerificationFailed("search returned a conjugator that fails verification")
     return outcome

@@ -377,8 +377,8 @@ def ref_lift_chain(t):
 
     Conjugates all 2r entries of the doubled tuple by ref_conj_raw, ascends
     by ref_ascend, and stops only after n(n-1)/2 moves in a row that raise
-    no infimum, or when every entry is a half-twist power; it keeps no
-    count of skipped moves.  Returns the chain keyed by r entries, each
+    no infimum, or when every entry is a half-twist power; it does not end
+    the chain when a round of turns has left it unchanged.  Returns the chain keyed by r entries, each
     mapped to its parent key and edge code.
     """
     from braidmscp.braid import _DELTA, _TAU

@@ -10,6 +10,7 @@ from braidmscp import (
     GenParams,
     IndexOutOfRange,
     InstanceFile,
+    InstanceFormatError,
     InstanceSyntaxError,
     InvalidParams,
     Outcome,
@@ -21,6 +22,7 @@ from braidmscp import (
     solve_mscp,
     tuple_from_words,
     tuple_key,
+    word_from_text,
     word_to_text,
     write_instance,
 )
@@ -110,6 +112,31 @@ class TestParse:
         assert type(exc.value) is error
         assert message in str(exc.value)
         assert (exc.value.line, exc.value.col) == (3, col)
+
+    def test_word_lines_accept_what_word_from_text_accepts(self):
+        # a word line parses through word_from_text: the same texts are
+        # accepted, with the same letters, and the rest raise located errors
+        rng = random.Random(17)
+        accepted = rejected = 0
+        for _ in range(600):
+            n = rng.choice((2, 3, 5, 11))
+            pool = ("e", "0", "+1", "1_0", str(n), str(-n), str(n - 1), str(1 - n), "x")
+            text = " ".join(rng.choice(pool) for _ in range(rng.randint(0, 4)))
+            try:
+                want = word_from_text(text, n).letters
+            except InvalidParams:
+                want = None
+            try:
+                inst = parse_instance(f"n {n}\nr 1\nalpha {text}\nbeta {text}\n")
+                got = inst.alpha[0].letters
+                assert inst.beta[0].letters == got
+            except InstanceFormatError as exc:
+                assert exc.line == 3
+                got = None
+            assert got == want, (n, text)
+            accepted += got is not None
+            rejected += got is None
+        assert accepted > 50 and rejected > 50
 
 
 class TestRoundTrip:

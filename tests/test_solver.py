@@ -550,13 +550,25 @@ class TestLiftChain:
 
     def test_matches_reference_chain(self):
         # the reference conjugates all 2r entries, ascends through the
-        # reference kernel and runs every move to the stale bound
-        for beta in self.betas():
-            chain, _ = self.run_chain(beta)
+        # reference kernel and runs every move to the stale bound; half-twist
+        # powers make no move, alone or beside movable entries
+        d3, d4 = (1, 2, 1), (1, 2, 1, 3, 2, 1)
+        half_twists = [
+            words_tuple(3, d3),
+            words_tuple(3, d3 * 2, word_inverse(BraidWord(3, d3)).letters),
+            words_tuple(4, d4 * 3),
+            words_tuple(3, d3, (1, 1, -2)),
+            words_tuple(3, (2, -1, -1, 2), d3 * 2),
+            words_tuple(4, (1, 2, 3, -1), d4, (3, -2, 1, 1)),
+            words_tuple(4, d4, (2, 3, 2, -1, 3)),
+        ]
+        for beta in [*self.betas(), *half_twists]:
+            chain, steps = self.run_chain(beta)
             ref = oracle.ref_lift_chain(beta)
             assert [(key, node.parent, node.edge) for key, node in chain.items()] == [
                 (key, parent, edge) for key, (parent, edge) in ref.items()
             ]
+            assert (steps == []) is all(not e.codes for e in beta.entries)
 
     def test_chain_targets_need_the_floor(self):
         alpha, beta = words_tuple(3, (1,)), words_tuple(3, (2,))
@@ -780,21 +792,25 @@ class TestSolve:
         from braidmscp import VerificationFailed
         from braidmscp.cli import main
 
-        search = solver_module.summit_search
+        search = solver_module._search
         calls = []
 
-        def wrong_search(alpha, *args):
-            res = search(alpha, *args)
+        def wrong_search(n, *args):
+            res = search(n, *args)
             assert res.outcome is Outcome.FOUND
             calls.append(res.conjugator)
-            res.conjugator = BraidWord(alpha.n, (1,))
+            res.conjugator = BraidWord(n, (1,))
             return res
 
-        monkeypatch.setattr(solver_module, "summit_search", wrong_search)
-        # the swap pair's lift chains do not meet, so solve_mscp searches
-        alpha, beta = words_tuple(3, (1,), (2,)), words_tuple(3, (2,), (1,))
-        with pytest.raises(VerificationFailed):
-            solve_mscp(alpha, beta)
+        monkeypatch.setattr(solver_module, "_search", wrong_search)
+        # the lift chains of sigma_1 and sigma_2 meet, so the search answers
+        # at its root; the swap pair's chains do not meet, so it searches
+        for alpha, beta in [
+            (words_tuple(3, (1,)), words_tuple(3, (2,))),
+            (words_tuple(3, (1,), (2,)), words_tuple(3, (2,), (1,))),
+        ]:
+            with pytest.raises(VerificationFailed):
+                solve_mscp(alpha, beta)
         path = tmp_path / "w.inst"
         path.write_text("n 3\nr 2\nalpha 1\nalpha 2\nbeta 2\nbeta 1\n")
         capsys.readouterr()
@@ -802,7 +818,28 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "verification" in captured.err
-        assert len(calls) == 2
+        assert len(calls) == 3
+
+    def test_every_found_is_verified_once(self, monkeypatch):
+        verify = solver_module.verify_conjugator
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return verify(*args)
+
+        monkeypatch.setattr(solver_module, "verify_conjugator", spy)
+        # equal tuples, lift chains that meet, and the searched swap pair
+        for alpha, beta, expanded in [
+            (words_tuple(3, (1,)), words_tuple(3, (1,)), False),
+            (words_tuple(3, (1,)), words_tuple(3, (2,)), False),
+            (words_tuple(3, (1,), (2,)), words_tuple(3, (2,), (1,)), True),
+        ]:
+            calls.clear()
+            res = solve_mscp(alpha, beta)
+            assert res.outcome is Outcome.FOUND
+            assert bool(res.counters.nodes_expanded) is expanded
+            assert calls == [(alpha, beta, res.conjugator)]
 
     def test_lockstep_meeting(self):
         # sigma_1 and sigma_2: beta's chain reaches a tuple alpha's chain holds
@@ -873,3 +910,19 @@ class TestVerify:
             verify_conjugator(alpha, words_tuple(3, (1,), (2,)), BraidWord(3, ()))
         with pytest.raises(StrandMismatch):
             verify_conjugator(alpha, beta, BraidWord(4, ()))
+
+    def test_empty_word_is_equality(self):
+        # equal (from different words), conjugate but unequal, and not conjugate
+        pairs = [
+            (words_tuple(3, (1, 2, 1), (2,)), words_tuple(3, (2, 1, 2), (2,))),
+            (words_tuple(3, (1,)), words_tuple(3, (2,))),
+            (words_tuple(3, (1,), (2,)), words_tuple(3, (2,), (1,))),
+            (words_tuple(3, (1,)), words_tuple(3, (1, 1, 1))),
+            (words_tuple(4, (1, -3)), words_tuple(4, (-3, 1))),
+        ]
+        for alpha, beta in pairs:
+            want = alpha == beta
+            assert verify_conjugator(alpha, beta, BraidWord(alpha.n, ())) is want
+            # and by a nonempty word equal to the identity
+            assert verify_conjugator(alpha, beta, BraidWord(alpha.n, (1, -1))) is want
+        assert [alpha == beta for alpha, beta in pairs] == [True, False, False, False, True]
