@@ -199,5 +199,7 @@ def counters_report(graph: SummitGraph) -> str:
         f"conjugations={c.conjugations}",
         f"set_size_max={c.set_size_max}",
         f"set_size_mean={mean:.3f}",
+        f"lift_moves={c.lift_moves}",
+        f"floor_raises={c.floor_raises}",
     ]
     return "\n".join(lines) + "\n"

@@ -71,14 +71,14 @@ from .braid import (
     BraidWord,
     SimpleElement,
     _braid_mul,
-    _code_word,
+    _code_letters,
     _LazyTable,
     _left_complement,
+    _letters_text,
     _peel,
     check_same_strands,
     check_strand_count,
     word_inverse,
-    word_to_text,
 )
 from .errors import InvalidParams, NotPositive, StrandMismatch
 
@@ -315,12 +315,12 @@ def nf_of_simple(s: SimpleElement) -> NormalForm:
 
 def nf_to_word(f: NormalForm) -> BraidWord:
     """A word representing the normal form: half-twist letters, then factors."""
-    dword = _code_word(_DELTA[f.n])
+    dword = BraidWord(f.n, _code_letters(_DELTA[f.n]))
     if f.power < 0:
         dword = word_inverse(dword)
     letters = list(dword.letters) * abs(f.power)
     for a in f.codes:
-        letters.extend(_code_word(a).letters)
+        letters.extend(_code_letters(a))
     return BraidWord(f.n, tuple(letters))
 
 
@@ -359,8 +359,7 @@ def _invert_raw(power: int, codes: Codes) -> tuple[int, Codes]:
     flip = (power + len(codes) - 1) % 2  # A_l is flipped k + l - 1 times
     out = []
     for a in reversed(codes):
-        c = _LCOMP[a]
-        out.append(_TAU[c] if flip else c)
+        out.append(_RCOMP[a] if flip else _LCOMP[a])  # tau(lcomp a) = rcomp a
         flip ^= 1
     return -power - len(codes), tuple(out)
 
@@ -379,8 +378,8 @@ def _conj_raw(n: int, power: int, codes: Codes, s: int) -> tuple[int, Codes]:
     swept to the end, and D forms at once in the last pair and leaves.
     """
     top = _DELTA[n]
-    head = _LCOMP[s]
-    factors = [_TAU[head] if power % 2 else head, *codes]
+    head = _RCOMP[s] if power % 2 else _LCOMP[s]  # tau(lcomp s) = rcomp s
+    factors = [head, *codes]
     g = _comb_forward(factors, 0, top, 0)
     factors.append(_TAU[s] if g else s)
     g = _comb_back(factors, len(factors) - 1, top, g)
@@ -458,7 +457,7 @@ def strand_permutation(f: NormalForm) -> tuple[int, ...]:
 
 
 # The word text of each simple element's canonical word, by code.
-_WORD_TEXT = _LazyTable(lambda c: word_to_text(_code_word(c)))
+_WORD_TEXT = _LazyTable(lambda c: _letters_text(_code_letters(c)))
 
 
 def _raw_key(power: int, codes: Codes) -> str:

@@ -82,7 +82,7 @@ from .braid import (
     _TAU,
     BraidWord,
     SimpleElement,
-    _code_word,
+    _code_letters,
     _left_complement,
     _mul,
     check_same_strands,
@@ -576,8 +576,8 @@ def _raised_floor(floor: InfFloor, doubled: Entries, vectors) -> InfFloor | None
 
 def _conjugator(n: int, forward: list[int], backward: list[int]) -> BraidWord:
     """The word of the product of the simples in forward times the inverse of that of backward."""
-    letters = [e for s in forward for e in _code_word(s).letters]
-    letters += [-e for s in reversed(backward) for e in reversed(_code_word(s).letters)]
+    letters = [e for s in forward for e in _code_letters(s)]
+    letters += [-e for s in reversed(backward) for e in reversed(_code_letters(s))]
     return BraidWord(n, tuple(letters))
 
 

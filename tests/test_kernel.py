@@ -2,10 +2,13 @@
 
 Simple elements are coded by Lehmer rank plus a per-strand-count offset, and
 each code's complements, flip, start set and inversion set come from lazily
-filled tables.  These tests pin the tables to the permutation functions and
-the left-weighting move to the brute-force meet of tests/oracle.py, and the
-meet, the join complement and the move at larger n to references built on
-the oracle's letter-by-letter peel.
+filled tables.  A fill of the left-complement or flip table also writes the
+entry that an identity gives for free (rcomp(lcomp a) = a, tau(tau a) = a),
+so an entry may be written before it is ever looked up.
+These tests pin the tables to the permutation functions, whichever way an
+entry was filled, and the left-weighting move to the brute-force meet of
+tests/oracle.py, and the meet, the join complement and the move at larger n
+to references built on the oracle's letter-by-letter peel.
 """
 
 import itertools
@@ -28,8 +31,12 @@ from braidmscp import (
     generator_simple,
     normalize,
     run_attack,
+    simple_from_positive_word,
+    word_from_text,
+    word_to_text,
 )
 from braidmscp.braid import (
+    _CODE,
     _INV,
     _LCOMP,
     _OFFSET,
@@ -46,12 +53,24 @@ from braidmscp.braid import (
     _rcomp_perm,
     _tau_perm,
 )
-from braidmscp.normal_form import _PAIR_MOVE
+from braidmscp.harness import GenParams
+from braidmscp.instance_io import write_instance
+from braidmscp.normal_form import _PAIR_MOVE, _WORD_TEXT
 from test_acceptance import corpus_params
 
 
 def perms(n):
     return list(itertools.permutations(range(n)))
+
+
+def inversions(p):
+    """The inversion set by its definition: bit i*n + j for each pair i < j with p[i] > p[j]."""
+    n = len(p)
+    return sum(1 << (i * n + j) for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+
+
+def descents(p):
+    return sum(1 << i for i in range(len(p) - 1) if p[i] > p[i + 1])
 
 
 class TestCodes:
@@ -86,6 +105,67 @@ class TestCodes:
         for a, b in itertools.product(perms(n), repeat=2):
             ca, cb = SimpleElement(n, a).code, SimpleElement(n, b).code
             assert (not _INV[ca] & ~_INV[cb]) == oracle.brute_divides(a, b)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_inversion_set_exhaustive(self, n):
+        for p in perms(n):
+            assert _INV[_CODE[p]] == inversions(p)
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 12])
+    def test_inversion_set_sampled(self, n):
+        rng = random.Random(n)
+        samples = [tuple(rng.sample(range(n), n)) for _ in range(300)]
+        samples += [tuple(range(n)), tuple(range(n))[::-1]]
+        for p in samples:
+            assert _INV[_CODE[p]] == inversions(p)
+
+
+def built_entry_problems():
+    """Every entry of the filled tables that differs from its value recomputed from _PERM alone."""
+    bad = []
+    for table, expect in (
+        # a^-1 D, D a^-1 and D^-1 a D, with D the reversal x -> n-1-x
+        (_RCOMP, lambda p: _CODE[tuple(len(p) - 1 - v for v in _perm_inverse(p))]),
+        (_LCOMP, lambda p: _CODE[_perm_inverse(p)[::-1]]),
+        (_TAU, lambda p: _CODE[tuple(len(p) - 1 - v for v in p[::-1])]),
+        (_INV, inversions),
+        (_START, descents),
+    ):
+        bad += [(c, v) for c, v in list(table.items()) if v != expect(_PERM[c])]
+    for c, text in list(_WORD_TEXT.items()):
+        p = _PERM[c]
+        # the text is a reduced positive word of the code's permutation
+        if simple_from_positive_word(word_from_text(text, len(p))).perm != p:
+            bad.append((c, text))
+    return bad
+
+
+class TestWrittenEntries:
+    """An entry written by a partner's fill equals the entry its own builder would make."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_identities(self, n):
+        for p in perms(n):
+            c = _CODE[p]
+            assert _TAU[_LCOMP[c]] == _RCOMP[c]
+            assert _RCOMP[_LCOMP[c]] == c
+            assert _LCOMP[_RCOMP[c]] == c
+            assert _TAU[_TAU[c]] == c
+        assert built_entry_problems() == []
+
+    def test_cold_workloads(self, tmp_path, capsys):
+        for cache in package_caches():
+            cache.cache_clear()
+        inst, planted = gen_instance(GenParams(8, 3, 16, 12, seed=1))
+        graph = run_attack(inst, planted, node_cap=1000).result.graph
+        export_graph(graph, "dot")
+        inst, planted = gen_instance(GenParams(12, 3, 64, 32, seed=5))
+        path = tmp_path / "wide.inst"
+        path.write_text(write_instance(inst))
+        assert braidmscp.cli.main(["verify", str(path), word_to_text(planted)]) == 0
+        assert capsys.readouterr().out == "valid\n"
+        assert all((_RCOMP, _LCOMP, _TAU, _INV, _START, _WORD_TEXT))
+        assert built_entry_problems() == []
 
 
 def weighted_by_oracle(a, b):
