@@ -29,6 +29,9 @@ free, rcomp(lcomp a) = a or tau(tau a) = a, so a later lookup of the
 partner finds it instead of building it; and since tau(lcomp a) = rcomp a,
 a flipped left complement is read as a right complement.  The tables expose
 cache_clear like functools caches and are rebuilt on demand after clearing.
+Per strand count, the letter codes, the arrangements they start a run from
+and the factorial steps of the rank let normal_form carry a run's code one
+crossing at a time, without building or ranking its permutation.
 The SimpleElement value type carries its code next to its permutation;
 elsewhere the package stores a simple element as its code alone.
 Table-driven permutation braids follow the CBraid library (J. C. Cha).
@@ -228,13 +231,29 @@ def _letter_codes(n: int) -> list[int]:
     """Index e in 1..n-1 holds the code of letter e; index -e that of lcomp(letter e).
 
     An inverse letter is D^-1 times the left complement of the generator, so
-    these are the simple factors a word contributes, letter by letter.
+    these are the simple factors that a run of one letter contributes.
     """
     codes = [0] * (2 * n - 1)
     for i in range(1, n):
         gen = _CODE[_gen_perm(n, i)]
         codes[i], codes[-i] = gen, _LCOMP[gen]
     return codes
+
+
+def _run_starts(n: int) -> list[Perm]:
+    """Index e holds the arrangement of _LETTERS[n][e]: the strand at each final position.
+
+    Letter j crosses the strands at positions j-1 and j, and lcomp(s_j) =
+    D s_j^-1 is the reversal with those two positions uncrossed again.  A
+    run of letters of one sign grows from here one crossing at a time.
+    """
+    starts: list[Perm] = [()] * (2 * n - 1)
+    for j in range(1, n):
+        up, down = list(range(n)), list(range(n - 1, -1, -1))
+        up[j - 1], up[j] = up[j], up[j - 1]
+        down[j - 1], down[j] = down[j], down[j - 1]
+        starts[j], starts[-j] = tuple(up), tuple(down)
+    return starts
 
 
 # First code of each strand count: 2! + 3! + ... + (n-1)!.
@@ -251,6 +270,11 @@ _TAU = _LazyTable(_tau_code)
 _START = _LazyTable(_start_set)
 _INV = _LazyTable(_inversion_set)
 _LETTERS = _LazyTable(_letter_codes)
+_RUN_START = _LazyTable(_run_starts)
+# Index u holds (n-1-u)!, the weight of strand u's Lehmer digit: crossing
+# two side-by-side strands u < v raises the rank by it, uncrossing them
+# lowers it by it.
+_RANK_STEP = _LazyTable(lambda n: tuple(math.factorial(n - 1 - u) for u in range(n)))
 # The valid letters of a word on n strands: 1 <= |e| <= n - 1.
 _LETTER_SET = _LazyTable(lambda n: frozenset(range(1 - n, n)) - {0})
 _SIMPLE = _LazyTable(lambda c: SimpleElement(len(_PERM[c]), _PERM[c]))

@@ -27,8 +27,14 @@ is already left-weighted exactly when no letter starts both rcomp(a) and b,
 one AND of two start-set bitmasks, which is tested before any meet is
 computed.
 
-Normalization rewrites each inverse letter as D^-1 times a left complement
-and appends the factors one at a time, restoring left-weightedness with the
+Normalization cuts the kept letters into maximal runs of one sign whose
+braid is simple and appends one factor per run: a positive run as its
+simple, a run of inverse letters as D^-1 times the left complement of its
+reversed positive word.  A run's code is carried as it grows, by one
+addition of a factorial per letter to the code of its first letter, so no
+permutation is built or ranked.  The solver's conjugators are strings of
+canonical words of simples, so there a run is a whole simple the solver
+held as one code.  Each appended factor restores left-weightedness with the
 local move "transfer meet(rcomp(A), B) from B to A".  The move sends
 (trivial, B) to (B, trivial), so trivial factors go to the back, where they
 are stripped.  A move that leaves D at position k has only one
@@ -38,8 +44,9 @@ the move commutes with the flip, move(tau a, tau b) = tau(move(a, b)),
 so the list holds tau^g of each factor under one parity bit g and
 stands for D^power tau^g(list).  Taking D out of X D Y flips the shorter of
 X and Y, and flipping Y toggles g.  A D^-1 moved to the power toggles g too,
-a factor p is appended as tau^g(p), and the list is flipped once at the end
-if g is odd.  Normalization never leaves D in the list, so none of its
+a run is grown from the flipped letters n-i when g is odd, so that it is
+appended as tau^g of its simple, and the list is flipped once at the end if
+g is odd.  Normalization never leaves D in the list, so none of its
 moves has D as its right factor.  Products of two already-weighted
 sequences only need the move combed outward from the junction, which keeps
 multiplication cheap.
@@ -64,7 +71,9 @@ from .braid import (
     _LCOMP,
     _LETTERS,
     _PERM,
+    _RANK_STEP,
     _RCOMP,
+    _RUN_START,
     _SIMPLE,
     _START,
     _TAU,
@@ -259,35 +268,75 @@ def _cancel_pairs(n: int, letters) -> list[int]:
 
 
 def _weight_seq(n: int, letters) -> tuple[int, Codes]:
-    """Left normal form of a word's letters, appending one simple factor at a time.
+    """Left normal form of a word's letters, appending one simple run at a time.
 
-    Letter i gives the simple s_i and letter -i gives D^-1 lcomp(s_i).  The
-    list holds tau^g of each factor, so that it stands for D^power tau^g(list):
-    a D^-1 moved to the power toggles g, and a factor p is appended as
-    tau^g(p).  Appending can only break the last pair, so the local move is
-    combed back from there; a half twist it forms leaves at once, and at
-    most the new last factor can become trivial, to be popped.  Neither a
-    half twist nor the identity stays in the list: at n = 2 the letter 1 is
-    D itself, which counts into the power and toggles g, and lcomp(s_1) is
-    trivial and popped.
+    The letters are cut into maximal runs of one sign whose braid is simple,
+    and each run is appended as one factor.  That is sound because:
+
+      * a positive run's product is a simple r, appended as r;
+      * a run s_j1^-1 .. s_jk^-1 is P^-1 for the simple P = s_jk .. s_j1,
+        and P^-1 = D^-1 lcomp(P): a D^-1 for the power, then the left
+        complement of the run's reversed positive word;
+      * the comb accepts any simple appended at the tail, as _conj_raw
+        already relies on: only the last pair can be unweighted, the move
+        combed back from there weights the rest, and only the new last
+        factor can become trivial, since appending a simple does not lower
+        the supremum;
+      * the rank step holds for an adjacent transposition.  A run keeps its
+        arrangement, the strand at each position, and letter i meets the
+        strands x, y at positions i-1 and i.  Swapping them changes the
+        Lehmer digit of the smaller strand alone, by one, so the rank moves
+        by that strand's (n-1-min(x, y))!.  A positive run grows when x < y,
+        the two not yet crossed, and its rank rises.  An inverse run grows
+        lcomp(P) to lcomp(s_i P) = lcomp(P) s_i^-1, a right division by s_i,
+        possible when x > y, the two already crossed, and its rank falls.
+
+    A run starts from its first letter's code and arrangement, so a run of
+    one letter builds nothing.  The list holds tau^g of each factor and
+    stands for D^power tau^g(list): a D^-1 moved to the power toggles g, and
+    a run is grown from the flipped letters n-i when g is odd, so that it is
+    appended as tau^g of its simple.  A half twist that the comb forms
+    leaves at once.  Neither a half twist nor the identity stays in the
+    list: a run equal to D counts into the power and toggles g, and the
+    complement of a run equal to D^-1 is trivial and popped.  At n = 2
+    every positive run is D and every inverse run's complement trivial.
     """
-    codes = _LETTERS[n]
+    codes, starts, step = _LETTERS[n], _RUN_START[n], _RANK_STEP[n]
     ident, top = _IDENTITY[n], _DELTA[n]
     factors: list[int] = []
-    power = g = 0
-    for e in letters:
-        p = codes[e]
-        if e < 0:
+    power = g = k = 0
+    end = len(letters)
+    while k < end:
+        e = letters[k]
+        k += 1
+        up = e > 0
+        if not up:
             power -= 1
             g ^= 1
-        if p == top:
+        i = (n - e if up else -n - e) if g else e  # the letter in the list's frame
+        run, c = starts[i], codes[i]  # the run's arrangement, copied once it grows
+        while k < end:
+            e = letters[k]
+            if (e > 0) is not up:
+                break
+            i = (n - e if up else n + e) if g else (e if up else -e)  # its index, framed
+            u, v = run[i - 1], run[i]
+            if (u < v) is not up:
+                break
+            if run.__class__ is tuple:
+                run = list(run)
+            run[i - 1], run[i] = v, u
+            c += step[u] if up else -step[v]
+            k += 1
+        if c == top:
             power += 1
             g ^= 1
             continue
-        factors.append(_TAU[p] if g else p)
+        factors.append(c)
         m = len(factors)
-        g = _comb_back(factors, m - 1, top, g)
-        power += m - len(factors)
+        if m > 1:  # a lone factor is weighted
+            g = _comb_back(factors, m - 1, top, g)
+            power += m - len(factors)
         if factors[-1] == ident:
             factors.pop()
     return power, tuple([_TAU[c] for c in factors] if g else factors)
@@ -302,9 +351,9 @@ def normalize(w: BraidWord) -> NormalForm:
     """Left normal form of the braid represented by a word.
 
     The pairs e .. e^-1 that cancel across far-commuting letters go first
-    (_cancel_pairs); of the rest, a positive letter contributes its own
-    simple element and an inverse letter D^-1 times the left complement of
-    the generator.
+    (_cancel_pairs); the rest is appended one simple run at a time: a
+    positive run contributes its simple and an inverse run D^-1 times the
+    left complement of its reversed positive word (_weight_seq).
     """
     return NormalForm(w.n, *_weight_seq(w.n, _cancel_pairs(w.n, w.letters)))
 

@@ -8,7 +8,9 @@ so an entry may be written before it is ever looked up.
 These tests pin the tables to the permutation functions, whichever way an
 entry was filled, and the left-weighting move to the brute-force meet of
 tests/oracle.py, and the meet, the join complement and the move at larger n
-to references built on the oracle's letter-by-letter peel.
+to references built on the oracle's letter-by-letter peel.  The rank step
+that grows a run's code one crossing at a time is pinned to the code of the
+product permutation.
 """
 
 import itertools
@@ -39,18 +41,23 @@ from braidmscp.braid import (
     _CODE,
     _INV,
     _LCOMP,
+    _LETTERS,
     _OFFSET,
     _PERM,
+    _RANK_STEP,
     _RCOMP,
+    _RUN_START,
     _SIMPLE,
     _START,
     _TAU,
     _braid_mul,
+    _gen_perm,
     _left_complement,
     _meet,
     _peel,
     _perm_inverse,
     _rcomp_perm,
+    _run_starts,
     _tau_perm,
 )
 from braidmscp.harness import GenParams
@@ -120,6 +127,67 @@ class TestCodes:
             assert _INV[_CODE[p]] == inversions(p)
 
 
+class TestRunCodes:
+    """The rank step by which normal_form._weight_seq grows a run's code.
+
+    A run keeps its arrangement, the strand at each position (the inverse
+    permutation).  Letter i after a simple p crosses the strands u, v at
+    positions i-1 and i: when u < v the product is simple and its code is
+    p's plus (n-1-u)!.  When u > v, s_i divides p on the right, and the
+    quotient's code is p's minus (n-1-v)!, the smaller strand's step.
+    """
+
+    @staticmethod
+    def check(p):
+        n = len(p)
+        code, arrangement, step = _CODE[p], _perm_inverse(p), _RANK_STEP[n]
+        length = _INV[code].bit_count()
+        for i in range(1, n):
+            u, v = arrangement[i - 1], arrangement[i]
+            # the permutation of p s_i and of p s_i^-1 alike
+            other = _CODE[_braid_mul(p, _gen_perm(n, i))]
+            if u < v:
+                assert other == code + step[u]
+                assert _INV[other].bit_count() == length + 1
+            else:
+                assert other == code - step[v]
+                assert _INV[other].bit_count() == length - 1
+
+    @staticmethod
+    def check_complement(p):
+        """Growing the inverse run of P = p by s_j divides lcomp(P) on the right by s_j."""
+        n = len(p)
+        comp = _LCOMP[_CODE[p]]
+        arrangement, step = _perm_inverse(_PERM[comp]), _RANK_STEP[n]
+        for j in range(1, n):
+            grown = _braid_mul(_gen_perm(n, j), p)  # s_j P
+            if _INV[_CODE[grown]].bit_count() == _INV[_CODE[p]].bit_count() + 1:
+                u, v = arrangement[j - 1], arrangement[j]
+                assert u > v
+                assert _LCOMP[_CODE[grown]] == comp - step[v]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_simple(self, n):
+        for p in perms(n):
+            self.check(p)
+            self.check_complement(p)
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 11, 12])
+    def test_sampled(self, n):
+        rng = random.Random(70 + n)
+        samples = [tuple(rng.sample(range(n), n)) for _ in range(100)]
+        for p in [*samples, tuple(range(n)), tuple(range(n))[::-1]]:
+            self.check(p)
+            self.check_complement(p)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+    def test_run_starts(self, n):
+        # a run starts from its first letter's code and arrangement
+        for e in [*range(1, n), *range(1 - n, 0)]:
+            assert _RUN_START[n][e] == _perm_inverse(_PERM[_LETTERS[n][e]])
+        assert _RANK_STEP[n] == tuple(math.factorial(n - 1 - u) for u in range(n))
+
+
 def built_entry_problems():
     """Every entry of the filled tables that differs from its value recomputed from _PERM alone."""
     bad = []
@@ -132,6 +200,12 @@ def built_entry_problems():
         (_START, descents),
     ):
         bad += [(c, v) for c, v in list(table.items()) if v != expect(_PERM[c])]
+    for n, starts in list(_RUN_START.items()):
+        if starts != _run_starts(n):
+            bad.append((n, starts))
+    for n, steps in list(_RANK_STEP.items()):
+        if steps != tuple(math.factorial(n - 1 - u) for u in range(n)):
+            bad.append((n, steps))
     for c, text in list(_WORD_TEXT.items()):
         p = _PERM[c]
         # the text is a reduced positive word of the code's permutation
@@ -164,7 +238,7 @@ class TestWrittenEntries:
         path.write_text(write_instance(inst))
         assert braidmscp.cli.main(["verify", str(path), word_to_text(planted)]) == 0
         assert capsys.readouterr().out == "valid\n"
-        assert all((_RCOMP, _LCOMP, _TAU, _INV, _START, _WORD_TEXT))
+        assert all((_RCOMP, _LCOMP, _TAU, _INV, _START, _WORD_TEXT, _RUN_START, _RANK_STEP))
         assert built_entry_problems() == []
 
 
@@ -260,7 +334,8 @@ class TestColdStart:
         caches = package_caches()
         tables = [c for c in caches if isinstance(c, dict)]
         assert len(tables) >= 8
-        assert _PAIR_MOVE and any(t is _PAIR_MOVE for t in tables)
+        for filled in (_PAIR_MOVE, _RUN_START, _RANK_STEP):
+            assert filled and any(t is filled for t in tables)
         for cache in caches:
             cache.cache_clear()
         assert all(not table for table in tables)

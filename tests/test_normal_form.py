@@ -37,7 +37,8 @@ from braidmscp import (
     word_inverse,
 )
 from braidmscp import normal_form
-from braidmscp.braid import _DELTA, _IDENTITY, _braid_mul, _gen_perm, _id_perm
+from braidmscp.braid import _CODE, _DELTA, _IDENTITY, _braid_mul, _gen_perm, _id_perm
+from braidmscp.solver import _conjugator
 
 
 def rand_word(rng, n, max_len, min_len=0):
@@ -262,10 +263,12 @@ class TestCombAgainstReference:
     """normalize, multiply and conjugation against the oracle's comb.
 
     The oracle bubbles every half twist to the front one pair move at a
-    time; the package takes it out of the list in one step.  The words run
-    up to 256 letters and include all-positive and all-negative ones; at
-    n = 2 every letter is a half twist.  normalize cancels inverse pairs
-    first, so the comb also gets each word's raw letters directly.
+    time and appends one letter at a time; the package takes a half twist
+    out of the list in one step and appends one simple run at a time.  The
+    words run up to 256 letters and include all-positive and all-negative
+    ones and the solver's words of whole simples; at n = 2 every letter is
+    a half twist.  normalize cancels inverse pairs first, so the comb also
+    gets each word's raw letters directly.
     """
 
     @staticmethod
@@ -274,6 +277,23 @@ class TestCombAgainstReference:
         for sign in (1, -1):
             length = rng.randint(1, 256)
             words.append(BraidWord(n, tuple(sign * rng.randint(1, n - 1) for _ in range(length))))
+        # the words the solver verifies: canonical words of simples, then the
+        # inverted canonical words of others, so one run of one sign is often
+        # a whole simple; a D that opens either side is a run equal to D or
+        # to D^-1
+        top = _DELTA[n]
+
+        def simples(k):
+            return [_CODE[tuple(rng.sample(range(n), n))] for _ in range(k)]
+
+        for forward, backward in (
+            (simples(8), simples(8)),
+            ([top, *simples(4)], [*simples(4), top]),
+            ([top], [top]),
+            ([top, top, *simples(2)], simples(3)),
+            ([], [*simples(3), top]),
+        ):
+            words.append(_conjugator(n, forward, backward))
         return words
 
     @pytest.mark.parametrize("n", range(2, 10))
