@@ -37,9 +37,10 @@ canonical words of simples, so there a run is a whole simple the solver
 held as one code.  Each appended factor restores left-weightedness with the
 local move "transfer meet(rcomp(A), B) from B to A".  The move sends
 (trivial, B) to (B, trivial), so trivial factors go to the back, where they
-are stripped.  A move that leaves D at position k has only one
-continuation, (A, D) -> (D, tau(A)) past every earlier factor, so D leaves
-the list at once and counts into the power.  That is cheap in a tau-frame:
+are stripped; the forward sweep moves one there in one step.  A move that
+leaves D at position k has only one continuation, (A, D) -> (D, tau(A))
+past every earlier factor, so D leaves the list at once and counts into
+the power.  That is cheap in a tau-frame:
 the move commutes with the flip, move(tau a, tau b) = tau(move(a, b)),
 so the list holds tau^g of each factor under one parity bit g and
 stands for D^power tau^g(list).  Taking D out of X D Y flips the shorter of
@@ -196,15 +197,39 @@ def _comb_back(factors: list[int], i: int, top: int, g: int) -> int:
     return g
 
 
-def _comb_forward(factors: list[int], i: int, top: int, g: int) -> int:
-    """Left-weight the list when only pairs from i on are unweighted; returns the frame parity.
+def _comb_forward(factors: list[int], i: int, ident: int, top: int, g: int) -> int:
+    """Left-weight the list when only pair i is unweighted; returns the frame parity.
 
     Sweeps the pairs (k, k + 1) from k = i, combing back after each change,
-    and stops at the first pair that is already weighted.  A half twist
+    and stops at the first pair that is already weighted.  At each k the
+    pairs below k are weighted and so are those above it.  A half twist
     that forms leaves the list, which moves the next pair down to k.
+
+    Only this sweep leaves a trivial factor inside the list, besides a
+    trivial head that the caller puts there: a move that empties its right
+    factor, or a half twist that takes all of it.  In the comb-back only
+    the appended tail can become trivial, since every other factor it
+    reaches has grown on the right from one whose pair below was weighted.
+    A trivial factor followed by a proper one would pass every later
+    factor B by the move (e, B) -> (B, e), which changes no other factor,
+    so it goes to the end of the list at once, and the pair it leaves
+    behind, the one below k, is checked next; at k = 0 there is none, and
+    every pair is weighted.  The list keeps its length, so the callers
+    still count the half twists that left it by the length, and _strip
+    drops the trailing trivial factors.  A trivial factor followed by
+    another has only trivial factors after it, all weighted pairs, so the
+    sweep stops there rather than move it to the end for ever.
     """
     k = i
     while k < len(factors) - 1:
+        if factors[k] == ident:
+            if factors[k + 1] == ident:
+                break
+            factors.append(factors.pop(k))
+            if not k:
+                break
+            k -= 1
+            continue
         a, b = _PAIR_MOVE[factors[k], factors[k + 1]]
         if a == factors[k]:
             break
@@ -384,7 +409,7 @@ def multiply(f: NormalForm, g: NormalForm) -> NormalForm:
     check_same_strands(f, g)
     left = tuple(_TAU[a] for a in f.codes) if g.power % 2 else f.codes
     factors = [*left, *g.codes]
-    frame = _comb_forward(factors, max(len(left) - 1, 0), _DELTA[f.n], 0)
+    frame = _comb_forward(factors, max(len(left) - 1, 0), _IDENTITY[f.n], _DELTA[f.n], 0)
     extra = len(left) + len(g.codes) - len(factors)
     d, codes = _strip(f.n, factors, frame)
     return NormalForm(f.n, f.power + g.power + extra + d, codes)
@@ -423,13 +448,13 @@ def _conj_raw(n: int, power: int, codes: Codes, s: int) -> tuple[int, Codes]:
     stripped once.  Every half twist that forms leaves the list at once.
     The sweep may leave a trivial factor at the end, which s passes by the
     move (e, B) -> (B, e).  For s = e the list is D A_1..A_l e, weighted,
-    so the strip alone gives the result.  For s = D the trivial head is
-    swept to the end, and D forms at once in the last pair and leaves.
+    so the strip alone gives the result.  For s = D the trivial head goes
+    to the end at once, and D forms at once in the last pair and leaves.
     """
     top = _DELTA[n]
     head = _RCOMP[s] if power % 2 else _LCOMP[s]  # tau(lcomp s) = rcomp s
     factors = [head, *codes]
-    g = _comb_forward(factors, 0, top, 0)
+    g = _comb_forward(factors, 0, _IDENTITY[n], top, 0)
     factors.append(_TAU[s] if g else s)
     g = _comb_back(factors, len(factors) - 1, top, g)
     extra = len(codes) + 2 - len(factors)
@@ -460,17 +485,24 @@ def _lcm_sweep(n: int, c: int, codes: Codes) -> int:
     """The simple c' with A_1..A_l c' = join(c, A_1..A_l), for factors without a half twist.
 
     Past each factor A the pending simple c becomes the c' with
-    A c' = join(c, A).  Once c divides a factor that c' is the identity,
-    whose complement past every later factor is the identity again, so the
-    sweep stops there; one bitmask test replaces the remaining lookups.
+    A c' = join(c, A).  When c divides A that c' is the identity, whose
+    complement past every later factor is the identity again.  Only the
+    first factor is tested that way.  Past A_(k-1) the pending c_k divides
+    rcomp(A_(k-1)), since join(c_(k-1), A_(k-1)) divides
+    D = A_(k-1) rcomp(A_(k-1)), and c_k is not trivial unless c_(k-1)
+    divided A_(k-1).  In a left-weighted list meet(rcomp(A_(k-1)), A_k) is
+    trivial, so a nontrivial c_k never divides A_k, and past a first
+    factor that c does not divide the sweep always runs to the end.  A list
+    that is not left-weighted gets the same result, since the identity
+    stays the identity under every complement; it only loses the early exit.
     The result is simple since c and A_1..A_l both divide A_1..A_l D.  The
     solver's floor test sweeps tau^j(s) through an entry's p this way and
     cancels p on the left: tau^j(s) divides p*s exactly when the result
     divides s.
     """
+    if codes and not _INV[c] & ~_INV[codes[0]]:
+        return _IDENTITY[n]
     for a in codes:
-        if not _INV[c] & ~_INV[a]:
-            return _IDENTITY[n]
         c = _left_complement(c, a)
     return c
 

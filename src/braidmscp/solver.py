@@ -21,7 +21,9 @@ entry D^j p and grows s if the entry rejects it, by lattice operations on
 simple elements alone: with t = tau^j(s) and c the simple with
 p*c = join(t, p), t divides p*s exactly when c divides s, and a rejected s
 grows to join(s, c), so the product p*s is never built.  An ascent stops
-early once s lies above a minimum found for an earlier generator.
+early once s lies above a minimum found for an earlier generator, and once
+s is the half twist D, which keeps every floor since conjugating by D is
+tau; no entry is tested against D.
 
 The search runs between the summits of both sides, as the Lee-Lee
 algorithm does: over conjugates whose entries have high infimum and low
@@ -225,9 +227,18 @@ def _minimal_conjugator_code(n: int, active, s: int, found=()) -> int | None:
     Returns None instead, as soon as the growing candidate is divisible by
     a simple in found.  Every candidate divides the minimum the ascent would
     reach, so that minimum is then also divisible by the found simple: it is
-    that simple or strictly above it.
+    that simple or strictly above it.  That check comes first, so a
+    candidate above an earlier minimum gives None even when it is D.
+
+    A candidate equal to the half twist D is returned without a floor step:
+    conjugating by D is tau, which keeps every infimum, so D is the minimum
+    above itself.  That covers a start at D too, as at n = 2, where the
+    only letter is D.  Every other step grows s strictly, to join(s, c) for
+    a c that does not divide s, so the ascent reaches D or an accepted
+    candidate within D's word length.
     """
-    for _ in range(n * (n - 1) // 2 + 1):
+    top = _DELTA[n]
+    while s != top:
         for parity, pcodes in active:
             grown = _floor_step(n, parity, pcodes, s)
             if grown is not None:
@@ -237,7 +248,7 @@ def _minimal_conjugator_code(n: int, active, s: int, found=()) -> int | None:
             return s
         if any(not _INV[o] & ~_INV[s] for o in found):
             return None
-    raise AssertionError("unreachable: the half twist keeps every floor")
+    return s
 
 
 def minimal_conjugator(i: int, t: BraidTuple, floor: InfFloor) -> SimpleElement:
@@ -392,20 +403,31 @@ def _lift_chain(n: int, chain: dict[Entries, SummitNode], counters: SearchCounte
     every later move would be skipped too, and the chain is the one the
     longer run would build.  A turn on a half-twist power makes no move, so
     a tuple of half-twist powers ends the chain after one round of turns.
+
+    The ascent tests the turn's entry and its partner (the same braid's
+    inverse, or its original) last.  Both accept the start: cycling
+    D^p A_1 ... A_l by tau^p(A_1) gives D^p A_2 ... A_l tau^p(A_1), which
+    keeps the entry's infimum and does not raise its supremum, whose
+    negation is the partner's infimum.  The minimum above the start is
+    unique, so the order of the tests changes no result; it only skips the
+    two tests whenever another entry rejects first.
     """
     (key,) = chain
     current = _doubled(key)
     width = len(current)
     turn = stale = idle = 0
     while stale < n * (n - 1) // 2 and idle < width:
-        power, codes = current[turn % width]
+        k = turn % width
+        power, codes = current[k]
         turn += 1
         idle += 1
         if not codes:
             continue
         counters.lift_moves += 1
         stale += 1
-        active = [(p % 2, c) for p, c in current]
+        partner = (k + width // 2) % width
+        order = [e for i, e in enumerate(current) if i != k and i != partner]
+        active = [(p % 2, c) for p, c in (*order, current[k], current[partner])]
         s = _minimal_conjugator_code(n, active, _TAU[codes[0]] if power % 2 else codes[0])
         lifted = None if s == _DELTA[n] else tuple(_conj_raw(n, p, c, s) for p, c in key)
         if lifted is None or lifted in chain:

@@ -37,7 +37,7 @@ from braidmscp import (
     word_inverse,
 )
 from braidmscp import normal_form
-from braidmscp.braid import _CODE, _DELTA, _IDENTITY, _braid_mul, _gen_perm, _id_perm
+from braidmscp.braid import _CODE, _DELTA, _IDENTITY, _TAU, _braid_mul, _gen_perm, _id_perm, _LazyTable
 from braidmscp.solver import _conjugator
 
 
@@ -310,11 +310,39 @@ class TestCombAgainstReference:
         for f, g in [*zip(forms, forms[1:] + forms[:1]), *((invert(f), f) for f in forms)]:
             h = multiply(f, g)
             assert (h.power, h.codes) == oracle.ref_multiply(n, (f.power, f.codes), (g.power, g.codes))
+        # a form's cycling factor tau^power(A_1) cancels its head into a half
+        # twist, which leaves a trivial factor at the front of the list
         perm = tuple(rng.sample(range(n), n))
         for f in forms:
-            for s in (SimpleElement(n, perm).code, _IDENTITY[n], _DELTA[n]):
+            cycling = [_TAU[f.codes[0]] if f.power % 2 else f.codes[0]] if f.codes else []
+            for s in (SimpleElement(n, perm).code, _IDENTITY[n], _DELTA[n], *cycling):
                 got = normal_form._conj_raw(n, f.power, f.codes, s)
                 assert got == oracle.ref_conj_raw(n, f.power, f.codes, s)
+
+    @pytest.mark.parametrize("power", [-1, 0, 1, 2])
+    def test_trivial_head_leaves_in_one_step(self, monkeypatch, power):
+        # (A, A) is weighted for A = s1 s2 s1 s4 s5 s4 s7, since every
+        # letter that starts A also ends it, so A^12 has twelve factors.
+        # Conjugating by its cycling factor leaves a trivial factor at the
+        # head, which goes to the end of the list at once instead of one
+        # pair move per factor.
+        lookups = []
+
+        class Counting(_LazyTable):
+            def __getitem__(self, key):
+                lookups.append(key)
+                return super().__getitem__(key)
+
+        monkeypatch.setattr(normal_form, "_PAIR_MOVE", Counting(normal_form._pair_move))
+        d = simple_to_word(delta(8))
+        twists = d.letters * power if power >= 0 else word_inverse(d).letters
+        f = normalize(BraidWord(8, twists + (1, 2, 1, 4, 5, 4, 7) * 12))
+        assert (f.power, len(f.codes)) == (power, 12)
+        s = _TAU[f.codes[0]] if power % 2 else f.codes[0]
+        lookups.clear()
+        got = normal_form._conj_raw(8, f.power, f.codes, s)
+        assert len(lookups) < len(f.codes)
+        assert got == oracle.ref_conj_raw(8, f.power, f.codes, s)
 
     def test_no_pair_move_meets_a_half_twist(self):
         # a half twist that forms leaves the list at once, so no pair move
@@ -454,6 +482,27 @@ class TestPrefixAndLcm:
                     if simple_prefix_of_positive(s, cand_prod):
                         # minimality: every working multiplier contains c
                         assert oracle.brute_divides(c.perm, cand.perm)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_lcm_complement_of_unweighted_factors(self, n):
+        # lcm_complement accepts a NormalForm whose factors are not
+        # left-weighted; the sweep then may reach the identity past a later
+        # factor, and must keep it, for the least multiplier of the product
+        simples = enumerate_simples(n)
+        proper = [s for s in simples if not s.is_identity() and not s.is_delta()]
+        rng = random.Random(70 + n)
+        lists = [[rng.choice(proper) for _ in range(rng.randint(2, 4))] for _ in range(12)]
+        lists.append([generator_simple(n, 1), simple_from_positive_word(BraidWord(n, (2, 1)))])
+        unweighted = 0
+        for factors in lists:
+            p = NormalForm(n, 0, tuple(a.code for a in factors))
+            unweighted += any(normal_form._PAIR_MOVE[pair] != pair for pair in zip(p.codes, p.codes[1:]))
+            product = normalize(word_concat(BraidWord(n, ()), *(simple_to_word(a) for a in factors)))
+            for s in simples:
+                working = [c for c in simples if simple_prefix_of_positive(s, multiply(product, nf_of_simple(c)))]
+                least = [c for c in working if all(oracle.brute_divides(c.perm, o.perm) for o in working)]
+                assert [lcm_complement(s, p)] == least
+        assert unweighted > len(lists) // 2
 
 
 @st.composite

@@ -570,6 +570,35 @@ class TestLiftChain:
             ]
             assert (steps == []) is all(not e.codes for e in beta.entries)
 
+    def test_no_floor_step_tests_the_half_twist(self, monkeypatch):
+        # hard n=8 r=3 seed 1: many lift ascents climb to D, which keeps
+        # every floor, so an ascent returns it without testing an entry;
+        # the entries it tests in a new order give the reference chains
+        inst, _ = gen_instance(GenParams(8, 3, 16, 12, seed=1))
+        alpha, beta = tuple_from_words(8, inst.alpha), tuple_from_words(8, inst.beta)
+        tested, minima = [], []
+        step, ascend = solver_module._floor_step, solver_module._minimal_conjugator_code
+
+        def spy_step(n, parity, pcodes, s):
+            tested.append(s)
+            return step(n, parity, pcodes, s)
+
+        def spy_ascend(*args):
+            minima.append(ascend(*args))
+            return minima[-1]
+
+        monkeypatch.setattr(solver_module, "_floor_step", spy_step)
+        monkeypatch.setattr(solver_module, "_minimal_conjugator_code", spy_ascend)
+        res = solve_mscp(alpha, beta, node_cap=1000)
+        assert res.outcome is Outcome.FOUND and res.counters.nodes_expanded > 0
+        for t in (alpha, beta):
+            chain = lift_chain(t)
+            assert [(key, node.parent, node.edge) for key, node in chain.items()] == [
+                (key, parent, edge) for key, (parent, edge) in oracle.ref_lift_chain(t).items()
+            ]
+        assert minima.count(_DELTA[8]) > 10
+        assert tested and _DELTA[8] not in tested
+
     def test_chain_targets_need_the_floor(self):
         alpha, beta = words_tuple(3, (1,)), words_tuple(3, (2,))
         with pytest.raises(InvalidParams):
