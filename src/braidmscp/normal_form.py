@@ -27,37 +27,48 @@ is already left-weighted exactly when no letter starts both rcomp(a) and b,
 one AND of two start-set bitmasks, which is tested before any meet is
 computed.
 
+Every normal form is built the same way, by _push: a list of factors is
+multiplied on the right by one simple.  The list is kept in a tau-frame:
+it holds tau^g of each factor under one parity bit g and stands for
+D^power tau^g(list).  Between pushes it is left-weighted and holds no
+trivial factor and no D.  A pushed D counts into the power and toggles g,
+since X D = D tau(X), and a pushed identity changes nothing.  Any other
+simple is appended as tau^g of itself and restores left-weightedness with
+the local move "transfer meet(rcomp(A), B) from B to A", combed back from
+the tail until a pair is already weighted.  The move commutes with the
+flip, move(tau a, tau b) = tau(move(a, b)), so the frame never has to be
+undone while combing.  A move that leaves D at position k has only one
+continuation, (A, D) -> (D, tau(A)) past every earlier factor, so D
+leaves the list at once and counts into the power: taking D out of X D Y
+flips the shorter of X and Y, and flipping Y toggles g.  Only the new tail
+can become trivial, since every other factor the comb reaches has grown
+on the right from one whose pair below was weighted, and a trivial tail
+is dropped.  So no move ever has the identity or D as either factor, and
+the list leaves the frame once, at the end.
+
 Normalization cuts the kept letters into maximal runs of one sign whose
-braid is simple and appends one factor per run: a positive run as its
+braid is simple and pushes one simple per run: a positive run as its
 simple, a run of inverse letters as D^-1 times the left complement of its
 reversed positive word.  A run's code is carried as it grows, by one
 addition of a factorial per letter to the code of its first letter, so no
 permutation is built or ranked.  The solver's conjugators are strings of
 canonical words of simples, so there a run is a whole simple the solver
-held as one code.  Each appended factor restores left-weightedness with the
-local move "transfer meet(rcomp(A), B) from B to A".  The move sends
-(trivial, B) to (B, trivial), so trivial factors go to the back, where they
-are stripped; the forward sweep moves one there in one step.  A move that
-leaves D at position k has only one continuation, (A, D) -> (D, tau(A))
-past every earlier factor, so D leaves the list at once and counts into
-the power.  That is cheap in a tau-frame:
-the move commutes with the flip, move(tau a, tau b) = tau(move(a, b)),
-so the list holds tau^g of each factor under one parity bit g and
-stands for D^power tau^g(list).  Taking D out of X D Y flips the shorter of
-X and Y, and flipping Y toggles g.  A D^-1 moved to the power toggles g too,
-a run is grown from the flipped letters n-i when g is odd, so that it is
-appended as tau^g of its simple, and the list is flipped once at the end if
-g is odd.  Normalization never leaves D in the list, so none of its
-moves has D as its right factor.  Products of two already-weighted
-sequences only need the move combed outward from the junction, which keeps
-multiplication cheap.
-Conjugating by a simple s adds one factor at each end of a weighted
-sequence, so it is left-weighted in one pass over one list: a forward sweep
-from the new head, then s combed back from the tail, then a single strip.
-Only the one-pair move is kept, in the table _PAIR_MOVE keyed by the pair
-(a, b), since most lookups hit it; the comb reads it by subscript.  Whole
-normal forms, conjugates and products rarely repeat, so they are
-recomputed.
+held as one code.
+
+A product D^j A D^k B is D^(j+k) tau^k(A) B: the factors of B are pushed
+onto the list tau^k(A), and conjugating D^k A by a simple s pushes
+tau^k(lcomp s), then A's factors, then s onto D^(k-1).  When the factors
+of a normal form are pushed, the pushes stop at the first one that needs
+no move, because its junction is already weighted or the list was empty,
+and the rest is copied unchanged, framed by g.  That is sound because
+those factors are weighted in themselves and tau keeps a pair weighted,
+so the list with the copied tail is weighted everywhere; and none of them
+is trivial or D.  Pushing the rest one at a time would give the same
+list, since each push would find its junction weighted and move nothing;
+the copy only skips those lookups.  Only the one-pair move is kept, in
+the table _PAIR_MOVE keyed by the pair (a, b), since most lookups hit it;
+the comb reads it by subscript.  Whole normal forms, conjugates and
+products rarely repeat, so they are recomputed.
 """
 
 from __future__ import annotations
@@ -180,82 +191,60 @@ def _take_half_twist(factors: list[int], k: int, b: int) -> int:
     return 1
 
 
-def _comb_back(factors: list[int], i: int, top: int, g: int) -> int:
-    """Restore left-weightedness of pairs below i after factor i changed.
+def _push(factors: list[int], power: int, g: int, c: int, ident: int, top: int) -> tuple[int, int, bool]:
+    """Multiply D^power tau^g(factors) on the right by the simple c.
 
-    The factors are stored in the tau-frame of parity g, and the frame
-    parity after the comb is returned.  A move that forms the half twist
-    top ends the comb: the half twist leaves the list, one factor shorter.
+    Every normal form is built by these pushes.  D counts into the power
+    and toggles g, since X D = D tau(X), and the identity changes nothing.
+    Any other simple is appended in the list's frame, and the pairs below
+    it are weighted again by combing the move back from the tail until a
+    pair is already weighted.  A move that forms the half twist top ends
+    the comb, since the half twist leaves the list for the power.  Only the
+    new tail can become trivial, and then it is dropped.  Returns the new
+    power and g, and whether c was appended with no move: the list was
+    empty, or its junction with c was already weighted.
     """
-    for k in range(i - 1, -1, -1):
-        a, b = _PAIR_MOVE[factors[k], factors[k + 1]]
-        if a == factors[k]:
-            break
-        if a == top:
-            return g ^ _take_half_twist(factors, k, b)
-        factors[k], factors[k + 1] = a, b
-    return g
-
-
-def _comb_forward(factors: list[int], i: int, ident: int, top: int, g: int) -> int:
-    """Left-weight the list when only pair i is unweighted; returns the frame parity.
-
-    Sweeps the pairs (k, k + 1) from k = i, combing back after each change,
-    and stops at the first pair that is already weighted.  At each k the
-    pairs below k are weighted and so are those above it.  A half twist
-    that forms leaves the list, which moves the next pair down to k.
-
-    Only this sweep leaves a trivial factor inside the list, besides a
-    trivial head that the caller puts there: a move that empties its right
-    factor, or a half twist that takes all of it.  In the comb-back only
-    the appended tail can become trivial, since every other factor it
-    reaches has grown on the right from one whose pair below was weighted.
-    A trivial factor followed by a proper one would pass every later
-    factor B by the move (e, B) -> (B, e), which changes no other factor,
-    so it goes to the end of the list at once, and the pair it leaves
-    behind, the one below k, is checked next; at k = 0 there is none, and
-    every pair is weighted.  The list keeps its length, so the callers
-    still count the half twists that left it by the length, and _strip
-    drops the trailing trivial factors.  A trivial factor followed by
-    another has only trivial factors after it, all weighted pairs, so the
-    sweep stops there rather than move it to the end for ever.
-    """
-    k = i
-    while k < len(factors) - 1:
-        if factors[k] == ident:
-            if factors[k + 1] == ident:
-                break
-            factors.append(factors.pop(k))
-            if not k:
-                break
-            k -= 1
-            continue
-        a, b = _PAIR_MOVE[factors[k], factors[k + 1]]
-        if a == factors[k]:
-            break
-        if a == top:
-            g ^= _take_half_twist(factors, k, b)
-            continue
-        factors[k], factors[k + 1] = a, b
-        m = len(factors)
-        g = _comb_back(factors, k, top, g)
-        if len(factors) == m:
-            k += 1
-    return g
-
-
-def _strip(n: int, factors: list[int], g: int = 0) -> tuple[int, Codes]:
-    """Absorb leading half twists into the power, drop trailing trivials, and leave the tau-frame."""
-    ident = _IDENTITY[n]
-    top = _DELTA[n]
-    lo, hi = 0, len(factors)
-    while lo < hi and factors[lo] == top:
-        lo += 1
-    while lo < hi and factors[hi - 1] == ident:
-        hi -= 1
     if g:
-        return lo, tuple([_TAU[c] for c in factors[lo:hi]])
-    return lo, tuple(factors[lo:hi])
+        c = _TAU[c]
+    if c == top:
+        return power + 1, g ^ 1, False
+    if c == ident:
+        return power, g, False
+    factors.append(c)
+    settled = True
+    for k in range(len(factors) - 2, -1, -1):
+        a, b = _PAIR_MOVE[factors[k], factors[k + 1]]
+        if a == factors[k]:
+            break
+        settled = False
+        if a == top:
+            power += 1
+            g ^= _take_half_twist(factors, k, b)
+            break
+        factors[k], factors[k + 1] = a, b
+    if factors[-1] == ident:
+        factors.pop()
+    return power, g, settled
+
+
+def _push_weighted(factors: list[int], power: int, g: int, seq: Codes, ident: int, top: int) -> tuple[int, int]:
+    """Push the factors of a normal form one at a time; returns the new power and g.
+
+    The pushes stop once a factor is appended with no move, and the rest of
+    seq is copied unchanged, framed by g.  That is sound since seq is
+    weighted in itself and tau keeps a pair weighted.
+    """
+    for j, c in enumerate(seq):
+        power, g, settled = _push(factors, power, g, c, ident, top)
+        if settled:
+            factors.extend([_TAU[a] for a in seq[j + 1 :]] if g else seq[j + 1 :])
+            break
+    return power, g
+
+
+def _unframed(factors: list[int], g: int) -> Codes:
+    """The factors of D^power tau^g(factors), out of the tau-frame."""
+    return tuple([_TAU[c] for c in factors] if g else factors)
 
 
 def _cancel_pairs(n: int, letters) -> list[int]:
@@ -293,20 +282,16 @@ def _cancel_pairs(n: int, letters) -> list[int]:
 
 
 def _weight_seq(n: int, letters) -> tuple[int, Codes]:
-    """Left normal form of a word's letters, appending one simple run at a time.
+    """Left normal form of a word's letters, pushing one simple run at a time.
 
     The letters are cut into maximal runs of one sign whose braid is simple,
-    and each run is appended as one factor.  That is sound because:
+    and each run is pushed as one simple (_push).  That is sound because:
 
-      * a positive run's product is a simple r, appended as r;
+      * a positive run's product is a simple r, pushed as r;
       * a run s_j1^-1 .. s_jk^-1 is P^-1 for the simple P = s_jk .. s_j1,
-        and P^-1 = D^-1 lcomp(P): a D^-1 for the power, then the left
-        complement of the run's reversed positive word;
-      * the comb accepts any simple appended at the tail, as _conj_raw
-        already relies on: only the last pair can be unweighted, the move
-        combed back from there weights the rest, and only the new last
-        factor can become trivial, since appending a simple does not lower
-        the supremum;
+        and P^-1 = D^-1 lcomp(P): a D^-1 for the power, which toggles the
+        list's frame, then the left complement of the run's reversed
+        positive word;
       * the rank step holds for an adjacent transposition.  A run keeps its
         arrangement, the strand at each position, and letter i meets the
         strands x, y at positions i-1 and i.  Swapping them changes the
@@ -317,14 +302,9 @@ def _weight_seq(n: int, letters) -> tuple[int, Codes]:
         possible when x > y, the two already crossed, and its rank falls.
 
     A run starts from its first letter's code and arrangement, so a run of
-    one letter builds nothing.  The list holds tau^g of each factor and
-    stands for D^power tau^g(list): a D^-1 moved to the power toggles g, and
-    a run is grown from the flipped letters n-i when g is odd, so that it is
-    appended as tau^g of its simple.  A half twist that the comb forms
-    leaves at once.  Neither a half twist nor the identity stays in the
-    list: a run equal to D counts into the power and toggles g, and the
-    complement of a run equal to D^-1 is trivial and popped.  At n = 2
-    every positive run is D and every inverse run's complement trivial.
+    one letter builds nothing.  A run equal to D, or an inverse run whose
+    complement is trivial, is left to _push.  At n = 2 every positive run
+    is D and every inverse run's complement trivial.
     """
     codes, starts, step = _LETTERS[n], _RUN_START[n], _RANK_STEP[n]
     ident, top = _IDENTITY[n], _DELTA[n]
@@ -338,13 +318,12 @@ def _weight_seq(n: int, letters) -> tuple[int, Codes]:
         if not up:
             power -= 1
             g ^= 1
-        i = (n - e if up else -n - e) if g else e  # the letter in the list's frame
-        run, c = starts[i], codes[i]  # the run's arrangement, copied once it grows
+        run, c = starts[e], codes[e]  # the run's arrangement, copied once it grows
         while k < end:
             e = letters[k]
             if (e > 0) is not up:
                 break
-            i = (n - e if up else n + e) if g else (e if up else -e)  # its index, framed
+            i = e if up else -e
             u, v = run[i - 1], run[i]
             if (u < v) is not up:
                 break
@@ -353,18 +332,8 @@ def _weight_seq(n: int, letters) -> tuple[int, Codes]:
             run[i - 1], run[i] = v, u
             c += step[u] if up else -step[v]
             k += 1
-        if c == top:
-            power += 1
-            g ^= 1
-            continue
-        factors.append(c)
-        m = len(factors)
-        if m > 1:  # a lone factor is weighted
-            g = _comb_back(factors, m - 1, top, g)
-            power += m - len(factors)
-        if factors[-1] == ident:
-            factors.pop()
-    return power, tuple([_TAU[c] for c in factors] if g else factors)
+        power, g, _ = _push(factors, power, g, c, ident, top)
+    return power, _unframed(factors, g)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +345,7 @@ def normalize(w: BraidWord) -> NormalForm:
     """Left normal form of the braid represented by a word.
 
     The pairs e .. e^-1 that cancel across far-commuting letters go first
-    (_cancel_pairs); the rest is appended one simple run at a time: a
+    (_cancel_pairs); the rest is pushed one simple run at a time: a
     positive run contributes its simple and an inverse run D^-1 times the
     left complement of its reversed positive word (_weight_seq).
     """
@@ -384,7 +353,10 @@ def normalize(w: BraidWord) -> NormalForm:
 
 
 def nf_of_simple(s: SimpleElement) -> NormalForm:
-    return NormalForm(s.n, *_strip(s.n, [s.code]))
+    """Normal form of a simple: D^1 for D, D^0 with no factor for the identity, else the one factor."""
+    factors: list[int] = []
+    power, g, _ = _push(factors, 0, 0, s.code, _IDENTITY[s.n], _DELTA[s.n])
+    return NormalForm(s.n, power, _unframed(factors, g))
 
 
 def nf_to_word(f: NormalForm) -> BraidWord:
@@ -401,18 +373,15 @@ def nf_to_word(f: NormalForm) -> BraidWord:
 def multiply(f: NormalForm, g: NormalForm) -> NormalForm:
     """Normal form of the product fg.
 
-    D^j A D^k B = D^(j+k) tau^k(A) B, one list of two weighted sequences.
-    Violations can only start at the junction, so the local move is applied
-    there and combed outward until a pair is already weighted; each half
-    twist that forms on the way counts into the power.
+    D^j A D^k B = D^(j+k) tau^k(A) B: the factors of B are pushed onto the
+    weighted list tau^k(A) until one needs no move, and the rest of B is
+    copied (_push_weighted).  Each half twist that forms on
+    the way counts into the power.
     """
     check_same_strands(f, g)
-    left = tuple(_TAU[a] for a in f.codes) if g.power % 2 else f.codes
-    factors = [*left, *g.codes]
-    frame = _comb_forward(factors, max(len(left) - 1, 0), _IDENTITY[f.n], _DELTA[f.n], 0)
-    extra = len(left) + len(g.codes) - len(factors)
-    d, codes = _strip(f.n, factors, frame)
-    return NormalForm(f.n, f.power + g.power + extra + d, codes)
+    factors = [_TAU[a] for a in f.codes] if g.power % 2 else list(f.codes)
+    power, frame = _push_weighted(factors, f.power + g.power, 0, g.codes, _IDENTITY[f.n], _DELTA[f.n])
+    return NormalForm(f.n, power, _unframed(factors, frame))
 
 
 def invert(f: NormalForm) -> NormalForm:
@@ -441,25 +410,19 @@ def _invert_raw(power: int, codes: Codes) -> tuple[int, Codes]:
 def _conj_raw(n: int, power: int, codes: Codes, s: int) -> tuple[int, Codes]:
     """Conjugate D^power A_1..A_l by the simple s, as raw data.
 
-    s^-1 D^k A.. s = D^(k-1) tau^k(lcomp(s)) A_1 .. A_l s, one list with the
-    weighted sequence between two new factors, left-weighted in one pass:
-    a forward sweep from the head weights head A_1 .. A_l, then s is
-    appended in the list's tau-frame and combed back, and the list is
-    stripped once.  Every half twist that forms leaves the list at once.
-    The sweep may leave a trivial factor at the end, which s passes by the
-    move (e, B) -> (B, e).  For s = e the list is D A_1..A_l e, weighted,
-    so the strip alone gives the result.  For s = D the trivial head goes
-    to the end at once, and D forms at once in the last pair and leaves.
+    s^-1 D^k A.. s = D^(k-1) tau^k(lcomp(s)) A_1 .. A_l s: onto D^(k-1) the
+    head tau^k(lcomp s) is pushed, then the weighted A_1 .. A_l, then s.
+    For s = e the head is D, so the factors are copied into the flipped
+    frame and e changes nothing; for s = D the head is trivial, and D
+    flips the frame.
     """
-    top = _DELTA[n]
     head = _RCOMP[s] if power % 2 else _LCOMP[s]  # tau(lcomp s) = rcomp s
-    factors = [head, *codes]
-    g = _comb_forward(factors, 0, _IDENTITY[n], top, 0)
-    factors.append(_TAU[s] if g else s)
-    g = _comb_back(factors, len(factors) - 1, top, g)
-    extra = len(codes) + 2 - len(factors)
-    d, seq = _strip(n, factors, g)
-    return power - 1 + extra + d, seq
+    factors: list[int] = []
+    ident, top = _IDENTITY[n], _DELTA[n]
+    power, g, _ = _push(factors, power - 1, 0, head, ident, top)
+    power, g = _push_weighted(factors, power, g, codes, ident, top)
+    power, g, _ = _push(factors, power, g, s, ident, top)
+    return power, _unframed(factors, g)
 
 
 def conjugate(f: NormalForm, s: SimpleElement) -> NormalForm:

@@ -8,15 +8,18 @@ from hypothesis import strategies as st
 import oracle
 from braidmscp import (
     BraidWord,
+    GenParams,
     InvalidParams,
     NormalForm,
     NotPositive,
+    Outcome,
     SimpleElement,
     StrandMismatch,
     conjugate,
     delta,
     enumerate_simples,
     exponent_sum,
+    gen_instance,
     generator_simple,
     identity_simple,
     inf_sup,
@@ -30,8 +33,10 @@ from braidmscp import (
     simple_from_positive_word,
     simple_prefix_of_positive,
     simple_to_word,
+    solve_mscp,
     strand_permutation,
     tau,
+    tuple_from_words,
     validate_normal_form,
     word_concat,
     word_inverse,
@@ -230,9 +235,10 @@ class TestConjugate:
         return multiply(multiply(invert(snf), f), snf)
 
     def test_matches_two_products_at_larger_n(self):
-        # conjugate runs the one-pass sweep of normal_form._conj_raw, which has
-        # no branch for the identity or the half twist, so both are given
-        # explicitly: random simples at this n almost never hit them
+        # normal_form._push counts a pushed half twist into the power and
+        # skips a pushed identity, and _conj_raw pushes tau^k(lcomp s) and s,
+        # so s = e and s = D take those branches; both are given explicitly,
+        # since random simples at this n almost never hit them
         rng = random.Random(19)
         for _ in range(300):
             n = rng.randint(6, 8)
@@ -263,8 +269,10 @@ class TestCombAgainstReference:
     """normalize, multiply and conjugation against the oracle's comb.
 
     The oracle bubbles every half twist to the front one pair move at a
-    time and appends one letter at a time; the package takes a half twist
-    out of the list in one step and appends one simple run at a time.  The
+    time, appends one letter at a time, and weights a product by a forward
+    sweep from the junction and a strip; the package takes a half twist
+    out of the list in one step and builds every list by pushing one
+    simple at a time, a whole run when it normalizes.  The
     words run up to 256 letters and include all-positive and all-negative
     ones and the solver's words of whole simples; at n = 2 every letter is
     a half twist.  normalize cancels inverse pairs first, so the comb also
@@ -319,21 +327,27 @@ class TestCombAgainstReference:
                 got = normal_form._conj_raw(n, f.power, f.codes, s)
                 assert got == oracle.ref_conj_raw(n, f.power, f.codes, s)
 
-    @pytest.mark.parametrize("power", [-1, 0, 1, 2])
-    def test_trivial_head_leaves_in_one_step(self, monkeypatch, power):
-        # (A, A) is weighted for A = s1 s2 s1 s4 s5 s4 s7, since every
-        # letter that starts A also ends it, so A^12 has twelve factors.
-        # Conjugating by its cycling factor leaves a trivial factor at the
-        # head, which goes to the end of the list at once instead of one
-        # pair move per factor.
-        lookups = []
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        """The keys of every _PAIR_MOVE lookup, in order, through a counting table."""
+        keys = []
 
         class Counting(_LazyTable):
             def __getitem__(self, key):
-                lookups.append(key)
+                keys.append(key)
                 return super().__getitem__(key)
 
         monkeypatch.setattr(normal_form, "_PAIR_MOVE", Counting(normal_form._pair_move))
+        return keys
+
+    @pytest.mark.parametrize("power", [-1, 0, 1, 2])
+    def test_trivial_head_leaves_in_one_step(self, lookups, power):
+        # (A, A) is weighted for A = s1 s2 s1 s4 s5 s4 s7, since every
+        # letter that starts A also ends it, so A^12 has twelve factors.
+        # Conjugating by its cycling factor pushes the head lcomp(A), and
+        # A_1 then forms a half twist with it and leaves a trivial tail,
+        # which is dropped; the list is empty, so the other eleven factors
+        # are copied with no lookup, and only s is combed back.
         d = simple_to_word(delta(8))
         twists = d.letters * power if power >= 0 else word_inverse(d).letters
         f = normalize(BraidWord(8, twists + (1, 2, 1, 4, 5, 4, 7) * 12))
@@ -343,6 +357,30 @@ class TestCombAgainstReference:
         got = normal_form._conj_raw(8, f.power, f.codes, s)
         assert len(lookups) < len(f.codes)
         assert got == oracle.ref_conj_raw(8, f.power, f.codes, s)
+
+    def test_no_lookup_has_a_trivial_or_half_twist_factor(self, lookups):
+        # between pushes the list holds neither the identity nor D; a pushed
+        # D goes to the power and a pushed identity is skipped, a D that a
+        # move forms leaves at once, and only the new tail can become
+        # trivial, which is dropped before the next push; so no pair that
+        # normalize, multiply or the conjugation looks up has either as a
+        # factor, over random forms and over a search-heavy solve
+        rng = random.Random(48)
+        for n in range(4, 9):
+            forms = [normalize(rand_word(rng, n, 96)) for _ in range(12)]
+            for f, g in zip(forms, forms[1:] + forms[:1]):
+                multiply(f, g)
+                multiply(invert(f), f)
+                multiply(f, invert(f))
+                cycling = [_TAU[f.codes[0]] if f.power % 2 else f.codes[0]] if f.codes else []
+                for s in (_CODE[tuple(rng.sample(range(n), n))], _IDENTITY[n], _DELTA[n], *cycling):
+                    normal_form._conj_raw(n, f.power, f.codes, s)
+        inst, _ = gen_instance(GenParams(8, 3, 16, 12, seed=1))
+        res = solve_mscp(tuple_from_words(8, inst.alpha), tuple_from_words(8, inst.beta), node_cap=1000)
+        assert res.outcome is Outcome.FOUND and res.counters.nodes_expanded > 0
+        ends = {code for n in range(4, 9) for code in (_IDENTITY[n], _DELTA[n])}
+        assert lookups
+        assert [key for key in lookups if ends & set(key)] == []
 
     def test_no_pair_move_meets_a_half_twist(self):
         # a half twist that forms leaves the list at once, so no pair move
