@@ -262,8 +262,8 @@ _CODE = _LazyTable(_code_of_perm)
 _PERM = _LazyTable(_perm_of_code)
 # lcomp(a) is the simple element with lcomp(a) * a = D.  A fill of _LCOMP or
 # _TAU also writes its partner entry, as the builders say.  A fill of _RCOMP
-# does not write lcomp(rcomp a) = a: on the verify workload those entries
-# raised peak RSS by 1.3% and saved no measurable time.
+# does not write lcomp(rcomp a) = a: those entries saved no measurable time
+# (ROADMAP.md item 6, "Measured and rejected").
 _RCOMP = _LazyTable(lambda c: _CODE[_rcomp_perm(_PERM[c])])
 _LCOMP = _LazyTable(_lcomp_code)
 _TAU = _LazyTable(_tau_code)

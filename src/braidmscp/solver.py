@@ -57,17 +57,18 @@ alone would, or earlier, and exhausting the frontier proves that no
 target, and so not beta, is conjugate to alpha: NOT_CONJUGATE.  A search
 that exceeds its node cap aborts without a verdict.
 
-The search also raises its floor while it runs.  When a visited tuple X
-and a target t both lie above the floor, the componentwise minimum F_t of
-their inf vectors is a floor that both meet, and the search restarts from
-X at F_t.  This stays complete: X is conjugate to alpha by its tree path
-and t to beta by its chain path, so if alpha and beta are conjugate then
-t is a conjugate of X that meets F_t, and it lies in X's component of
-that floor set, which is connected under minimal floor-keeping
-conjugators by the same meet closure.  So exhausting the restarted
-search still proves NOT_CONJUGATE.  Each raise lifts a coordinate and
-lowers none, and F_t never exceeds a target's vector, so raises are
-finite.
+The search also raises its floor while it runs, and each floor is one
+phase of it: a breadth-first pass with its own queue and visited set.
+When a visited tuple X and a target t both lie above the floor, the
+componentwise minimum F_t of their inf vectors is a floor that both meet,
+and the next phase starts from X at F_t.  This stays complete: X is
+conjugate to alpha by its tree path and t to beta by its chain path, so
+if alpha and beta are conjugate then t is a conjugate of X that meets F_t,
+and it lies in X's component of that floor set, which is connected under
+minimal floor-keeping conjugators by the same meet closure.  So
+exhausting the last phase still proves NOT_CONJUGATE.  Each raise lifts a
+coordinate and lowers none, and F_t never exceeds a target's vector, so
+the phases are finite.
 """
 
 from __future__ import annotations
@@ -124,9 +125,12 @@ class BraidTuple:
     entries: tuple[NormalForm, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
         if not self.entries:
             raise InvalidParams("a braid tuple needs at least one entry")
         for e in self.entries:
+            if not isinstance(e, NormalForm):
+                raise InvalidParams(f"tuple entry {e!r} is not a NormalForm")
             if e.n != self.n:
                 raise StrandMismatch(f"entry on {e.n} strands in a tuple on {self.n}")
 
@@ -482,7 +486,7 @@ def summit_search(
         raise InvalidParams("the lift chain does not start at beta")
     if not _meets(_vector(root), floor) or not any(_meets(_vector(key), floor) for key in chain):
         raise NotInFloor("alpha and a tuple of beta's chain must satisfy the floor")
-    return _search(alpha.n, root, floor, node_cap, chain, SearchCounters(), [])
+    return _search(alpha.n, root, tuple(floor), node_cap, chain, SearchCounters(), [])
 
 
 def _search(
@@ -513,17 +517,31 @@ def _search(
     A chain tuple t is y^-1 beta y for the product y of the conjugators on
     its chain path, so when the search reaches t along the path P from the
     root, x = L P y^-1 conjugates alpha to beta, with L the product of lead.
-    When a node X is taken off the queue and some entry of its doubled
-    tuple lies above the floor, each target t gives F_t, the componentwise
-    minimum of X's and t's inf vectors cut to the floor's length.  If the
-    F_t of largest sum (the first in chain order on a tie) lies strictly
-    above the floor, it becomes the floor, the targets shrink to the chain
-    tuples that meet it, the queue is emptied, and the search restarts from
-    X.  The graph keeps the first parent of every node, so it stays one
-    tree rooted at the root and found paths run through it.  A raise starts
-    a new visited set, so nodes met before it are expanded again at the new
-    floor.  Only a node new to the graph counts against node_cap, and
-    ABORTED happens exactly there.
+
+    The search runs in phases, one breadth-first pass per floor, each a
+    turn of the outer loop with its own queue and visited set; the first
+    starts at the root.  When a node X is taken off the queue and some
+    entry of its doubled tuple lies above the floor, each target t gives
+    F_t, the componentwise minimum of X's and t's inf vectors cut to the
+    floor's length.  If the F_t of largest sum (the first in chain order on
+    a tie) lies strictly above the floor, the phase ends and the next one
+    starts from X at that F_t, with the targets that meet it.  Nothing
+    inside a phase changes its floor, targets, queue or visited set; the
+    outer loop sets them between phases.  X's first expansion in the new
+    phase cannot raise again: X's vector is unchanged, and each surviving
+    target meets the new floor F, so its F_t is at least F and, as F won,
+    of no larger sum, so it equals F.  So X is expanded once, at F, and
+    the raise is counted once.  The phases are few: each raise lifts
+    sum(floor) by at least one, and every floor stays below the vector of
+    a target.  A phase is not a nested function that calls itself on a
+    raise: that would hold every graph in a reference cycle until the
+    cyclic garbage collector ran.
+
+    The phases share the graph, which keeps the first parent of every node,
+    so it stays one tree rooted at the root and found paths run through it.
+    A phase starts a new visited set, so nodes met in an earlier phase are
+    expanded again at the new floor.  Only a node new to the graph counts
+    against node_cap, and ABORTED happens exactly there.
     """
     nodes = {root: SummitNode(None, None)}
     graph = SummitGraph(n, root, nodes, counters)
@@ -536,46 +554,44 @@ def _search(
 
     if root in chain:
         return found(root)
-
     # each chain tuple that meets the floor, with its inf vector cut to the floor's length
     width = len(floor)
     vectors = ((key, _vector(key)[:width]) for key in chain)
     targets = {key: v for key, v in vectors if _meets(v, floor)}
-    queue = deque([root])
-    seen = {root}  # this phase's visited set; a raise starts a new one
-    while queue:
-        entries = queue.popleft()
-        doubled = _doubled(entries)
-        active = _active(doubled, floor)
-        if len(active) < width:  # an entry lies above the floor
-            raised = _raised_floor(floor, doubled, targets.values())
-            if raised is not None:
-                floor = raised
-                targets = {key: v for key, v in targets.items() if _meets(v, floor)}
-                queue.clear()
-                seen = {entries}
-                counters.floor_raises += 1
-                active = _active(doubled, floor)
-        moves = _minimal_codes(n, active)
-        counters.nodes_expanded += 1
-        counters.set_size_sum += len(moves)
-        counters.set_size_max = max(counters.set_size_max, len(moves))
-        for s in moves:
-            counters.conjugations += 1
-            child = tuple(_conj_raw(n, power, codes, s) for power, codes in entries)
-            if child in seen:
-                continue
-            seen.add(child)
-            if child in nodes:  # met before the raise: it keeps its first parent
+    entries = root
+    while True:  # one phase per floor, from the node that raised it
+        queue = deque([entries])
+        seen = {entries}
+        while queue:
+            entries = queue.popleft()
+            doubled = _doubled(entries)
+            active = _active(doubled, floor)
+            if len(active) < width:  # an entry lies above the floor
+                raised = _raised_floor(floor, doubled, targets.values())
+                if raised is not None:
+                    break
+            moves = _minimal_codes(n, active)
+            counters.nodes_expanded += 1
+            counters.set_size_sum += len(moves)
+            counters.set_size_max = max(counters.set_size_max, len(moves))
+            for s in moves:
+                counters.conjugations += 1
+                child = tuple(_conj_raw(n, power, codes, s) for power, codes in entries)
+                if child in seen:
+                    continue
+                seen.add(child)
+                if child not in nodes:  # a node met in an earlier phase keeps its first parent
+                    if len(nodes) >= node_cap:
+                        return result(Outcome.ABORTED, reason=f"node cap {node_cap} exceeded")
+                    nodes[child] = SummitNode(entries, s)
+                    if child in targets:
+                        return found(child)
                 queue.append(child)
-                continue
-            if len(nodes) >= node_cap:
-                return result(Outcome.ABORTED, reason=f"node cap {node_cap} exceeded")
-            nodes[child] = SummitNode(entries, s)
-            if child in targets:
-                return found(child)
-            queue.append(child)
-    return result(Outcome.NOT_CONJUGATE)
+        else:
+            return result(Outcome.NOT_CONJUGATE)
+        counters.floor_raises += 1
+        floor = raised
+        targets = {key: v for key, v in targets.items() if _meets(v, floor)}
 
 
 def _raised_floor(floor: InfFloor, doubled: Entries, vectors) -> InfFloor | None:
@@ -584,16 +600,13 @@ def _raised_floor(floor: InfFloor, doubled: Entries, vectors) -> InfFloor | None
     For each target's inf vector v_t, in chain order, F_t is the
     componentwise minimum of v_t and the node's own vector; both meet floor,
     so F_t >= floor.  The first F_t of largest sum wins, and None means
-    that every F_t equals floor.  Floors are only partially ordered, so
-    another F_t can be higher than the winner in some coordinate.
+    that the winner, and so every F_t, equals floor.  Floors are only
+    partially ordered, so another F_t can be higher than the winner in some
+    coordinate.
     """
     mine = [power for power, _ in doubled]
-    best, top = None, sum(floor)
-    for v in vectors:
-        f = tuple(map(min, mine, v))
-        if sum(f) > top:
-            best, top = f, sum(f)
-    return best
+    best = max((tuple(map(min, mine, v)) for v in vectors), key=sum, default=floor)
+    return None if best == floor else best
 
 
 def _conjugator(n: int, forward: list[int], backward: list[int]) -> BraidWord:

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from braidmscp import (
+    BraidTuple,
     BraidWord,
     CountMismatch,
     GenParams,
@@ -17,6 +18,7 @@ from braidmscp import (
     counters_report,
     export_graph,
     gen_instance,
+    normalize,
     parse_instance,
     simple_to_word,
     solve_mscp,
@@ -163,6 +165,12 @@ class TestRoundTrip:
         assert hash(inst) == hash(parse_instance(write_instance(inst)))
         assert inst == parse_instance(write_instance(inst))
         assert InstanceFile(3, (w,), [w]) == InstanceFile(3, (w,), (w,))
+        f = normalize(w)
+        assert BraidTuple(3, [f]) == BraidTuple(3, (f,))
+        assert hash(BraidTuple(3, [f])) == hash(BraidTuple(3, (f,)))
+        assert BraidTuple(3, (e for e in [f])).entries == (f,)
+        with pytest.raises(InvalidParams):
+            BraidTuple(3, (w,))
 
 
 def solved_swap_pair():

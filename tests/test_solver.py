@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -44,6 +46,7 @@ from braidmscp import (
 import braidmscp.normal_form as normal_form_module
 import braidmscp.solver as solver_module
 from braidmscp.braid import _DELTA, _IDENTITY, _SIMPLE
+from braidmscp.harness import random_word
 from braidmscp.solver import (
     _active_entries,
     _code_key,
@@ -52,6 +55,7 @@ from braidmscp.solver import (
     _lift_chain,
     _minimal_codes,
     _path,
+    _raised_floor,
     _tuple,
 )
 from test_acceptance import corpus_params, non_conjugacy_instances
@@ -749,6 +753,21 @@ class TestFloorRaise:
             assert len(res.graph.nodes) == cap
         assert solve_mscp(alpha, beta, node_cap=13).outcome is Outcome.FOUND
 
+    def test_graph_freed_without_the_cycle_collector(self):
+        # a search that raises its floor, and one answered at its root
+        inst, _ = gen_instance(GenParams(8, 3, 16, 12, seed=1))
+        alpha, beta = tuple_from_words(8, inst.alpha), tuple_from_words(8, inst.beta)
+        gc.disable()
+        try:
+            for a, b in ((alpha, beta), (alpha, alpha)):
+                res = solve_mscp(a, b)
+                assert res.outcome is Outcome.FOUND
+                graph = weakref.ref(res.graph)
+                del res
+                assert graph() is None
+        finally:
+            gc.enable()
+
     def test_graph_stays_one_tree(self):
         # nodes met again after a raise keep their first parent
         for alpha, beta in self.pairs():
@@ -760,6 +779,70 @@ class TestFloorRaise:
                 # every parent was built before its child, so the parents form a tree
                 assert order[node.parent] < order[key]
                 assert conjugate_tuple(graph.tuple(node.parent), _SIMPLE[node.edge]) == graph.tuple(key)
+
+    @staticmethod
+    def node(*powers):
+        """Doubled entries with these powers: _raised_floor reads nothing else."""
+        return tuple((p, ()) for p in powers)
+
+    def test_first_of_equal_sums_wins(self):
+        node = self.node(1, 1)
+        assert _raised_floor((0, 0), node, [(1, 0), (0, 1)]) == (1, 0)
+        assert _raised_floor((0, 0), node, [(0, 1), (1, 0)]) == (0, 1)
+        # a larger sum later in chain order still wins
+        assert _raised_floor((0, 0), node, [(1, 0), (1, 1)]) == (1, 1)
+
+    def test_none_when_every_floor_is_the_floor(self):
+        assert _raised_floor((0, 0), self.node(1, 1), [(0, 0), (0, 0)]) is None
+        assert _raised_floor((0, 0), self.node(0, 0), [(3, 3), (2, 5)]) is None
+        assert _raised_floor((0, 0), self.node(1, 1), []) is None
+
+    def test_target_above_the_node_is_cut_to_it(self):
+        assert _raised_floor((0, 0), self.node(1, 2), [(5, 1)]) == (1, 1)
+        # a floor of r values is compared with the first r entries of the doubled node
+        assert _raised_floor((0, 0), self.node(1, 2, -3, -4), [(5, 1)]) == (1, 1)
+        assert _raised_floor((0, 0, -5, -5), self.node(1, 2, -3, -4), [(5, 5, -1, -5)]) == (1, 2, -3, -5)
+
+
+class TestNotConjugateAtFiveStrands:
+    """Tuples whose entries are conjugate one by one but not as a whole, on 5 strands.
+
+    The first is alpha = (s1, s3), beta = (s1, s1): a conjugator that fixes
+    s1 and sends s3 to s1 would force s3 = s1.  The others take a planted
+    instance and replace beta's last entry by y^-1 a_r y for an unrelated
+    random y, so every entry keeps its exponent sum.  Two solves and two
+    bare searches raise their floor before the search is exhausted.
+    """
+
+    @staticmethod
+    def instances():
+        yield words_tuple(5, (1,), (3,)), words_tuple(5, (1,), (1,))
+        for point, seeds in (((5, 2, 8, 6), (2, 3, 5)), ((5, 3, 8, 6), (0, 2, 3))):
+            for seed in seeds:
+                inst, _ = gen_instance(GenParams(*point, seed=seed))
+                y = random_word(random.Random(1000 + seed), 5, point[3])
+                beta_words = inst.beta[:-1] + (word_concat(word_inverse(y), inst.alpha[-1], y),)
+                yield tuple_from_words(5, inst.alpha), tuple_from_words(5, beta_words)
+
+    def test_solve(self):
+        results = [solve_mscp(alpha, beta, 5_000) for alpha, beta in self.instances()]
+        assert {res.outcome for res in results} == {Outcome.NOT_CONJUGATE}
+        assert [len(res.graph.nodes) for res in results] == [6, 16, 18, 124, 20, 53, 86]
+        assert [res.counters.floor_raises for res in results] == [0, 0, 0, 0, 0, 1, 1]
+
+    def test_search_at_the_summit_floor_matches_the_oracle(self):
+        # the last instance aborts at this floor within 5,000 nodes; a floor
+        # given as a list raises only where its tuple would
+        sizes, raises = [], []
+        for alpha, beta in list(self.instances())[:-1]:
+            floor = summit_floor(alpha, beta)
+            res = summit_search(alpha, beta, list(floor), 5_000)
+            ref = oracle.bfs_search(alpha, beta, floor, 5_000)
+            assert res.outcome is ref.outcome is Outcome.NOT_CONJUGATE
+            sizes.append((len(res.graph.nodes), len(ref.graph.nodes)))
+            raises.append(res.counters.floor_raises)
+        assert sizes == [(6, 6), (69, 592), (24, 24), (219, 1124), (530, 530), (868, 868)]
+        assert raises == [0, 1, 0, 1, 0, 0]
 
 
 class TestSolve:
