@@ -23,7 +23,11 @@ enters it.  Per-code data lives in tables filled lazily on first lookup:
 permutation, right and left complement, flip, the start set (bit i set when
 letter i+1 can begin the braid) and the inversion set, both as bitmasks.
 So "a divides b" is inv[a] & ~inv[b] == 0, and a product a*b is simple
-exactly when b divides the right complement of a.  A fill of the left
+exactly when b divides the right complement of a.  That is tested once, in
+simple_product, the one caller that can be handed a pair whose product is
+not simple; every other product in the package is b times the left
+complement of some a past b, which is join(a, b) and so simple, and the
+raw product _mul checks nothing.  A fill of the left
 complement or flip table also writes the entry that an identity gives for
 free, rcomp(lcomp a) = a or tau(tau a) = a, so a later lookup of the
 partner finds it instead of building it; and since tau(lcomp a) = rcomp a,
@@ -279,8 +283,9 @@ _RANK_STEP = _LazyTable(lambda n: tuple(math.factorial(n - 1 - u) for u in range
 _LETTER_SET = _LazyTable(lambda n: frozenset(range(1 - n, n)) - {0})
 _SIMPLE = _LazyTable(lambda c: SimpleElement(len(_PERM[c]), _PERM[c]))
 # Codes of the identity and the half twist per strand count: the identity has
-# the first rank and the half twist, which reverses the order, the last.
-_IDENTITY = _LazyTable(lambda n: _OFFSET[n])
+# the first rank, so its code is the offset, and the half twist, which
+# reverses the order, the last.
+_IDENTITY = _OFFSET
 _DELTA = _LazyTable(lambda n: _OFFSET[n + 1] - 1)
 
 
@@ -312,9 +317,12 @@ def _peel(yp: Perm, zp: Perm) -> tuple[list[int], list[int]]:
 
 
 def _mul(a: int, b: int) -> int:
-    """The product a*b, which is simple exactly when b divides rcomp(a)."""
-    if _INV[b] & ~_INV[_RCOMP[a]]:
-        raise NotSimple("product of the given simple elements is not simple")
+    """The product a*b, for a pair whose product is simple: b divides rcomp(a).
+
+    Only simple_product can be handed a pair that fails, so only it checks.
+    Every other caller multiplies b by the left complement c of some a past
+    b, and b*c = join(a, b) is simple.
+    """
     return _CODE[_braid_mul(_PERM[a], _PERM[b])]
 
 
@@ -381,7 +389,8 @@ class SimpleElement:
     def __post_init__(self):
         check_strand_count(self.n)
         object.__setattr__(self, "perm", tuple(self.perm))
-        if sorted(self.perm) != list(range(self.n)):
+        # every entry an int and not a bool, as for letters: the tables key on perm
+        if not {*map(type, self.perm)} <= {int} or sorted(self.perm) != list(range(self.n)):
             raise InvalidParams(f"{self.perm!r} is not a permutation of 0..{self.n - 1}")
         object.__setattr__(self, "code", _CODE[self.perm])
 
@@ -549,14 +558,14 @@ def right_complement(a: SimpleElement) -> SimpleElement:
 def left_complement_simple(a: SimpleElement, b: SimpleElement) -> SimpleElement:
     """The simple c with b * c = join(a, b); trivial exactly when a divides b."""
     check_same_strands(a, b)
-    c = _left_complement(a.code, b.code)
-    _mul(b.code, c)  # raises NotSimple unless b * c is simple
-    return _SIMPLE[c]
+    return _SIMPLE[_left_complement(a.code, b.code)]
 
 
 def simple_product(a: SimpleElement, b: SimpleElement) -> SimpleElement:
-    """Product of two simple elements, required to be simple again."""
+    """Product of two simple elements, required to be simple again: b must divide rcomp(a)."""
     check_same_strands(a, b)
+    if _INV[b.code] & ~_INV[_RCOMP[a.code]]:
+        raise NotSimple("product of the given simple elements is not simple")
     return _SIMPLE[_mul(a.code, b.code)]
 
 

@@ -51,6 +51,10 @@ class GenParams:
     seed: int
 
     def __post_init__(self):
+        for name in ("n", "r", "entry_length", "conjugator_length", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # not a bool either
+                raise InvalidParams(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise InvalidParams(f"n must be at least 2, got {self.n}")
         if self.r < 1:
@@ -188,6 +192,9 @@ def batch_stats(
     aggregated per point.
     """
     points = list(points)
+    for name, value in (("trials", trials), ("jobs", jobs)):
+        if type(value) is not int:  # not a bool either
+            raise InvalidParams(f"{name} must be an integer, got {value!r}")
     if trials < 0:
         raise InvalidParams("trials must be non-negative")
     if jobs < 1:

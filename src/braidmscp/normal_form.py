@@ -431,31 +431,23 @@ def conjugate(f: NormalForm, s: SimpleElement) -> NormalForm:
     return NormalForm(f.n, *_conj_raw(f.n, f.power, f.codes, s.code))
 
 
-def _simple_prefix(n: int, s: int, power: int, codes: Codes) -> bool:
-    """Whether the simple s left-divides the positive braid D^power A_1..A_l.
-
-    For a positive braid in normal form the maximal simple prefix is the
-    first factor, so the test reduces to one divisibility check.
-    """
-    if power >= 1:
-        return True
-    if not codes:
-        return s == _IDENTITY[n]
-    return not _INV[s] & ~_INV[codes[0]]
-
-
 def _lcm_sweep(n: int, c: int, codes: Codes) -> int:
     """The simple c' with A_1..A_l c' = join(c, A_1..A_l), for factors without a half twist.
 
+    This is also the package's one prefix test: c divides A_1..A_l exactly
+    when the result is trivial, since then the join is A_1..A_l itself.
     Past each factor A the pending simple c becomes the c' with
     A c' = join(c, A).  When c divides A that c' is the identity, whose
     complement past every later factor is the identity again.  Only the
-    first factor is tested that way.  Past A_(k-1) the pending c_k divides
+    first factor is tested that way, and in a left-weighted list that one
+    bitmask test is the whole prefix test, since the first factor is the
+    largest simple prefix.  Past A_(k-1) the pending c_k divides
     rcomp(A_(k-1)), since join(c_(k-1), A_(k-1)) divides
     D = A_(k-1) rcomp(A_(k-1)), and c_k is not trivial unless c_(k-1)
     divided A_(k-1).  In a left-weighted list meet(rcomp(A_(k-1)), A_k) is
     trivial, so a nontrivial c_k never divides A_k, and past a first
-    factor that c does not divide the sweep always runs to the end.  A list
+    factor that c does not divide the sweep always runs to the end.  With
+    no factors the result is c, trivial exactly when c is.  A list
     that is not left-weighted gets the same result, since the identity
     stays the identity under every complement; it only loses the early exit.
     The result is simple since c and A_1..A_l both divide A_1..A_l D.  The
@@ -470,14 +462,6 @@ def _lcm_sweep(n: int, c: int, codes: Codes) -> int:
     return c
 
 
-def simple_prefix_of_positive(s: SimpleElement, p: NormalForm) -> bool:
-    """Whether the simple s left-divides the positive braid p."""
-    check_same_strands(s, p)
-    if p.power < 0:
-        raise NotPositive(f"braid has infimum {p.power} < 0")
-    return _simple_prefix(p.n, s.code, p.power, p.codes)
-
-
 def lcm_complement(s: SimpleElement, p: NormalForm) -> SimpleElement:
     """The simple s' with p * s' = join(s, p), the lcm of s and a positive braid.
 
@@ -490,6 +474,11 @@ def lcm_complement(s: SimpleElement, p: NormalForm) -> SimpleElement:
     if p.power >= 1:
         return _SIMPLE[_IDENTITY[s.n]]
     return _SIMPLE[_lcm_sweep(s.n, s.code, p.codes)]
+
+
+def simple_prefix_of_positive(s: SimpleElement, p: NormalForm) -> bool:
+    """Whether the simple s left-divides the positive braid p: its lcm complement is trivial."""
+    return lcm_complement(s, p).is_identity()
 
 
 def strand_permutation(f: NormalForm) -> tuple[int, ...]:

@@ -89,6 +89,7 @@ from .braid import (
     _left_complement,
     _mul,
     check_same_strands,
+    check_strand_count,
 )
 from .errors import (
     InvalidParams,
@@ -125,6 +126,7 @@ class BraidTuple:
     entries: tuple[NormalForm, ...]
 
     def __post_init__(self):
+        check_strand_count(self.n)
         object.__setattr__(self, "entries", tuple(self.entries))
         if not self.entries:
             raise InvalidParams("a braid tuple needs at least one entry")
@@ -381,6 +383,8 @@ def _check_pair(alpha: BraidTuple, beta: BraidTuple) -> None:
 
 
 def _check_node_cap(node_cap: int) -> None:
+    if type(node_cap) is not int:  # not a bool either
+        raise InvalidParams(f"node_cap must be an integer, got {node_cap!r}")
     if node_cap < 1:
         raise InvalidParams("node_cap must be at least 1")
 
@@ -502,14 +506,18 @@ def _search(
 
     A root that chain holds is answered at once, with a one-node graph.
     Otherwise the targets are the chain tuples that meet the floor; the
-    caller has checked that the root and some chain tuple meet it.  Nodes are keyed
-    and conjugated on their r raw entries, (power, factor codes) per entry,
-    which fix the inverse entries; those are derived once per expansion by
-    invert's formula and join the floor test.  Each tuple is expanded by the
-    minimal conjugator set of its doubled entries in ascending generator
-    order, so sequential runs are deterministic, and every minimal
-    conjugator keeps the floor, so a child is conjugated entry by entry on
-    codes and looked up among the nodes before anything else is built.
+    caller has checked that the root and some chain tuple meet it.  The
+    chain itself is the stop set: every child meets the floor, so a child
+    is a target exactly when chain holds it, the test _lockstep makes too.
+    Only the targets' inf vectors are kept, in chain order, for
+    _raised_floor.  Nodes are keyed and conjugated on their r raw entries,
+    (power, factor codes) per entry, which fix the inverse entries; those
+    are derived once per expansion by invert's formula and join the floor
+    test.  Each tuple is expanded by the minimal conjugator set of its
+    doubled entries in ascending generator order, so sequential runs are
+    deterministic, and every minimal conjugator keeps the floor, so a child
+    is conjugated entry by entry on codes and looked up among the nodes
+    before anything else is built.
     Normal forms are unique, so equal entries mean equal tuples and the
     node dict is the only dedup structure.  The search builds no
     NormalForm, BraidTuple, SimpleElement or key string.
@@ -554,10 +562,9 @@ def _search(
 
     if root in chain:
         return found(root)
-    # each chain tuple that meets the floor, with its inf vector cut to the floor's length
+    # the inf vectors, cut to the floor's length, of the chain tuples that meet the floor
     width = len(floor)
-    vectors = ((key, _vector(key)[:width]) for key in chain)
-    targets = {key: v for key, v in vectors if _meets(v, floor)}
+    targets = [v for v in (_vector(key)[:width] for key in chain) if _meets(v, floor)]
     entries = root
     while True:  # one phase per floor, from the node that raised it
         queue = deque([entries])
@@ -567,7 +574,7 @@ def _search(
             doubled = _doubled(entries)
             active = _active(doubled, floor)
             if len(active) < width:  # an entry lies above the floor
-                raised = _raised_floor(floor, doubled, targets.values())
+                raised = _raised_floor(floor, doubled, targets)
                 if raised is not None:
                     break
             moves = _minimal_codes(n, active)
@@ -584,14 +591,14 @@ def _search(
                     if len(nodes) >= node_cap:
                         return result(Outcome.ABORTED, reason=f"node cap {node_cap} exceeded")
                     nodes[child] = SummitNode(entries, s)
-                    if child in targets:
+                    if child in chain:
                         return found(child)
                 queue.append(child)
         else:
             return result(Outcome.NOT_CONJUGATE)
         counters.floor_raises += 1
         floor = raised
-        targets = {key: v for key, v in targets.items() if _meets(v, floor)}
+        targets = [v for v in targets if _meets(v, floor)]
 
 
 def _raised_floor(floor: InfFloor, doubled: Entries, vectors) -> InfFloor | None:

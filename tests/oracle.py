@@ -323,22 +323,27 @@ def ref_conj_raw(n, power, codes, s):
 def ref_floor_step(n, parity, pcodes, s):
     """The reference for solver._floor_step: the floor test on the product p*s.
 
-    Builds the whole product p*s and asks whether t = tau^j(s) divides its
-    head; a rejecting entry grows s to s s' with (p s) s' = join(t, p s),
-    s' swept through every factor of p*s.  Returns None when the entry
-    keeps the floor, else the grown s.
+    Builds the whole product p*s = D^k A_1..A_l and asks whether
+    t = tau^j(s) divides it, by its own prefix test: t divides it when
+    k >= 1 or t divides A_1, the largest simple prefix of a positive normal
+    form, and it divides the identity only when t is the identity.  A
+    rejecting entry grows s to s s' with (p s) s' = join(t, p s), s' swept
+    through every factor of p*s, and s s' is checked to be simple before
+    it is built.  Returns None when the entry keeps the floor, else the
+    grown s.
     """
-    from braidmscp.braid import _TAU, _left_complement, _mul
-    from braidmscp.normal_form import _simple_prefix
+    from braidmscp.braid import _IDENTITY, _INV, _RCOMP, _TAU, _left_complement, _mul
 
     t = _TAU[s] if parity else s
     power, factors = ref_prod_normal(n, pcodes, (s,))
-    if _simple_prefix(n, t, power, factors):
+    if power >= 1 or (not _INV[t] & ~_INV[factors[0]] if factors else t == _IDENTITY[n]):
         return None
     if power != 0:
         raise AssertionError("a rejecting product starts with the half twist")
     for a in factors:
         t = _left_complement(t, a)
+    if _INV[t] & ~_INV[_RCOMP[s]]:
+        raise AssertionError("the grown candidate is not simple")
     return _mul(s, t)
 
 

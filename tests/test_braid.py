@@ -31,6 +31,7 @@ from braidmscp import (
     word_inverse,
     word_to_text,
 )
+from braidmscp.braid import _PERM
 
 
 def s_word(n, *letters):
@@ -109,6 +110,22 @@ class TestSimpleConstruction:
         assert len(enumerate_simples(4)) == 24
         with pytest.raises(BoundExceeded):
             enumerate_simples(7)
+
+    def test_entries_must_be_ints(self):
+        # a bool or float entry would be stored in the shared permutation
+        # table and handed to every later user of that permutation
+        from test_kernel import package_caches
+
+        for warm in (False, True):
+            for cache in package_caches():
+                cache.cache_clear()
+            if warm:
+                assert SimpleElement(3, (0, 2, 1)).perm == (0, 2, 1)
+            for perm in ((True, 0, 2), (0, 2.0, 1)):
+                with pytest.raises(InvalidParams):
+                    SimpleElement(3, perm)
+            assert [type(v) for v in generator_simple(3, 1).perm] == [int] * 3
+            assert all(type(v) is int for perm in _PERM.values() for v in perm)
 
     def test_mixed_strand_counts_rejected(self):
         with pytest.raises(StrandMismatch):

@@ -61,10 +61,18 @@ class TestGenInstance:
             GenParams(n=3, r=1, entry_length=0, conjugator_length=0, seed=0)
         with pytest.raises(InvalidParams):
             GenParams(n=3, r=1, entry_length=1, conjugator_length=-1, seed=0)
+        # every parameter is an int and not a bool: True would reach the metadata
+        with pytest.raises(InvalidParams, match="r must be an integer, got True"):
+            GenParams(4, True, 3, 2, 0)
+        with pytest.raises(InvalidParams, match="entry_length must be an integer, got 3.0"):
+            GenParams(4, 2, 3.0, 2, 0)
         with pytest.raises(InvalidParams):
             batch_stats([desk_params()], trials=1, jobs=0)
         with pytest.raises(InvalidParams):
             batch_stats([desk_params()], trials=0, node_cap=0)
+        for bad in (dict(trials=1.5), dict(trials=True), dict(trials=1, jobs=1.5)):
+            with pytest.raises(InvalidParams):
+                batch_stats([desk_params()], **bad)
 
     def test_random_word_length_and_range(self):
         import random

@@ -171,6 +171,8 @@ class TestRoundTrip:
         assert BraidTuple(3, (e for e in [f])).entries == (f,)
         with pytest.raises(InvalidParams):
             BraidTuple(3, (w,))
+        with pytest.raises(InvalidParams):
+            BraidTuple(3.0, (f,))
 
 
 def solved_swap_pair():

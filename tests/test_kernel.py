@@ -21,16 +21,21 @@ import sys
 import pytest
 
 import oracle
+import braidmscp.braid
 import braidmscp.cli  # loaded so that its parser memo is in the pinned set
+import braidmscp.solver
 from braidmscp import (
     BraidWord,
     SimpleElement,
     conjugate,
     counters_report,
     delta,
+    enumerate_simples,
     export_graph,
     gen_instance,
     generator_simple,
+    join,
+    left_complement_simple,
     normalize,
     run_attack,
     simple_from_positive_word,
@@ -299,6 +304,31 @@ class TestMeetAgainstReference:
             assert _PAIR_MOVE[a, b] == oracle.ref_fix_pair(a, b)
             join_is_delta += (_START[a] | _START[b]).bit_count() == n - 1
         assert join_is_delta >= 150
+
+
+class TestProductsStaySimple:
+    def test_every_raw_product_is_simple(self, monkeypatch):
+        # only simple_product checks that a product is simple; every other
+        # product is b times a join complement past b, simple by construction
+        raw = braidmscp.braid._mul
+        calls = []
+
+        def checked(a, b):
+            if _INV[b] & ~_INV[_RCOMP[a]]:
+                raise AssertionError(f"{_PERM[a]} * {_PERM[b]} is not simple")
+            calls.append(a)
+            return raw(a, b)
+
+        monkeypatch.setattr(braidmscp.braid, "_mul", checked)
+        monkeypatch.setattr(braidmscp.solver, "_mul", checked)
+        for params in corpus_params()[:50]:
+            inst, planted = gen_instance(params)
+            run_attack(inst, planted, node_cap=1000)
+        assert calls
+        for n in (2, 3, 4):
+            for a, b in itertools.product(enumerate_simples(n), repeat=2):
+                c = left_complement_simple(a, b)
+                assert checked(b.code, c.code) == join(a, b).code
 
 
 def package_caches():

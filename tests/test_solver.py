@@ -870,7 +870,7 @@ class TestSolve:
         with pytest.raises(LengthMismatch):
             solve_mscp(words_tuple(3, (1,)), words_tuple(3, (1,), (2,)))
 
-    @pytest.mark.parametrize("cap", [0, -1])
+    @pytest.mark.parametrize("cap", [0, -1, 1.5, True])
     def test_node_cap_checked_before_any_work(self, cap):
         # equal tuples, lift chains that meet (sigma_1 and sigma_2), and the
         # swap pair, which reaches the search: each rejects the cap alike
