@@ -184,10 +184,13 @@ def _code_of_perm(p: Perm) -> int:
 
 
 def _perm_of_code(code: int) -> Perm:
-    n = 2
-    while _OFFSET[n + 1] <= code:
+    """Unrank the code within its strand count's block [offset, offset + n!), found by running sums."""
+    n, offset, size = 2, 0, 2
+    while offset + size <= code:
         n += 1
-    p = _unrank(n, code - _OFFSET[n])
+        offset += size
+        size *= n
+    p = _unrank(n, code - offset)
     _CODE[p] = code
     return p
 
@@ -235,12 +238,16 @@ def _letter_codes(n: int) -> list[int]:
     """Index e in 1..n-1 holds the code of letter e; index -e that of lcomp(letter e).
 
     An inverse letter is D^-1 times the left complement of the generator, so
-    these are the simple factors that a run of one letter contributes.
+    these are the simple factors that a run of one letter contributes.  Both
+    are one rank step from an end of the order, so no permutation is built
+    or ranked: letter i crosses the strands i-1 < i of the identity, which
+    raises the rank by (n-i)!, and lcomp(letter i) is the reversal with the
+    strands n-1-i < n-i uncrossed again, which lowers the rank of D by i!.
     """
+    ident, top, step = _IDENTITY[n], _DELTA[n], _RANK_STEP[n]
     codes = [0] * (2 * n - 1)
     for i in range(1, n):
-        gen = _CODE[_gen_perm(n, i)]
-        codes[i], codes[-i] = gen, _LCOMP[gen]
+        codes[i], codes[-i] = ident + step[i - 1], top - step[n - 1 - i]
     return codes
 
 

@@ -36,26 +36,38 @@ tau^p(A_1), and repeated cycling raises the infimum of a braid that is
 below its summit infimum (Elrifai-Morton); cycling an inverse entry
 decycles the entry, which lowers its supremum.  solve_mscp lifts both
 doubled tuples this way (see _lift_chain), one move per side per round,
-and stops as soon as one side reaches a tuple the other already holds.
-The search (_search) then runs at the componentwise minimum F of the two
-final inf vectors, from the tuple where the chains met, or else from
-lifted alpha, and every tuple of beta's chain that meets F is a target.
-Equal tuples and chains that meet are answered at once, since the root is
-a target; every answer leaves the solver through that one search.
+and stops as soon as one side reaches a tuple the other already holds, or
+the flip of one.  The flip tau(X) = D^-1 X D maps each entry
+D^p A_1 ... A_l to D^p tau(A_1) ... tau(A_l), a normal form again with
+the same infimum and supremum.  Summit sets and cycling are both closed
+under it, so when beta's chain runs through tau-images of alpha's, the
+two chains can pass each other without meeting.  The search (_search)
+then runs at the componentwise minimum F of the two final inf vectors,
+from the tuple of alpha's chain where the chains met, or else from lifted
+alpha, and every tuple of beta's chain that meets F is a target.  A
+node whose flip is a target answers as a target does.  Equal tuples,
+tau-images and chains that meet are answered at once, since the root or
+its flip is a target; every answer leaves the solver through that one
+search.
 
 Why this is sound and complete: each lift is a conjugation by a known
 element, so the answer is x = y_a P y_b^-1 for the lift y_a to the root,
-the search path P and the chain path y_b to the target met.  Every target
-is conjugate to beta and meets the floor, so FOUND is right.  The set of
+the search path P and the chain path y_b to the target met.  A node X
+whose flip is the target t gives x = y_a P D y_b^-1, since t = D^-1 X D.
+Every target is conjugate to beta and meets the floor, so FOUND is right,
+and solve_mscp still checks every FOUND with verify_conjugator.  The set of
 conjugates of the doubled tuple that meet a floor is connected under
 minimal floor-keeping conjugators, by the same meet closure as for r
 entries: it is just a floor on a 2r-tuple.  Both final lifts meet F, so if
 alpha and beta are conjugate, lifted beta lies in the component of lifted
-alpha.  Until the floor rises, the targets never change which nodes are
-expanded or in what order, so the search stops where a search for beta
-alone would, or earlier, and exhausting the frontier proves that no
-target, and so not beta, is conjugate to alpha: NOT_CONJUGATE.  A search
-that exceeds its node cap aborts without a verdict.
+alpha.  Until the floor rises, the targets and their flips never change
+which nodes are expanded or in what order: they only stop the search, so
+it stops where a search for beta alone would, or earlier.  A flip match
+proves conjugacy, so it cannot touch a NOT_CONJUGATE verdict, and
+exhausting the frontier proves that no target, and so not beta, is
+conjugate to alpha: NOT_CONJUGATE.  A search that exceeds its node cap
+aborts without a verdict.  A flip match adds no node and no edge, so the
+graph stays a breadth-first tree.
 
 The search also raises its floor while it runs, and each floor is one
 phase of it: a breadth-first pass with its own queue and visited set.
@@ -449,6 +461,11 @@ def _lift_chain(n: int, chain: dict[Entries, SummitNode], counters: SearchCounte
         yield lifted
 
 
+def _flip(entries: Entries) -> Entries:
+    """tau of every entry: D^-1 (D^p A_1 ... A_l) D = D^p tau(A_1) ... tau(A_l), a normal form again."""
+    return tuple((power, tuple(_TAU[c] for c in codes)) for power, codes in entries)
+
+
 def _doubled(entries: Entries) -> Entries:
     """The raw entries followed by their inverses: a floor on both is a floor and a ceiling."""
     return entries + tuple(_invert_raw(power, codes) for power, codes in entries)
@@ -466,7 +483,7 @@ def summit_search(
     node_cap: int = DEFAULT_NODE_CAP,
     chain: dict[Entries, SummitNode] | None = None,
 ) -> ConjugatorResult:
-    """Breadth-first search from alpha for beta, or for a tuple of beta's lift chain.
+    """Breadth-first search from alpha for beta, a tuple of beta's lift chain, or the flip of one.
 
     The floor has 2r values, one per entry of the doubled tuple
     (a_1..a_r, a_1^-1..a_r^-1): the last r cap the suprema, since
@@ -475,7 +492,8 @@ def summit_search(
     entries go untested.  chain is beta's lift chain, as _lift_chain builds
     it; without one the chain is beta alone.  Every chain tuple that meets
     the floor is a target, and alpha and at least one target must meet it.
-    The checks are made here; the search is _search, and the module
+    A node whose flip tau is a target answers too, with D's code on the
+    path.  The checks are made here; the search is _search, and the module
     docstring says why its verdicts are sound.
     """
     _check_pair(alpha, beta)
@@ -504,11 +522,13 @@ def _search(
 ) -> ConjugatorResult:
     """The search of summit_search on raw entries, its root reached from alpha along lead.
 
-    A root that chain holds is answered at once, with a one-node graph.
-    Otherwise the targets are the chain tuples that meet the floor; the
-    caller has checked that the root and some chain tuple meet it.  The
-    chain itself is the stop set: every child meets the floor, so a child
-    is a target exactly when chain holds it, the test _lockstep makes too.
+    A root that chain holds, directly or up to the flip tau, is answered at
+    once, with a one-node graph.  Otherwise the targets are the chain
+    tuples that meet the floor; the caller has checked that the root and
+    some chain tuple meet it.  The chain itself is the stop set: every
+    child meets the floor, and so does its flip, which has the same inf
+    vector, so a child is a target, or the flip of one, exactly when chain
+    holds it or its flip, the tests _lockstep makes too.
     Only the targets' inf vectors are kept, in chain order, for
     _raised_floor.  Nodes are keyed and conjugated on their r raw entries,
     (power, factor codes) per entry, which fix the inverse entries; those
@@ -525,6 +545,9 @@ def _search(
     A chain tuple t is y^-1 beta y for the product y of the conjugators on
     its chain path, so when the search reaches t along the path P from the
     root, x = L P y^-1 conjugates alpha to beta, with L the product of lead.
+    When it reaches X with tau(X) = t instead, t = D^-1 X D and
+    x = L P D y^-1.  Either match stops the search at a node already in
+    the graph, so it adds no node or edge and the graph stays a tree.
 
     The search runs in phases, one breadth-first pass per floor, each a
     turn of the outer loop with its own queue and visited set; the first
@@ -558,10 +581,18 @@ def _search(
         return ConjugatorResult(outcome, conjugator, reason, graph)
 
     def found(key):
-        return result(Outcome.FOUND, _conjugator(n, lead + _path(nodes, key), _path(chain, key)))
+        """The FOUND result when chain holds key or its flip tau(key) = D^-1 key D, else None."""
+        if key in chain:
+            return result(Outcome.FOUND, _conjugator(n, lead + _path(nodes, key), _path(chain, key)))
+        flipped = _flip(key)
+        if flipped in chain:
+            forward = lead + _path(nodes, key) + [_DELTA[n]]
+            return result(Outcome.FOUND, _conjugator(n, forward, _path(chain, flipped)))
+        return None
 
-    if root in chain:
-        return found(root)
+    answer = found(root)
+    if answer is not None:
+        return answer
     # the inf vectors, cut to the floor's length, of the chain tuples that meet the floor
     width = len(floor)
     targets = [v for v in (_vector(key)[:width] for key in chain) if _meets(v, floor)]
@@ -591,8 +622,9 @@ def _search(
                     if len(nodes) >= node_cap:
                         return result(Outcome.ABORTED, reason=f"node cap {node_cap} exceeded")
                     nodes[child] = SummitNode(entries, s)
-                    if child in chain:
-                        return found(child)
+                    answer = found(child)
+                    if answer is not None:
+                        return answer
                 queue.append(child)
         else:
             return result(Outcome.NOT_CONJUGATE)
@@ -626,19 +658,26 @@ def _conjugator(n: int, forward: list[int], backward: list[int]) -> BraidWord:
 def _lockstep(n: int, a_chain, b_chain, counters: SearchCounters) -> Entries:
     """Lift both chains in turn, one move each per round, until one reaches a tuple the other holds.
 
-    Returns that tuple, which both chains then hold, or the last tuple of
-    alpha's chain once both chains have ended.  alpha is returned before
-    any move when beta's chain already holds it.
+    A move also stops the lift when the other chain holds the flip tau of
+    its tuple.  Returns a tuple of alpha's chain that beta's chain holds,
+    directly or up to tau: alpha's own move, or the flip of beta's move,
+    which alpha's chain holds.  Once both chains have ended it returns the
+    last tuple of alpha's chain.  alpha is returned before any move when
+    beta's chain already holds it or its flip.
     """
     (a_key,) = a_chain
-    if a_key in b_chain:
+    if a_key in b_chain or _flip(a_key) in b_chain:
         return a_key
     sides = deque([(_lift_chain(n, a_chain, counters), b_chain), (_lift_chain(n, b_chain, counters), a_chain)])
     while sides:
         moves, other = sides.popleft()
         for step in moves:  # one move; a chain that has ended leaves the rotation
-            if step in other:
-                return step
+            if step is not None:
+                if step in other:
+                    return step
+                flipped = _flip(step)
+                if flipped in other:  # a tuple of alpha's chain that beta's holds up to tau
+                    return step if other is b_chain else flipped
             sides.append((moves, other))
             break
     return next(reversed(a_chain))
@@ -655,10 +694,10 @@ def solve_mscp(
     below 1.  Both doubled tuples are then lifted in lockstep (_lockstep),
     and _search runs at the componentwise minimum of the two final inf
     vectors, from where the chains met, or from lifted alpha, to the tuples
-    of beta's chain.  Equal tuples and chains that meet are answered by the
-    search at its root.  The module docstring says why the verdicts are
-    sound.  A found conjugator is re-verified on the original tuples before
-    it is returned.
+    of beta's chain and their flips.  Equal tuples, tau-images and chains
+    that meet are answered by the search at its root.  The module
+    docstring says why the verdicts are sound.  A found conjugator is
+    re-verified on the original tuples before it is returned.
     """
     _check_pair(alpha, beta)
     _check_node_cap(node_cap)

@@ -156,14 +156,17 @@ def test_criterion_5_worked_fixture():
     expected = {generator_simple(3, 1), simple_from_positive_word(BraidWord(3, (2, 1)))}
     res = summit_search(alpha, beta, (0,))
     solved = solve_mscp(alpha, beta)
+    # beta = tau(alpha), so both answer at their root with the half twist
     ok = (
         set(s) == expected
-        and len(res.graph.nodes) == 2
+        and len(res.graph.nodes) == 1
         and res.outcome is Outcome.FOUND
+        and res.conjugator.letters == (1, 2, 1)
         and solved.outcome is Outcome.FOUND
+        and solved.conjugator == res.conjugator
         and verify_conjugator(alpha, beta, solved.conjugator)
     )
-    record(5, ok, "worked 3-strand fixture: minimal set, 2-node search, verified conjugator")
+    record(5, ok, "worked 3-strand fixture: minimal set, flip met at the root, verified conjugator")
 
 
 def test_criterion_6_round_trip_solving(solve_corpus_reports):

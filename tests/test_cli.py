@@ -1,9 +1,11 @@
 from braidmscp.cli import main
 
+# beta = tau(alpha): solve answers at the root with the half twist
 WORKED = "n 3\nr 1\nalpha 1\nbeta 2\n"
 NONCONJ = "n 3\nr 1\nalpha 1\nbeta 1 1 1\n"
-# the lift chains of the swap pair do not meet, so its solve searches
-SWAP = "n 3\nr 2\nalpha 1\nalpha 2\nbeta 2\nbeta 1\n"
+# the lift chains of this pair do not meet, not even up to tau, so its
+# solve searches
+SEARCHED = "n 4\nr 1\nalpha 2\nbeta 1\n"
 
 
 def run_cli(capsys, *argv):
@@ -35,7 +37,7 @@ class TestSolve:
         path.write_text(WORKED)
         code, out, _ = run_cli(capsys, "solve", str(path))
         assert code == 0
-        assert out == "2 1\n"
+        assert out == "1 2 1\n"
 
     def test_not_conjugate(self, tmp_path, capsys):
         path = tmp_path / "nc.inst"
@@ -59,9 +61,9 @@ class TestSolve:
         path = tmp_path / "t.inst"
         assert run_cli(capsys, "gen", str(path), "-n", "4", "-r", "2", "--seed", "1")[0] == 0
         assert run_cli(capsys, "solve", str(path))[0] == 0
-        swap = tmp_path / "s.inst"
-        swap.write_text(SWAP)
-        for inst in (path, swap):
+        searched = tmp_path / "s.inst"
+        searched.write_text(SEARCHED)
+        for inst in (path, searched):
             code, out, err = run_cli(capsys, "solve", str(inst), "--cap", "0")
             assert (code, out) == (3, "")
             assert "node_cap" in err
@@ -80,16 +82,16 @@ class TestSolve:
 
     def test_graph_export(self, tmp_path, capsys):
         path = tmp_path / "s.inst"
-        path.write_text(SWAP)
+        path.write_text(SEARCHED)
         dot = tmp_path / "g.dot"
         edges = tmp_path / "g.edges"
         assert run_cli(capsys, "solve", str(path), "--graph", str(dot))[0] == 0
         assert dot.read_text().startswith("digraph")
         assert run_cli(capsys, "solve", str(path), "--graph", str(edges))[0] == 0
-        assert edges.read_text().strip().split(maxsplit=2)[2] == "1 2 1"
+        assert edges.read_text().strip().split(maxsplit=2)[2] == "1 2"
 
     def test_graph_export_of_a_lift_meeting(self, tmp_path, capsys):
-        # the lift chains of sigma_1 and sigma_2 meet: one node, no edge
+        # sigma_2 is tau(sigma_1) on 3 strands: one node, no edge
         path = tmp_path / "w.inst"
         path.write_text(WORKED)
         dot = tmp_path / "g.dot"
@@ -104,11 +106,12 @@ class TestSolve:
         path.write_text(WORKED)
         code, out, _ = run_cli(capsys, "solve", str(path), "--stats")
         assert code == 0
-        assert out.splitlines()[0] == "nodes=1" and out.endswith("2 1\n")
-        path.write_text(SWAP)
+        assert out.splitlines()[0] == "nodes=1" and out.endswith("\n1 2 1\n")
+        assert "lift_moves=0" in out.splitlines()
+        path.write_text(SEARCHED)
         code, out, _ = run_cli(capsys, "solve", str(path), "--stats")
         assert code == 0
-        assert out.splitlines()[:2] == ["nodes=2", "nodes_expanded=1"] and out.endswith("1 2 1\n")
+        assert out.splitlines()[:2] == ["nodes=2", "nodes_expanded=1"] and out.endswith("\n1 2\n")
 
 
 class TestGen:

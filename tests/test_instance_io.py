@@ -33,8 +33,9 @@ from braidmscp.instance_io import key_hash
 from test_acceptance import corpus_params
 
 WORKED = "n 3\nr 1\nalpha 1\nbeta 2\n"
-# the lift chains of the swap pair do not meet, so its solve searches
-SWAP = "n 3\nr 2\nalpha 1\nalpha 2\nbeta 2\nbeta 1\n"
+# the lift chains of this pair do not meet, not even up to the flip tau, so
+# its solve searches
+SEARCHED = "n 4\nr 1\nalpha 2\nbeta 1\n"
 
 
 class TestParse:
@@ -175,8 +176,8 @@ class TestRoundTrip:
             BraidTuple(3.0, (f,))
 
 
-def solved_swap_pair():
-    inst = parse_instance(SWAP)
+def solved_searched_pair():
+    inst = parse_instance(SEARCHED)
     alpha = tuple_from_words(inst.n, inst.alpha)
     beta = tuple_from_words(inst.n, inst.beta)
     return solve_mscp(alpha, beta)
@@ -222,10 +223,11 @@ class TestGraphExport:
         assert outcomes == set(Outcome)
 
     # sha256 of the edge list, DOT and counters report of the first 20 corpus
-    # instances.  Instances 4, 8, 15 and 16 end where the lift chains of
-    # alpha and beta meet, a one-node graph; 1, 9 and 10 search from lifted
-    # alpha, with 2, 2 and 11 nodes; the other 13 have equal tuples.
-    PINNED_DIGEST = "e9d635a3cb2cc5b9cee31cfc70c1293f413ddd3a8e276e2d40b14c680f4da6ee"
+    # instances.  Instances 4, 8, 9, 15 and 16 end where the lift chains of
+    # alpha and beta meet, directly or up to the flip tau, a one-node graph;
+    # 1 and 10 search from lifted alpha, with 2 and 9 nodes; the other 13
+    # have equal tuples.
+    PINNED_DIGEST = "e0c046ebdf6be14fd527bdb9832c345a49043c6863600a27a100c217bbcf1ac7"
 
     def test_pinned_bytes(self):
         digest = hashlib.sha256()
@@ -249,33 +251,33 @@ class TestGraphExport:
         assert "->" not in dot
 
     def test_worked_example_edge(self):
-        res = solved_swap_pair()
+        res = solved_searched_pair()
         edgelist = export_graph(res.graph, "edgelist")
         lines = edgelist.strip().splitlines()
         assert len(lines) == 1
         src, dst, word = lines[0].split(maxsplit=2)
-        assert word == "1 2 1"
+        assert word == "1 2"
         assert src == node_name(res.graph, res.graph.root)
         assert src != dst
 
     def test_dot_syntax(self):
-        res = solved_swap_pair()
+        res = solved_searched_pair()
         dot = export_graph(res.graph, "dot")
         assert dot.splitlines()[0] == "digraph summit {"
         assert dot.rstrip().endswith("}")
-        assert '[label="1 2 1"]' in dot
+        assert '[label="1 2"]' in dot
         # every non-brace line is a node or edge statement ending in ;
         for line in dot.splitlines()[1:-1]:
             assert line.rstrip().endswith(";")
             assert re.match(r'\s+"[0-9a-f]{12}"', line)
 
     def test_deterministic(self):
-        a = export_graph(solved_swap_pair().graph, "dot")
-        b = export_graph(solved_swap_pair().graph, "dot")
+        a = export_graph(solved_searched_pair().graph, "dot")
+        b = export_graph(solved_searched_pair().graph, "dot")
         assert a == b
 
     def test_counters_report(self):
-        res = solved_swap_pair()
+        res = solved_searched_pair()
         report = counters_report(res.graph)
         data = dict(line.split("=") for line in report.strip().splitlines())
         assert data["nodes"] == "2"

@@ -58,9 +58,11 @@ from braidmscp.braid import (
     _braid_mul,
     _gen_perm,
     _left_complement,
+    _letter_codes,
     _meet,
     _peel,
     _perm_inverse,
+    _rank,
     _rcomp_perm,
     _run_starts,
     _tau_perm,
@@ -191,6 +193,28 @@ class TestRunCodes:
         for e in [*range(1, n), *range(1 - n, 0)]:
             assert _RUN_START[n][e] == _perm_inverse(_PERM[_LETTERS[n][e]])
         assert _RANK_STEP[n] == tuple(math.factorial(n - 1 - u) for u in range(n))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_letter_codes_match_ranked_codes(self, n):
+        # ranked here, not looked up: a lookup of a letter's permutation
+        # unranks the letter's own code and writes it back to _CODE
+        for i in range(1, n):
+            gen = _gen_perm(n, i)
+            assert _LETTERS[n][i] == _OFFSET[n] + _rank(gen)
+            assert _LETTERS[n][-i] == _OFFSET[n] + _rank(_tau_perm(_rcomp_perm(gen)))
+
+    def test_letter_codes_rank_nothing(self, monkeypatch):
+        # ranking the 2(n-1) letter codes at n = 1000 costs seconds
+        def refuse(p):
+            raise RuntimeError("a letter code was ranked")
+
+        monkeypatch.setattr(braidmscp.braid, "_rank", refuse)
+        codes = _letter_codes(1000)
+        monkeypatch.undo()
+        for i in (1, 500, 999):
+            gen = _gen_perm(1000, i)
+            assert codes[i] == _OFFSET[1000] + _rank(gen)
+            assert codes[-i] == _OFFSET[1000] + _rank(_tau_perm(_rcomp_perm(gen)))
 
 
 def built_entry_problems():

@@ -37,6 +37,7 @@ from braidmscp import (
     solve_mscp,
     strand_permutation,
     summit_search,
+    tau,
     tuple_from_words,
     tuple_key,
     verify_conjugator,
@@ -51,8 +52,10 @@ from braidmscp.solver import (
     _active_entries,
     _code_key,
     _entries_key,
+    _flip,
     _floor_step,
     _lift_chain,
+    _lockstep,
     _minimal_codes,
     _path,
     _raised_floor,
@@ -333,10 +336,12 @@ class TestMinimalConjugators:
 
 class TestSummitSearch:
     def test_worked_example(self):
-        alpha, beta = words_tuple(3, (1,)), words_tuple(3, (2,))
+        # on 4 strands tau(sigma_2) is sigma_2 itself, not sigma_1, so the
+        # root is no answer; its child by s1 s2 is sigma_1
+        alpha, beta = words_tuple(4, (2,)), words_tuple(4, (1,))
         res = summit_search(alpha, beta, (0,))
         assert res.outcome is Outcome.FOUND
-        assert res.conjugator.letters == (2, 1)
+        assert res.conjugator.letters == (1, 2)
         assert len(res.graph.nodes) == 2
         assert verify_conjugator(alpha, beta, res.conjugator)
 
@@ -388,7 +393,7 @@ class TestSummitSearch:
         assert {tuple_key(res.graph.tuple(key)) for key in res.graph.nodes} == component
 
     def test_node_cap(self):
-        alpha, beta = words_tuple(3, (1,)), words_tuple(3, (2,))
+        alpha, beta = words_tuple(4, (2,)), words_tuple(4, (1,))
         res = summit_search(alpha, beta, (0,), node_cap=1)
         assert res.outcome is Outcome.ABORTED
         assert res.conjugator is None
@@ -418,7 +423,7 @@ class TestSummitSearch:
                 if node.parent is not None:
                     assert conjugate_tuple(graph.tuple(node.parent), _SIMPLE[node.edge]) == graph.tuple(key)
         assert outcomes == {Outcome.FOUND, Outcome.NOT_CONJUGATE}
-        assert nodes == 69
+        assert nodes == 68
 
 
 class TestCompactNodeStore:
@@ -469,13 +474,13 @@ class TestCompactNodeStore:
         for name in ("_entries_key", "_raw_key"):
             monkeypatch.setattr(solver_module, name, refuse)
         monkeypatch.setattr(normal_form_module, "_raw_key", refuse)
-        found = summit_search(words_tuple(3, (1,)), words_tuple(3, (2,)), (0,))
+        found = summit_search(words_tuple(4, (2,)), words_tuple(4, (1,)), (0,))
         assert found.outcome is Outcome.FOUND and len(found.graph.nodes) == 2
         alpha_letters, beta_letters = TestSummitSearch.NON_CONJUGATE[:2]
         alpha, beta = words_tuple(3, *alpha_letters), words_tuple(3, *beta_letters)
         floor = tuple(min(a.inf, b.inf) for a, b in zip(alpha.entries, beta.entries))
         assert summit_search(alpha, beta, floor).outcome is Outcome.NOT_CONJUGATE
-        aborted = summit_search(words_tuple(3, (1,)), words_tuple(3, (2,)), (0,), node_cap=1)
+        aborted = summit_search(words_tuple(4, (2,)), words_tuple(4, (1,)), (0,), node_cap=1)
         assert aborted.outcome is Outcome.ABORTED
 
 
@@ -741,17 +746,18 @@ class TestFloorRaise:
         assert raises > 0
 
     def test_abort_at_the_cap_after_a_raise(self):
-        # hard n=8 r=3 seed 1 raises its floor once, with 4 nodes built
+        # hard n=8 r=3 seed 1 raises its floor once, with 4 nodes built, and
+        # its eleventh node is the flip of a tuple of beta's chain
         inst, _ = gen_instance(GenParams(8, 3, 16, 12, seed=1))
         alpha, beta = tuple_from_words(8, inst.alpha), tuple_from_words(8, inst.beta)
         before = solve_mscp(alpha, beta, node_cap=4)
         assert before.outcome is Outcome.ABORTED and before.counters.floor_raises == 0
-        for cap in (5, 12):
+        for cap in (5, 10):
             res = solve_mscp(alpha, beta, node_cap=cap)
             assert res.outcome is Outcome.ABORTED
             assert res.counters.floor_raises == 1
             assert len(res.graph.nodes) == cap
-        assert solve_mscp(alpha, beta, node_cap=13).outcome is Outcome.FOUND
+        assert solve_mscp(alpha, beta, node_cap=11).outcome is Outcome.FOUND
 
     def test_graph_freed_without_the_cycle_collector(self):
         # a search that raises its floor, and one answered at its root
@@ -870,18 +876,21 @@ class TestSolve:
         with pytest.raises(LengthMismatch):
             solve_mscp(words_tuple(3, (1,)), words_tuple(3, (1,), (2,)))
 
+    # equal tuples, tau-images (sigma_1 and sigma_2 on 3 strands), lift
+    # chains that meet at a tuple neither starts from, and a pair whose
+    # search expands its root
+    EQUAL = words_tuple(3, (1,)), words_tuple(3, (1,))
+    FLIPPED = words_tuple(3, (1,)), words_tuple(3, (2,))
+    MET = words_tuple(3, (-1,)), words_tuple(3, (1, -2, -1))
+    SEARCHED = words_tuple(4, (2,)), words_tuple(4, (1,))
+
     @pytest.mark.parametrize("cap", [0, -1, 1.5, True])
     def test_node_cap_checked_before_any_work(self, cap):
-        # equal tuples, lift chains that meet (sigma_1 and sigma_2), and the
-        # swap pair, which reaches the search: each rejects the cap alike
-        for alpha, beta in [
-            (words_tuple(3, (1,)), words_tuple(3, (1,))),
-            (words_tuple(3, (1,)), words_tuple(3, (2,))),
-            (words_tuple(3, (1,), (2,)), words_tuple(3, (2,), (1,))),
-        ]:
+        # each rejects the cap alike, whether it would search or not
+        for alpha, beta in (self.EQUAL, self.FLIPPED, self.MET, self.SEARCHED):
             with pytest.raises(InvalidParams):
                 solve_mscp(alpha, beta, node_cap=cap)
-        assert solve_mscp(words_tuple(3, (1,)), words_tuple(3, (2,)), node_cap=1).outcome is Outcome.FOUND
+        assert solve_mscp(*self.FLIPPED, node_cap=1).outcome is Outcome.FOUND
 
     def test_round_trip_random(self):
         rng = random.Random(28)
@@ -915,22 +924,19 @@ class TestSolve:
             return res
 
         monkeypatch.setattr(solver_module, "_search", wrong_search)
-        # the lift chains of sigma_1 and sigma_2 meet, so the search answers
-        # at its root; the swap pair's chains do not meet, so it searches
-        for alpha, beta in [
-            (words_tuple(3, (1,)), words_tuple(3, (2,))),
-            (words_tuple(3, (1,), (2,)), words_tuple(3, (2,), (1,))),
-        ]:
+        # tau-images and met chains are answered at the search root; the
+        # last pair searches
+        for alpha, beta in (self.FLIPPED, self.MET, self.SEARCHED):
             with pytest.raises(VerificationFailed):
                 solve_mscp(alpha, beta)
         path = tmp_path / "w.inst"
-        path.write_text("n 3\nr 2\nalpha 1\nalpha 2\nbeta 2\nbeta 1\n")
+        path.write_text("n 4\nr 1\nalpha 2\nbeta 1\n")
         capsys.readouterr()
         assert main(["solve", str(path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "verification" in captured.err
-        assert len(calls) == 3
+        assert len(calls) == 4
 
     def test_every_found_is_verified_once(self, monkeypatch):
         verify = solver_module.verify_conjugator
@@ -941,11 +947,11 @@ class TestSolve:
             return verify(*args)
 
         monkeypatch.setattr(solver_module, "verify_conjugator", spy)
-        # equal tuples, lift chains that meet, and the searched swap pair
-        for alpha, beta, expanded in [
-            (words_tuple(3, (1,)), words_tuple(3, (1,)), False),
-            (words_tuple(3, (1,)), words_tuple(3, (2,)), False),
-            (words_tuple(3, (1,), (2,)), words_tuple(3, (2,), (1,)), True),
+        for (alpha, beta), expanded in [
+            (self.EQUAL, False),
+            (self.FLIPPED, False),
+            (self.MET, False),
+            (self.SEARCHED, True),
         ]:
             calls.clear()
             res = solve_mscp(alpha, beta)
@@ -954,29 +960,31 @@ class TestSolve:
             assert calls == [(alpha, beta, res.conjugator)]
 
     def test_lockstep_meeting(self):
-        # sigma_1 and sigma_2: beta's chain reaches a tuple alpha's chain holds
-        alpha, beta = words_tuple(3, (1,)), words_tuple(3, (2,))
+        # beta's first move reaches the tuple of alpha's first move, which
+        # neither starts from
+        alpha, beta = self.MET
         res = solve_mscp(alpha, beta)
         assert res.outcome is Outcome.FOUND
         assert list(res.graph.nodes) == [res.graph.root]
-        assert res.counters.nodes_expanded == 0 and res.counters.lift_moves == 3
+        assert res.counters.nodes_expanded == 0 and res.counters.lift_moves == 2
         a_chain, b_chain = lift_chain(alpha), lift_chain(beta)
         met = res.graph.root
         assert met in a_chain and met in b_chain
+        assert met not in (_code_key(alpha), _code_key(beta))
         y_a, y_b = chain_word(3, a_chain, met), chain_word(3, b_chain, met)
         assert res.conjugator == word_concat(y_a, word_inverse(y_b))
-        assert res.conjugator.letters == (2, 1)
+        assert res.conjugator.letters == (2, 1, -1)
         assert verify_conjugator(alpha, beta, res.conjugator)
 
     def test_hard_tier_instance(self):
         # hard n=8 r=3 seed 1: the lifted vectors are incomparable, so the
-        # search starts at their minimum and raises it once; a target on
-        # beta's chain below its last tuple is met
+        # search starts at their minimum and raises it once; it meets the
+        # flip of a tuple of beta's chain
         inst, _ = gen_instance(GenParams(8, 3, 16, 12, seed=1))
         alpha, beta = tuple_from_words(8, inst.alpha), tuple_from_words(8, inst.beta)
         res = solve_mscp(alpha, beta, node_cap=1000)
         assert res.outcome is Outcome.FOUND
-        assert len(res.graph.nodes) == 13
+        assert len(res.graph.nodes) == 11
         assert res.counters.floor_raises == 1
         assert verify_conjugator(alpha, beta, res.conjugator)
 
@@ -1010,6 +1018,112 @@ class TestSolve:
         floor = tuple(min(a.inf, b.inf) for a, b in zip(alpha.entries, beta.entries))
         for key in res.graph.nodes:
             assert meets_floor(res.graph.tuple(key), floor)
+
+
+class TestFlipMeeting:
+    """The lift and the search stop at a tuple whose flip tau the other side holds.
+
+    tau(X) = D^-1 X D, so a node X with tau(X) = t on beta's chain gives
+    x = L P D y^-1: D's canonical word joins the conjugator, and the graph
+    gains no node or edge for it.
+    """
+
+    @staticmethod
+    def desk_pair(k):
+        inst, _ = gen_instance(corpus_params()[k])
+        return tuple_from_words(inst.n, inst.alpha), tuple_from_words(inst.n, inst.beta)
+
+    @staticmethod
+    def lockstep(alpha, beta, monkeypatch):
+        """_lockstep's root, both chains, its move count and the tuple whose flip met."""
+        flips = []
+        monkeypatch.setattr(solver_module, "_flip", lambda entries: flips.append(entries) or _flip(entries))
+        a_chain = {_code_key(alpha): SummitNode(None, None)}
+        b_chain = {_code_key(beta): SummitNode(None, None)}
+        counters = SearchCounters()
+        root = _lockstep(alpha.n, a_chain, b_chain, counters)
+        monkeypatch.undo()
+        return root, a_chain, b_chain, counters.lift_moves, flips[-1]
+
+    def test_beta_is_the_flip_of_alpha(self):
+        inst, _ = gen_instance(GenParams(8, 3, 16, 12, seed=1))
+        pairs = [(words_tuple(3, (1,)), words_tuple(3, (2,)))]
+        pairs.append((tuple_from_words(8, inst.alpha), tuple_from_words(8, [tau(w) for w in inst.alpha])))
+        for alpha, beta in pairs:
+            res = solve_mscp(alpha, beta)
+            assert res.outcome is Outcome.FOUND
+            assert list(res.graph.nodes) == [_code_key(alpha)]
+            assert res.counters.lift_moves == 0 and res.counters.nodes_expanded == 0
+            assert res.conjugator == simple_to_word(delta(alpha.n))
+
+    def test_alpha_side_of_the_lockstep(self, monkeypatch):
+        # desk corpus instance 38: alpha's first move reaches tau(beta)
+        alpha, beta = self.desk_pair(38)
+        root, a_chain, b_chain, moves, met = self.lockstep(alpha, beta, monkeypatch)
+        assert met == root == next(reversed(a_chain)) != _code_key(alpha)
+        assert root not in b_chain and _flip(root) == _code_key(beta)
+        assert moves == 1
+        self.check_root_answer(alpha, beta, root, a_chain, b_chain, moves)
+
+    def test_beta_side_of_the_lockstep(self, monkeypatch):
+        # desk corpus instance 137: beta's first move reaches tau(alpha)
+        alpha, beta = self.desk_pair(137)
+        root, a_chain, b_chain, moves, met = self.lockstep(alpha, beta, monkeypatch)
+        assert met == next(reversed(b_chain)) != _code_key(beta)
+        assert met not in a_chain and root == _flip(met) == _code_key(alpha)
+        assert moves == 2
+        self.check_root_answer(alpha, beta, root, a_chain, b_chain, moves)
+
+    @staticmethod
+    def check_root_answer(alpha, beta, root, a_chain, b_chain, moves):
+        res = solve_mscp(alpha, beta)
+        assert res.outcome is Outcome.FOUND
+        assert list(res.graph.nodes) == [root] and res.counters.lift_moves == moves
+        y_a, y_b = chain_word(alpha.n, a_chain, root), chain_word(alpha.n, b_chain, _flip(root))
+        assert res.conjugator == word_concat(y_a, simple_to_word(delta(alpha.n)), word_inverse(y_b))
+
+    def test_search_child(self):
+        # desk corpus instance 107: the root's first new child is the flip of
+        # a tuple of beta's chain, and is not itself in the chain run to its end
+        alpha, beta = self.desk_pair(107)
+        res = solve_mscp(alpha, beta, node_cap=1000)
+        assert res.outcome is Outcome.FOUND
+        graph, n = res.graph, alpha.n
+        assert len(graph.nodes) == 2 and res.counters.nodes_expanded == 1
+        a_chain, b_chain = lift_chain(alpha), lift_chain(beta)
+        child = next(reversed(graph.nodes))
+        assert child not in b_chain and _flip(child) in b_chain
+        y_a = chain_word(n, a_chain, graph.root)
+        y_b = chain_word(n, b_chain, _flip(child))
+        path = chain_word(n, graph.nodes, child)
+        assert res.conjugator == word_concat(y_a, path, simple_to_word(delta(n)), word_inverse(y_b))
+
+    @staticmethod
+    def totals(params):
+        nodes = expanded = moves = at_root = 0
+        for p in params:
+            inst, _ = gen_instance(p)
+            alpha, beta = tuple_from_words(inst.n, inst.alpha), tuple_from_words(inst.n, inst.beta)
+            res = solve_mscp(alpha, beta, node_cap=1000)
+            assert res.outcome is Outcome.FOUND
+            nodes += len(res.graph.nodes)
+            expanded += res.counters.nodes_expanded
+            moves += res.counters.lift_moves
+            at_root += res.counters.nodes_expanded == 0
+        return nodes, expanded, moves, at_root
+
+    def test_desk_totals(self):
+        # 423 nodes, 179 expansions and 1,129 lift moves without the flip
+        assert self.totals(corpus_params()) == (351, 115, 825, 180)
+
+    def test_hard_totals(self):
+        # the benchmark's hard workload: three (n, r, entry length, key
+        # length) points, the same with one-letter keys, seeds 0-2; without
+        # the flip 141 nodes, 81 expansions, 404 lift moves, 8 at the root
+        points = [(6, 2, 10, 8), (7, 2, 12, 10), (8, 3, 16, 12)]
+        points += [(n, r, length, 1) for n, r, length, _ in points]
+        params = [GenParams(*point, seed=seed) for point in points for seed in (0, 1, 2)]
+        assert self.totals(params) == (88, 49, 263, 14)
 
 
 class TestVerify:
