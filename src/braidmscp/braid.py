@@ -66,6 +66,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 
 from .errors import (
     BoundExceeded,
@@ -267,8 +268,13 @@ def _run_starts(n: int) -> list[Perm]:
     return starts
 
 
+def _factorials(n: int) -> list[int]:
+    """0!, 1!, ..., (n-1)!, as running products."""
+    return list(itertools.accumulate(range(1, n), operator.mul, initial=1))
+
+
 # First code of each strand count: 2! + 3! + ... + (n-1)!.
-_OFFSET = _LazyTable(lambda n: sum(math.factorial(k) for k in range(2, n)))
+_OFFSET = _LazyTable(lambda n: sum(_factorials(n)) - 2)
 _CODE = _LazyTable(_code_of_perm)
 _PERM = _LazyTable(_perm_of_code)
 # lcomp(a) is the simple element with lcomp(a) * a = D.  A fill of _LCOMP or
@@ -285,15 +291,15 @@ _RUN_START = _LazyTable(_run_starts)
 # Index u holds (n-1-u)!, the weight of strand u's Lehmer digit: crossing
 # two side-by-side strands u < v raises the rank by it, uncrossing them
 # lowers it by it.
-_RANK_STEP = _LazyTable(lambda n: tuple(math.factorial(n - 1 - u) for u in range(n)))
+_RANK_STEP = _LazyTable(lambda n: tuple(reversed(_factorials(n))))
 # The valid letters of a word on n strands: 1 <= |e| <= n - 1.
 _LETTER_SET = _LazyTable(lambda n: frozenset(range(1 - n, n)) - {0})
 _SIMPLE = _LazyTable(lambda c: SimpleElement(len(_PERM[c]), _PERM[c]))
 # Codes of the identity and the half twist per strand count: the identity has
 # the first rank, so its code is the offset, and the half twist, which
-# reverses the order, the last.
+# reverses the order, the last, n! - 1.
 _IDENTITY = _OFFSET
-_DELTA = _LazyTable(lambda n: _OFFSET[n + 1] - 1)
+_DELTA = _LazyTable(lambda n: _OFFSET[n] + math.factorial(n) - 1)
 
 
 def _peel(yp: Perm, zp: Perm) -> tuple[list[int], list[int]]:
@@ -438,13 +444,16 @@ def generator_simple(n: int, i: int) -> SimpleElement:
 
 def word_inverse(w: BraidWord) -> BraidWord:
     """Reverse the word and flip every crossing sign."""
-    return BraidWord(w.n, tuple(-e for e in reversed(w.letters)))
+    return BraidWord(w.n, tuple(map(operator.neg, reversed(w.letters))))
 
 
 def word_concat(*words: BraidWord) -> BraidWord:
+    """The product of one or more words on the same strands, in order."""
+    if not words:
+        raise InvalidParams("word_concat needs at least one word")
     for w in words[1:]:
         check_same_strands(words[0], w)
-    return BraidWord(words[0].n, tuple(e for w in words for e in w.letters))
+    return BraidWord(words[0].n, tuple(itertools.chain.from_iterable(w.letters for w in words)))
 
 
 def exponent_sum(w: BraidWord) -> int:

@@ -12,6 +12,15 @@ Instances are reproducible: the generator is Python's Mersenne Twister
 (random.Random) seeded from GenParams.seed, and the RNG name, seed, and
 parameters are pinned in the instance metadata.  Batch runs derive the trial
 seed as seed + trial index.
+
+Each letter is two draws, its sign and then its index, and each draw takes
+one 32-bit MT19937 output through rng.getrandbits(k), with rejection: the
+sign is getrandbits(2) drawn again while it is 2 or more, 0 meaning +1 and
+1 meaning -1; the index is getrandbits(k) for k = (n-1).bit_length(), drawn
+again while it is n-1 or more, plus 1.  That is the rule by which CPython
+3.11's rng.choice((1, -1)) * rng.randint(1, n - 1) draws, so instances are
+the ones it gave, and they no longer depend on how a Python release
+implements choice and randint.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import time
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
-from .braid import BraidWord, word_concat, word_inverse
+from .braid import BraidWord, check_strand_count, word_concat, word_inverse
 from .errors import InvalidParams
 from .instance_io import InstanceFile
 from .solver import (
@@ -68,10 +77,26 @@ class GenParams:
 
 
 def random_word(rng: random.Random, n: int, length: int) -> BraidWord:
-    """Uniform signed word: independent uniform letter index and sign."""
-    return BraidWord(
-        n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
-    )
+    """Uniform signed word: independent uniform sign and index per letter, drawn by the rule above.
+
+    The inputs are checked before the first draw: with n < 2 there is no
+    letter, and the index draw would never be accepted.
+    """
+    check_strand_count(n)
+    if type(length) is not int or length < 0:  # not a bool either
+        raise InvalidParams(f"length must be a non-negative integer, got {length!r}")
+    bits, top = rng.getrandbits, n - 1
+    k = top.bit_length()
+    letters = [0] * length
+    for j in range(length):
+        sign = bits(2)
+        while sign >= 2:
+            sign = bits(2)
+        i = bits(k)
+        while i >= top:
+            i = bits(k)
+        letters[j] = -1 - i if sign else i + 1
+    return BraidWord(n, tuple(letters))
 
 
 def gen_instance(params: GenParams) -> tuple[InstanceFile, BraidWord]:
@@ -79,7 +104,8 @@ def gen_instance(params: GenParams) -> tuple[InstanceFile, BraidWord]:
     rng = random.Random(params.seed)
     alpha = tuple(random_word(rng, params.n, params.entry_length) for _ in range(params.r))
     x = random_word(rng, params.n, params.conjugator_length)
-    beta = tuple(word_concat(word_inverse(x), a, x) for a in alpha)
+    x_inv = word_inverse(x)
+    beta = tuple(word_concat(x_inv, a, x) for a in alpha)
     metadata = (
         f"rng {RNG_NAME}",
         f"seed {params.seed}",

@@ -17,6 +17,8 @@ the plain comb that bubbles each half twist to the front one pair move at a
 time, so none of them runs the package's comb.  Its pair moves peel with
 ref_peel, a copy of the letter-by-letter meet, so they share no meet with
 the package either; ref_meet and ref_left_complement are built on it too.
+ref_random_word draws a word's letters through random.Random's choice and
+randint, the reference for the generator's own draws.
 """
 
 from __future__ import annotations
@@ -481,3 +483,13 @@ def bfs_search(alpha, beta, floor, node_cap):
                 return found(child)
             queue.append(child)
     return ConjugatorResult(Outcome.NOT_CONJUGATE, None, None, graph)
+
+
+def ref_random_word(rng, n: int, length: int) -> tuple[int, ...]:
+    """The letters of a random word drawn through the stdlib's choice and randint.
+
+    harness.random_word draws each letter from rng.getrandbits by the rule
+    that these two calls apply in CPython 3.11, so on that release the two
+    take the same letters from the same stream.
+    """
+    return tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))

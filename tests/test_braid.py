@@ -27,6 +27,7 @@ from braidmscp import (
     simple_product,
     simple_to_word,
     tau,
+    word_concat,
     word_from_text,
     word_inverse,
     word_to_text,
@@ -43,6 +44,16 @@ class TestWords:
         assert word_inverse(BraidWord(3, (1, 2))).letters == (-2, -1)
         assert word_inverse(BraidWord(3, ())).letters == ()
         assert word_inverse(BraidWord(3, (-1,))).letters == (1,)
+
+    def test_concat(self):
+        a, b = BraidWord(4, (1, -2)), BraidWord(4, (3,))
+        assert word_concat(a).letters == (1, -2)
+        assert word_concat(a, BraidWord(4, ()), b, a).letters == (1, -2, 3, 1, -2)
+        with pytest.raises(StrandMismatch):
+            word_concat(a, BraidWord(3, (1,)))
+        # a public function: no words is an input error, not an IndexError
+        with pytest.raises(InvalidParams, match="at least one word"):
+            word_concat()
 
     def test_letter_validation(self):
         with pytest.raises(InvalidParams):

@@ -1,5 +1,9 @@
+import hashlib
+import random
+
 import pytest
 
+import oracle
 from braidmscp import (
     BraidWord,
     GenParams,
@@ -13,9 +17,11 @@ from braidmscp import (
     verify_conjugator,
     word_concat,
     word_inverse,
+    word_to_text,
     write_instance,
 )
 from braidmscp.harness import format_report, random_word
+from test_acceptance import corpus_params
 
 
 def desk_params(**overrides):
@@ -75,12 +81,59 @@ class TestGenInstance:
                 batch_stats([desk_params()], **bad)
 
     def test_random_word_length_and_range(self):
-        import random
-
         rng = random.Random(0)
         w = random_word(rng, 4, 50)
         assert len(w.letters) == 50
         assert all(1 <= abs(e) <= 3 for e in w.letters)
+
+
+class _NoDraws(random.Random):
+    """A generator that fails on its first draw, so a missing input check cannot loop."""
+
+    def getrandbits(self, k):
+        raise AssertionError("drew before checking the inputs")
+
+
+class TestRandomWord:
+    def test_stream_matches_the_stdlib_reference(self):
+        # the same letters, and the generator left in the same state
+        for n in range(2, 13):
+            for seed in range(200):
+                for length in (0, 1, 7, 64, 128):
+                    rng, ref = random.Random(seed), random.Random(seed)
+                    assert random_word(rng, n, length).letters == oracle.ref_random_word(ref, n, length)
+                    assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("n", [1, 0, -3, True, 2.0, "4"])
+    def test_bad_strand_count_raises_before_drawing(self, n):
+        # n = 1 leaves no letter to draw; the index draw would never be accepted
+        with pytest.raises(InvalidParams, match="strand count"):
+            random_word(_NoDraws(0), n, 3)
+
+    @pytest.mark.parametrize("length", [-1, 1.5, True, "3", None])
+    def test_bad_length_raises_before_drawing(self, length):
+        with pytest.raises(InvalidParams, match="length must be a non-negative integer"):
+            random_word(_NoDraws(0), 4, length)
+
+    # sha256 of the instance and planted-key text of the perfbench inputs
+    # (the 200 desk params, the 18 hard ones and verify's first 20), as the
+    # stdlib's choice and randint drew them
+    INSTANCE_DIGEST = "be4b3b213b5ec6b86a19f037a2680a967e50b0c4aea8e2f84f2048148a2197e6"
+
+    def test_benchmark_instances_are_unchanged(self):
+        points = ((6, 2, 10, 8), (7, 2, 12, 10), (8, 3, 16, 12))
+        hard = [
+            GenParams(n, r, entry_len, conj_len, seed)
+            for n, r, entry_len, conj_len in (*points, *((n, r, e, 1) for n, r, e, _ in points))
+            for seed in range(3)
+        ]
+        verify = [GenParams((4, 5, 6, 7, 8)[k % 5], 3, 128, 64, k) for k in range(20)]
+        digest = hashlib.sha256()
+        for params in (*corpus_params(), *hard, *verify):
+            inst, key = gen_instance(params)
+            digest.update(write_instance(inst).encode())
+            digest.update(f"key {word_to_text(key)}\n".encode())
+        assert digest.hexdigest() == self.INSTANCE_DIGEST
 
 
 class TestRunAttack:

@@ -44,6 +44,7 @@ from braidmscp import (
 )
 from braidmscp.braid import (
     _CODE,
+    _DELTA,
     _INV,
     _LCOMP,
     _LETTERS,
@@ -202,6 +203,28 @@ class TestRunCodes:
             gen = _gen_perm(n, i)
             assert _LETTERS[n][i] == _OFFSET[n] + _rank(gen)
             assert _LETTERS[n][-i] == _OFFSET[n] + _rank(_tau_perm(_rcomp_perm(gen)))
+
+    def test_factorial_tables_match_their_formulas(self):
+        # built from running products; recomputed here one factorial at a time
+        for n in range(2, 41):
+            assert _OFFSET._build(n) == sum(math.factorial(k) for k in range(2, n))
+            assert _DELTA._build(n) == sum(math.factorial(k) for k in range(2, n + 1)) - 1
+            assert _RANK_STEP._build(n) == tuple(math.factorial(n - 1 - u) for u in range(n))
+
+    def test_letter_codes_at_large_n_take_few_factorials(self, monkeypatch):
+        # each factorial from scratch made about 3,000 calls at n = 1000
+        tables = (_LETTERS, _OFFSET, _DELTA, _RANK_STEP)
+        for table in tables:
+            for n in (1000, 1001):
+                table.pop(n, None)
+        sizes = [len(table) for table in tables]
+        calls, factorial = [], math.factorial
+        monkeypatch.setattr(math, "factorial", lambda k: calls.append(k) or factorial(k))
+        codes = _LETTERS[1000]
+        monkeypatch.undo()
+        fills = sum(len(table) - size for table, size in zip(tables, sizes))
+        assert len(calls) <= fills
+        assert codes == _letter_codes(1000)
 
     def test_letter_codes_rank_nothing(self, monkeypatch):
         # ranking the 2(n-1) letter codes at n = 1000 costs seconds
