@@ -67,10 +67,13 @@ import functools
 import itertools
 import math
 import operator
+import re
 
 from .errors import (
+    BadToken,
     BoundExceeded,
     InvalidParams,
+    LengthMismatch,
     NegativeLetter,
     NotSimple,
     StrandMismatch,
@@ -82,14 +85,37 @@ Perm = tuple[int, ...]
 SIMPLE_ENUM_BOUND = 6
 
 
-def check_strand_count(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise InvalidParams(f"strand count must be an integer >= 2, got {n!r}")
+def check_int(name: str, value, low: int | None = None) -> None:
+    """The one test of a scalar integer input: exactly an int, no bool or subclass, and at least low."""
+    if type(value) is not int:
+        raise InvalidParams(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise InvalidParams(f"{name} must be at least {low}, got {value}")
 
 
 def check_same_strands(a, b) -> None:
     if a.n != b.n:
         raise StrandMismatch(f"cannot mix objects on {a.n} and {b.n} strands")
+
+
+def check_same_length(a, b) -> None:
+    if len(a) != len(b):
+        raise LengthMismatch(f"tuples of length {len(a)} and {len(b)}")
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def integer(token: str) -> int:
+    """The int that a text token spells in the one integer grammar, ASCII [+-]?[0-9]+.
+
+    int() alone also reads underscores between digits, non-ASCII digits and
+    surrounding whitespace.  Raises ValueError, as int() does, so argparse
+    takes it as a type.
+    """
+    if _INTEGER.fullmatch(token) is None:
+        raise ValueError(f"invalid integer {token!r}")
+    return int(token)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +403,7 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        check_strand_count(self.n)
+        check_int("strand count", self.n, 2)
         letters = tuple(self.letters)
         object.__setattr__(self, "letters", letters)
         # two set tests in C; True == 1.0 == 1, so the types are tested too
@@ -400,7 +426,7 @@ class SimpleElement:
     code: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_strand_count(self.n)
+        check_int("strand count", self.n, 2)
         object.__setattr__(self, "perm", tuple(self.perm))
         # every entry an int and not a bool, as for letters: the tables key on perm
         if not {*map(type, self.perm)} <= {int} or sorted(self.perm) != list(range(self.n)):
@@ -419,19 +445,19 @@ class SimpleElement:
 
 
 def identity_simple(n: int) -> SimpleElement:
-    check_strand_count(n)
+    check_int("strand count", n, 2)
     return _SIMPLE[_IDENTITY[n]]
 
 
 def delta(n: int) -> SimpleElement:
     """The half twist, maximum of the lattice of simple elements."""
-    check_strand_count(n)
+    check_int("strand count", n, 2)
     return _SIMPLE[_DELTA[n]]
 
 
 def generator_simple(n: int, i: int) -> SimpleElement:
     """The simple element of the single letter i."""
-    check_strand_count(n)
+    check_int("strand count", n, 2)
     if not 1 <= i <= n - 1:
         raise InvalidParams(f"generator index {i} out of range for {n} strands")
     return _SIMPLE[_LETTERS[n][i]]
@@ -471,22 +497,35 @@ def _letters_text(letters) -> str:
 
 
 def word_from_text(text: str, n: int) -> BraidWord:
-    check_strand_count(n)
+    """Parse whitespace-separated letters, each an integer token, or the single token "e".
+
+    The first token that is not a letter of n strands raises BadToken at its
+    character offset: a syntax error, or a letter out of range.  An empty
+    text raises it at offset 0.
+    """
+    check_int("strand count", n, 2)
     tokens = text.split()
     if tokens == ["e"]:
         return BraidWord(n, ())
-    if not tokens:
-        raise InvalidParams("empty word text; the identity is written 'e'")
-    try:
-        letters = tuple(map(int, tokens))
-    except ValueError:
-        for tok in tokens:  # name the first token that int() rejects
-            try:
-                int(tok)
-            except ValueError:
-                raise InvalidParams(f"bad letter token {tok!r}") from None
-        raise
-    return BraidWord(n, letters)
+    if tokens and text.isascii() and "_" not in text:  # there int() reads exactly the integer grammar
+        try:
+            return BraidWord(n, tuple(map(int, tokens)))
+        except (ValueError, InvalidParams):
+            pass  # the loop below names the first bad token
+    letters = []
+    for m in re.finditer(r"\S+", text):
+        tok = m.group()
+        try:
+            letter = integer(tok)
+        except ValueError:
+            why = "'e' cannot appear inside a word" if tok == "e" else f"bad letter token {tok!r}"
+            raise BadToken(why, m.start()) from None
+        if letter not in _LETTER_SET[n]:
+            raise BadToken(f"letter {letter} out of range 1..{n - 1}", m.start(), out_of_range=True)
+        letters.append(letter)
+    if not letters:
+        raise BadToken("empty word text; the identity is written 'e'", 0)
+    return BraidWord(n, tuple(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +626,7 @@ def simple_product(a: SimpleElement, b: SimpleElement) -> SimpleElement:
 
 def enumerate_simples(n: int) -> list[SimpleElement]:
     """All n! simple elements, for brute-force oracles at small n."""
-    check_strand_count(n)
+    check_int("strand count", n, 2)
     if n > SIMPLE_ENUM_BOUND:
         raise BoundExceeded(f"enumeration of {n}! simple elements exceeds bound {SIMPLE_ENUM_BOUND}")
     return [SimpleElement(n, p) for p in itertools.permutations(range(n))]

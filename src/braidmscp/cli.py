@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import harness, instance_io
-from .braid import word_from_text, word_to_text
+from .braid import integer, word_from_text, word_to_text
 from .errors import BraidError
 from .normal_form import nf_key, normalize
 from .solver import DEFAULT_NODE_CAP, Outcome, solve_mscp, tuple_from_words, verify_conjugator
@@ -40,36 +40,36 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_nf = sub.add_parser("nf", help="print the left normal form of a word")
-    p_nf.add_argument("-n", type=int, required=True, help="strand count")
+    p_nf.add_argument("-n", type=integer, required=True, help="strand count")
     p_nf.add_argument("word", help="word text, e.g. '1 -2' or 'e'")
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("instance", type=Path)
-    p_solve.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP, help="node cap")
+    p_solve.add_argument("--cap", type=integer, default=DEFAULT_NODE_CAP, help="node cap")
     p_solve.add_argument("--graph", type=Path, help="write the explored graph here")
     p_solve.add_argument("--stats", action="store_true", help="print search counters")
 
     p_gen = sub.add_parser("gen", help="generate a seeded instance with a planted key")
     p_gen.add_argument("out", type=Path, help="output instance path (key goes to <out>.key)")
-    p_gen.add_argument("-n", type=int, required=True)
-    p_gen.add_argument("-r", type=int, default=1)
-    p_gen.add_argument("--entry-len", type=int, default=4)
-    p_gen.add_argument("--conj-len", type=int, default=4)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("-n", type=integer, required=True)
+    p_gen.add_argument("-r", type=integer, default=1)
+    p_gen.add_argument("--entry-len", type=integer, default=4)
+    p_gen.add_argument("--conj-len", type=integer, default=4)
+    p_gen.add_argument("--seed", type=integer, default=0)
 
     p_verify = sub.add_parser("verify", help="check a conjugator against an instance")
     p_verify.add_argument("instance", type=Path)
     p_verify.add_argument("conjugator", help="word text")
 
     p_attack = sub.add_parser("attack", help="run seeded attacks and report a table")
-    p_attack.add_argument("-n", type=int, default=3)
+    p_attack.add_argument("-n", type=integer, default=3)
     p_attack.add_argument("-r", default="1", help="tuple length, or a comma list of them to sweep")
-    p_attack.add_argument("--entry-len", type=int, default=4)
-    p_attack.add_argument("--conj-len", type=int, default=4)
-    p_attack.add_argument("--seed", type=int, default=0)
-    p_attack.add_argument("--trials", type=int, default=1)
-    p_attack.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP)
-    p_attack.add_argument("--jobs", type=int, default=1, help="parallel trials")
+    p_attack.add_argument("--entry-len", type=integer, default=4)
+    p_attack.add_argument("--conj-len", type=integer, default=4)
+    p_attack.add_argument("--seed", type=integer, default=0)
+    p_attack.add_argument("--trials", type=integer, default=1)
+    p_attack.add_argument("--cap", type=integer, default=DEFAULT_NODE_CAP)
+    p_attack.add_argument("--jobs", type=integer, default=1, help="parallel trials")
     p_attack.add_argument("--times", action="store_true", help="include wall-time column")
 
     return parser
@@ -134,7 +134,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_attack(args) -> int:
     try:
-        r_values = [int(tok) for tok in args.r.split(",") if tok.strip()]
+        r_values = [integer(tok.strip()) for tok in args.r.split(",") if tok.strip()]
     except ValueError:
         raise CliError(f"bad -r value {args.r!r}") from None
     if not r_values:

@@ -1,7 +1,9 @@
 """Exception types raised across the package.
 
 Everything derives from BraidError so callers can catch broadly; the concrete
-subclasses exist because tests and the CLI distinguish failure kinds.
+subclasses exist because tests and library callers distinguish failure
+kinds.  The CLI does not: it reports every BraidError as bad input, exit
+code 3.
 """
 
 
@@ -11,6 +13,19 @@ class BraidError(Exception):
 
 class InvalidParams(BraidError):
     """A constructor or operation was given out-of-range parameters."""
+
+
+class BadToken(InvalidParams):
+    """A word text holds a token that is not a letter: a syntax error, or a letter out of range.
+
+    offset is the token's character offset in the text, and out_of_range
+    tells the two kinds apart.
+    """
+
+    def __init__(self, message: str, offset: int, out_of_range: bool = False):
+        super().__init__(message)
+        self.offset = offset
+        self.out_of_range = out_of_range
 
 
 class StrandMismatch(BraidError):

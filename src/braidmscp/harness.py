@@ -27,20 +27,20 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 import random
 import statistics
 import time
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
-from .braid import BraidWord, check_strand_count, word_concat, word_inverse
+from .braid import BraidWord, check_int, word_concat, word_inverse
 from .errors import InvalidParams
 from .instance_io import InstanceFile
 from .solver import (
     DEFAULT_NODE_CAP,
     ConjugatorResult,
     Outcome,
-    _check_node_cap,
     solve_mscp,
     tuple_from_words,
     verify_conjugator,
@@ -60,19 +60,10 @@ class GenParams:
     seed: int
 
     def __post_init__(self):
-        for name in ("n", "r", "entry_length", "conjugator_length", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:  # not a bool either
-                raise InvalidParams(f"{name} must be an integer, got {value!r}")
-        if self.n < 2:
-            raise InvalidParams(f"n must be at least 2, got {self.n}")
-        if self.r < 1:
-            raise InvalidParams(f"r must be at least 1, got {self.r}")
-        if self.entry_length < 1:
-            raise InvalidParams(f"entry_length must be at least 1, got {self.entry_length}")
-        if self.conjugator_length < 0:
-            raise InvalidParams(f"conjugator_length must be non-negative, got {self.conjugator_length}")
-        if not 0 <= self.seed < 2**64:
+        # ints and not bools: True would reach the metadata
+        for name, low in (("n", 2), ("r", 1), ("entry_length", 1), ("conjugator_length", 0), ("seed", 0)):
+            check_int(name, getattr(self, name), low)
+        if self.seed >= 2**64:
             raise InvalidParams("seed must fit in 64 bits")
 
 
@@ -82,9 +73,8 @@ def random_word(rng: random.Random, n: int, length: int) -> BraidWord:
     The inputs are checked before the first draw: with n < 2 there is no
     letter, and the index draw would never be accepted.
     """
-    check_strand_count(n)
-    if type(length) is not int or length < 0:  # not a bool either
-        raise InvalidParams(f"length must be a non-negative integer, got {length!r}")
+    check_int("strand count", n, 2)
+    check_int("length", length, 0)
     bits, top = rng.getrandbits, n - 1
     k = top.bit_length()
     letters = [0] * length
@@ -215,17 +205,14 @@ def batch_stats(
     Trial k of a point uses seed + k.  With jobs > 1 the trials of all
     points are spread over a pool of worker processes, so a single point
     runs in parallel too; results come back in submission order and are
-    aggregated per point.
+    aggregated per point.  The pool has at most one worker per CPU, since
+    a spawn pool starts one per submitted task up to its size, whatever
+    jobs asks for.
     """
     points = list(points)
-    for name, value in (("trials", trials), ("jobs", jobs)):
-        if type(value) is not int:  # not a bool either
-            raise InvalidParams(f"{name} must be an integer, got {value!r}")
-    if trials < 0:
-        raise InvalidParams("trials must be non-negative")
-    if jobs < 1:
-        raise InvalidParams(f"jobs must be at least 1, got {jobs}")
-    _check_node_cap(node_cap)
+    check_int("trials", trials, 0)
+    check_int("jobs", jobs, 1)
+    check_int("node_cap", node_cap, 1)
     if trials == 0:
         return []
     tasks = [dataclasses.replace(p, seed=p.seed + k) for p in points for k in range(trials)]
@@ -234,7 +221,8 @@ def batch_stats(
         from concurrent.futures import ProcessPoolExecutor
 
         context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), mp_context=context) as pool:
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             done = list(pool.map(_run_trial, tasks, itertools.repeat(node_cap)))
     else:
         done = [_run_trial(t, node_cap) for t in tasks]

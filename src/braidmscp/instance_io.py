@@ -8,8 +8,10 @@ The primary format is line-based plain text so corpora diff cleanly:
     alpha 1
     beta 2
 
-Words are space-separated signed integers with 1 <= |v| <= n-1; the empty
-word is the single token "e".  Comment lines start with "#" and round-trip.
+Words are whitespace-separated letters with 1 <= |v| <= n-1; the empty
+word is the single token "e".  The n and r values and every letter are
+integer tokens, ASCII [+-]?[0-9]+, and the first token refused is reported
+at its line and column.  Comment lines start with "#" and round-trip.
 Explored search graphs export as an edge list or DOT.
 """
 
@@ -19,11 +21,19 @@ import dataclasses
 import hashlib
 import re
 
-from .braid import BraidWord, word_from_text, word_to_text
+from .braid import (
+    BraidWord,
+    check_int,
+    check_same_length,
+    check_same_strands,
+    integer,
+    word_from_text,
+    word_to_text,
+)
 from .errors import (
+    BadToken,
     CountMismatch,
     IndexOutOfRange,
-    InstanceFormatError,
     InstanceSyntaxError,
     InvalidParams,
 )
@@ -46,13 +56,15 @@ class InstanceFile:
     metadata: tuple[str, ...] = ()
 
     def __post_init__(self):
+        check_int("strand count", self.n, 2)
         for name in ("alpha", "beta", "metadata"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not self.alpha or len(self.alpha) != len(self.beta):
-            raise InvalidParams("alpha and beta must be non-empty and of equal length")
+        if not self.alpha or not self.beta:
+            raise InvalidParams("alpha and beta must be non-empty")
+        # the checks the solver makes of a pair of tuples
+        check_same_length(self.alpha, self.beta)
         for w in self.alpha + self.beta:
-            if w.n != self.n:
-                raise InvalidParams("instance words must share the strand count")
+            check_same_strands(self, w)
         if not all(map(_metadata_entry_ok, self.metadata)):
             raise InvalidParams(f"a metadata entry is not a single trimmed line: {self.metadata!r}")
 
@@ -61,34 +73,16 @@ class InstanceFile:
         return len(self.alpha)
 
 
-_TOKEN = re.compile(r"\S+")
-
-
 def _parse_word(body: str, n: int, lineno: int, offset: int) -> BraidWord:
-    """The word of one alpha or beta line, whose body starts after offset characters."""
+    """The word of one alpha or beta line, whose body starts after offset characters.
+
+    word_from_text names the first bad token; this adds its line and column.
+    """
     try:
         return word_from_text(body, n)
-    except InvalidParams:
-        raise _word_error(body, n, lineno, offset) from None
-
-
-def _word_error(body: str, n: int, lineno: int, offset: int) -> InstanceFormatError:
-    """The error of the first token of a word that does not parse, at its column."""
-    tokens = list(_TOKEN.finditer(body))
-    if not tokens:
-        return InstanceSyntaxError("missing word", lineno, offset)
-    for m in tokens:
-        col = offset + m.start() + 1
-        tok = m.group()
-        if tok == "e":
-            return InstanceSyntaxError("'e' cannot appear inside a word", lineno, col)
-        try:
-            v = int(tok)
-        except ValueError:
-            return InstanceSyntaxError(f"bad letter token {tok!r}", lineno, col)
-        if v == 0 or abs(v) > n - 1:
-            return IndexOutOfRange(f"letter {v} out of range 1..{n - 1}", lineno, col)
-    raise AssertionError(f"word {body!r} parses")
+    except BadToken as ex:
+        error = IndexOutOfRange if ex.out_of_range else InstanceSyntaxError
+        raise error(str(ex), lineno, offset + ex.offset + 1) from None
 
 
 def _parse_int_line(line: str, key: str, lineno: int) -> int:
@@ -96,7 +90,7 @@ def _parse_int_line(line: str, key: str, lineno: int) -> int:
     if m is None:
         raise InstanceSyntaxError(f"expected '{key} <int>'", lineno, 1)
     try:
-        return int(m.group(1))
+        return integer(m.group(1))
     except ValueError:
         raise InstanceSyntaxError(f"bad integer {m.group(1)!r}", lineno, len(key) + 2) from None
 

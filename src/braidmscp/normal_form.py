@@ -97,8 +97,8 @@ from .braid import (
     _left_complement,
     _letters_text,
     _peel,
+    check_int,
     check_same_strands,
-    check_strand_count,
     word_inverse,
 )
 from .errors import InvalidParams, NotPositive, StrandMismatch
@@ -115,14 +115,16 @@ class NormalForm:
     codes: Codes = ()
 
     def __post_init__(self):
-        check_strand_count(self.n)
-        if type(self.power) is not int:  # not a bool either
-            raise InvalidParams(f"power {self.power!r} is not an integer")
+        check_int("strand count", self.n, 2)
+        check_int("power", self.power)
         object.__setattr__(self, "codes", tuple(self.codes))
-        # the codes of n strands run from the identity's to the half twist's
+        # every code an int and not a bool, as for letters; the codes of n
+        # strands run from the identity's to the half twist's
+        if not {*map(type, self.codes)} <= {int}:
+            raise InvalidParams(f"factor codes {self.codes!r} are not all integers")
         lo, hi = _IDENTITY[self.n], _DELTA[self.n]
         for c in self.codes:
-            if not isinstance(c, int) or c < 0 or c in (lo, hi):
+            if c < 0 or c in (lo, hi):
                 raise InvalidParams(f"factor {c!r} is not the code of a proper simple factor")
             if not lo < c < hi:
                 raise StrandMismatch(f"factor code {c} is not on {self.n} strands")

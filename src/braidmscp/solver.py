@@ -100,14 +100,14 @@ from .braid import (
     _code_letters,
     _left_complement,
     _mul,
+    check_int,
+    check_same_length,
     check_same_strands,
-    check_strand_count,
 )
 from .errors import (
     InvalidParams,
     LengthMismatch,
     NotInFloor,
-    StrandMismatch,
     VerificationFailed,
 )
 from .normal_form import (
@@ -138,15 +138,14 @@ class BraidTuple:
     entries: tuple[NormalForm, ...]
 
     def __post_init__(self):
-        check_strand_count(self.n)
+        check_int("strand count", self.n, 2)
         object.__setattr__(self, "entries", tuple(self.entries))
         if not self.entries:
             raise InvalidParams("a braid tuple needs at least one entry")
         for e in self.entries:
             if not isinstance(e, NormalForm):
                 raise InvalidParams(f"tuple entry {e!r} is not a NormalForm")
-            if e.n != self.n:
-                raise StrandMismatch(f"entry on {e.n} strands in a tuple on {self.n}")
+            check_same_strands(self, e)
 
     @property
     def r(self) -> int:
@@ -389,16 +388,8 @@ def _path(nodes: dict[Entries, SummitNode], key: Entries) -> list[int]:
 
 
 def _check_pair(alpha: BraidTuple, beta: BraidTuple) -> None:
-    if alpha.r != beta.r:
-        raise LengthMismatch(f"tuples of length {alpha.r} and {beta.r}")
+    check_same_length(alpha.entries, beta.entries)
     check_same_strands(alpha, beta)
-
-
-def _check_node_cap(node_cap: int) -> None:
-    if type(node_cap) is not int:  # not a bool either
-        raise InvalidParams(f"node_cap must be an integer, got {node_cap!r}")
-    if node_cap < 1:
-        raise InvalidParams("node_cap must be at least 1")
 
 
 def _lift_chain(n: int, chain: dict[Entries, SummitNode], counters: SearchCounters):
@@ -497,7 +488,7 @@ def summit_search(
     docstring says why its verdicts are sound.
     """
     _check_pair(alpha, beta)
-    _check_node_cap(node_cap)
+    check_int("node_cap", node_cap, 1)
     r = alpha.r
     if len(floor) not in (r, 2 * r):
         raise LengthMismatch(f"floor of length {len(floor)} against a {r}-tuple")
@@ -700,7 +691,7 @@ def solve_mscp(
     re-verified on the original tuples before it is returned.
     """
     _check_pair(alpha, beta)
-    _check_node_cap(node_cap)
+    check_int("node_cap", node_cap, 1)
     n = alpha.n
     counters = SearchCounters()
     a_chain = {_code_key(alpha): SummitNode(None, None)}
@@ -716,8 +707,7 @@ def solve_mscp(
 def verify_conjugator(alpha: BraidTuple, beta: BraidTuple, x: BraidWord) -> bool:
     """Whether x^-1 a_i x = b_i holds for every entry, by normal forms."""
     _check_pair(alpha, beta)
-    if x.n != alpha.n:
-        raise StrandMismatch(f"conjugator on {x.n} strands against tuples on {alpha.n}")
+    check_same_strands(alpha, x)
     xf = normalize(x)
     xinv = invert(xf)
     return all(

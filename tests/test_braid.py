@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracle
 from braidmscp import (
+    BadToken,
     BoundExceeded,
     BraidWord,
     InvalidParams,
@@ -81,6 +82,27 @@ class TestWords:
         assert word_from_text("1 -2 3", 4).letters == (1, -2, 3)
         with pytest.raises(InvalidParams):
             word_from_text("x", 3)
+
+    def test_letters_are_ascii_integer_tokens(self):
+        # a sign and leading zeros are decimal; any whitespace separates
+        assert word_from_text("+1 -02\u00a0001\u2003-1", 3).letters == (1, -2, 1, -1)
+
+    @pytest.mark.parametrize(
+        "text, message, offset, out_of_range",
+        [
+            ("1_0", "bad letter token '1_0'", 0, False),
+            ("1 \u0661 +2", "bad letter token '\u0661'", 2, False),
+            ("2 \uff12", "bad letter token '\uff12'", 2, False),
+            ("1  e", "'e' cannot appear inside a word", 3, False),
+            ("-1 +3 x", "letter 3 out of range 1..2", 3, True),
+            ("1 0", "letter 0 out of range 1..2", 2, True),
+            (" \t", "empty word text; the identity is written 'e'", 0, False),
+        ],
+    )
+    def test_first_bad_token_is_named_with_its_offset_and_kind(self, text, message, offset, out_of_range):
+        with pytest.raises(BadToken) as exc:
+            word_from_text(text, 3)
+        assert (str(exc.value), exc.value.offset, exc.value.out_of_range) == (message, offset, out_of_range)
 
 
 class TestSimpleConstruction:

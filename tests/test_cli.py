@@ -30,6 +30,13 @@ class TestNf:
         assert code == 3
         assert "error" in err
 
+    def test_integers_are_ascii_decimal_tokens(self, capsys):
+        # int() would read these as 10, 11 and 3
+        assert run_cli(capsys, "nf", "-n", "11", "1_0")[0] == 3
+        assert run_cli(capsys, "nf", "-n", "1_1", "1")[0] == 3
+        assert run_cli(capsys, "nf", "-n", "\uff13", "1")[0] == 3
+        assert run_cli(capsys, "nf", "-n", "3", "+1 -2") == run_cli(capsys, "nf", "-n", "3", "1 -2")
+
 
 class TestSolve:
     def test_worked(self, tmp_path, capsys):
@@ -73,6 +80,13 @@ class TestSolve:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "/nonexistent/file.inst")
         assert code == 3
+
+    def test_header_integer_grammar(self, tmp_path, capsys):
+        path = tmp_path / "u.inst"
+        path.write_text("n 1_1\nr 1\nalpha 1\nbeta 1\n")
+        code, _, err = run_cli(capsys, "solve", str(path))
+        assert code == 3
+        assert "line 1, col 3: bad integer '1_1'" in err
 
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.inst"
@@ -192,6 +206,9 @@ class TestAttack:
         assert run_cli(capsys, "attack", "-r", "1,x")[0] == 3
         assert run_cli(capsys, "attack", "-r", ",")[0] == 3
         assert run_cli(capsys, "attack", "--jobs", "-3")[0] == 3
+        assert run_cli(capsys, "attack", "-r", "1,1_0")[0] == 3
+        assert run_cli(capsys, "attack", "-r", "\u0661")[0] == 3
+        assert run_cli(capsys, "attack", "--trials", "1_0")[0] == 3
 
 
 class TestContract:

@@ -1,19 +1,31 @@
+import concurrent.futures
+import dataclasses
 import hashlib
+import os
 import random
+import re
 
 import pytest
 
 import oracle
 from braidmscp import (
+    BraidTuple,
     BraidWord,
     GenParams,
+    InstanceFile,
     InvalidParams,
+    NormalForm,
     Outcome,
+    SimpleElement,
     batch_stats,
     gen_instance,
+    inf_vector,
     parse_instance,
     run_attack,
+    solve_mscp,
+    summit_search,
     tuple_from_words,
+    word_from_text,
     verify_conjugator,
     word_concat,
     word_inverse,
@@ -112,8 +124,10 @@ class TestRandomWord:
 
     @pytest.mark.parametrize("length", [-1, 1.5, True, "3", None])
     def test_bad_length_raises_before_drawing(self, length):
-        with pytest.raises(InvalidParams, match="length must be a non-negative integer"):
+        want = "length must be at least 0, got -1" if length == -1 else f"length must be an integer, got {length!r}"
+        with pytest.raises(InvalidParams) as exc:
             random_word(_NoDraws(0), 4, length)
+        assert str(exc.value) == want
 
     # sha256 of the instance and planted-key text of the perfbench inputs
     # (the 200 desk params, the 18 hard ones and verify's first 20), as the
@@ -239,3 +253,66 @@ class TestBatchStats:
         seq = format_report(batch_stats(point, trials=4, jobs=1))
         par = format_report(batch_stats(point, trials=4, jobs=2))
         assert seq == par
+
+    @pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
+    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch, cpus, workers):
+        # an in-process stand-in for the pool records its size, so no process starts
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        rows = batch_stats([desk_params()], trials=3, jobs=5000)
+        assert sizes == [workers]
+        assert format_report(rows) == format_report(batch_stats([desk_params()], trials=3))
+
+
+class _Int(int):
+    """An int subclass, refused like a bool wherever the package takes an integer."""
+
+
+def _pair():
+    t = tuple_from_words(3, [BraidWord(3, (1,))])
+    return t, t
+
+
+# every scalar integer input, as a call that takes the value under test
+SCALAR_INTEGER_INPUTS = {
+    "BraidWord n": lambda v: BraidWord(v, ()),
+    "SimpleElement n": lambda v: SimpleElement(v, (0, 1)),
+    "NormalForm n": lambda v: NormalForm(v, 0),
+    "NormalForm power": lambda v: NormalForm(3, v),
+    "BraidTuple n": lambda v: BraidTuple(v, _pair()[0].entries),
+    "InstanceFile n": lambda v: InstanceFile(v, (BraidWord(3, (1,)),), (BraidWord(3, (1,)),)),
+    "word_from_text n": lambda v: word_from_text("1", v),
+    "random_word n": lambda v: random_word(_NoDraws(0), v, 1),
+    "random_word length": lambda v: random_word(_NoDraws(0), 3, v),
+    **{
+        f"GenParams {field.name}": lambda v, name=field.name: dataclasses.replace(desk_params(), **{name: v})
+        for field in dataclasses.fields(GenParams)
+    },
+    "solve_mscp node_cap": lambda v: solve_mscp(*_pair(), node_cap=v),
+    "summit_search node_cap": lambda v: summit_search(*_pair(), inf_vector(_pair()[0]), node_cap=v),
+    "batch_stats node_cap": lambda v: batch_stats([desk_params()], 1, node_cap=v),
+    "batch_stats trials": lambda v: batch_stats([desk_params()], v),
+    "batch_stats jobs": lambda v: batch_stats([desk_params()], 1, jobs=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, 3.0, _Int(3)], ids=["bool", "float", "subclass"])
+@pytest.mark.parametrize("name", SCALAR_INTEGER_INPUTS)
+def test_scalar_integer_inputs_are_exact_ints(name, value):
+    with pytest.raises(InvalidParams, match=f"must be an integer, got {re.escape(repr(value))}$"):
+        SCALAR_INTEGER_INPUTS[name](value)

@@ -14,7 +14,9 @@ from braidmscp import (
     InstanceFormatError,
     InstanceSyntaxError,
     InvalidParams,
+    LengthMismatch,
     Outcome,
+    StrandMismatch,
     counters_report,
     export_graph,
     gen_instance,
@@ -106,6 +108,8 @@ class TestParse:
             ("alpha 1  q  e", InstanceSyntaxError, "bad letter token 'q'", 10),
             ("alpha 1\t\t-3 q", IndexOutOfRange, "letter -3 out of range 1..2", 10),
             ("alpha   2  0\t1", IndexOutOfRange, "letter 0 out of range 1..2", 12),
+            ("alpha 1 1_0 9", InstanceSyntaxError, "bad letter token '1_0'", 9),
+            ("alpha 1\u00a0\uff12", InstanceSyntaxError, "bad letter token '\uff12'", 9),
         ],
     )
     def test_columns_past_tabs_and_repeated_spaces(self, line, error, message, col):
@@ -115,6 +119,12 @@ class TestParse:
         assert type(exc.value) is error
         assert message in str(exc.value)
         assert (exc.value.line, exc.value.col) == (3, col)
+
+    @pytest.mark.parametrize("header", ["n 1_1\nr 1", "n \uff13\nr 1", "n 3\nr 0_1", "n 3\nr \u0661"])
+    def test_header_values_are_ascii_integer_tokens(self, header):
+        with pytest.raises(InstanceSyntaxError) as exc:
+            parse_instance(f"{header}\nalpha 1\nbeta 1\n")
+        assert "bad integer" in str(exc.value) and exc.value.col == 3
 
     def test_word_lines_accept_what_word_from_text_accepts(self):
         # a word line parses through word_from_text: the same texts are
@@ -158,6 +168,21 @@ class TestRoundTrip:
             text = write_instance(inst)
             assert parse_instance(text) == inst
             assert write_instance(parse_instance(text)) == text
+
+    def test_mismatches_raise_as_in_the_solver(self):
+        # an instance refuses a pair with the class the solver raises for it
+        w3, w4 = BraidWord(3, (1,)), BraidWord(4, (1,))
+        cases = [
+            ((w3,), (w3, w3), LengthMismatch),
+            ((w3, w3), (w3,), LengthMismatch),
+            ((w3,), (w4,), StrandMismatch),
+            ((w3, w4), (w3, w3), StrandMismatch),
+        ]
+        for alpha, beta, error in cases:
+            with pytest.raises(error):
+                InstanceFile(3, alpha, beta)
+            with pytest.raises(error):
+                solve_mscp(tuple_from_words(alpha[0].n, alpha), tuple_from_words(beta[0].n, beta))
 
     def test_lists_stored_as_tuples(self):
         w = BraidWord(3, (1, -2))

@@ -83,6 +83,9 @@ class TestNormalize:
             NormalForm(3, 0, (-1,))
         with pytest.raises(InvalidParams):
             NormalForm(3, 0, (generator_simple(3, 1),))
+        # a bool code is refused as a non-int, not read as the code 1
+        with pytest.raises(InvalidParams):
+            NormalForm(3, 0, (True,))
         # the power is an int and not a bool, so nf_key never prints D^True
         for power in (True, 0.5, 1.0, None, "1"):
             with pytest.raises(InvalidParams):
