@@ -33,9 +33,9 @@ free, rcomp(lcomp a) = a or tau(tau a) = a, so a later lookup of the
 partner finds it instead of building it; and since tau(lcomp a) = rcomp a,
 a flipped left complement is read as a right complement.  The tables expose
 cache_clear like functools caches and are rebuilt on demand after clearing.
-Per strand count, the letter codes, the arrangements they start a run from
-and the factorial steps of the rank let normal_form carry a run's code one
-crossing at a time, without building or ranking its permutation.
+Per strand count, the letter codes and the factorial steps of the rank
+let normal_form carry a run's code one crossing at a time, without
+ranking its permutation.
 The SimpleElement value type carries its code next to its permutation;
 elsewhere the package stores a simple element as its code alone.
 Table-driven permutation braids follow the CBraid library (J. C. Cha).
@@ -56,8 +56,7 @@ prefixes, and at larger n against the letter-by-letter peel of the test
 oracle.
 
 The flip tau is conjugation by the half twist, tau(x) = D^-1 x D.  Since D^2
-is central, tau is an involution, so for any exponent k only its parity
-matters; on generators tau maps letter i to n-i.
+is central, tau is an involution; on generators it maps letter i to n-i.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ from .errors import (
     BoundExceeded,
     InvalidParams,
     LengthMismatch,
-    NegativeLetter,
     NotSimple,
     StrandMismatch,
 )
@@ -123,10 +121,6 @@ def integer(token: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _id_perm(n: int) -> Perm:
-    return tuple(range(n))
-
-
 def _perm_inverse(p: Perm) -> Perm:
     out = [0] * len(p)
     for i, v in enumerate(p):
@@ -152,13 +146,6 @@ def _rcomp_perm(a: Perm) -> Perm:
     for i, v in enumerate(a):
         out[v] = top - i
     return tuple(out)
-
-
-def _gen_perm(n: int, i: int) -> Perm:
-    """Permutation of the generator letter i (1-based)."""
-    p = list(range(n))
-    p[i - 1], p[i] = p[i], p[i - 1]
-    return tuple(p)
 
 
 def _rank(p: Perm) -> int:
@@ -278,22 +265,6 @@ def _letter_codes(n: int) -> list[int]:
     return codes
 
 
-def _run_starts(n: int) -> list[Perm]:
-    """Index e holds the arrangement of _LETTERS[n][e]: the strand at each final position.
-
-    Letter j crosses the strands at positions j-1 and j, and lcomp(s_j) =
-    D s_j^-1 is the reversal with those two positions uncrossed again.  A
-    run of letters of one sign grows from here one crossing at a time.
-    """
-    starts: list[Perm] = [()] * (2 * n - 1)
-    for j in range(1, n):
-        up, down = list(range(n)), list(range(n - 1, -1, -1))
-        up[j - 1], up[j] = up[j], up[j - 1]
-        down[j - 1], down[j] = down[j], down[j - 1]
-        starts[j], starts[-j] = tuple(up), tuple(down)
-    return starts
-
-
 def _factorials(n: int) -> list[int]:
     """0!, 1!, ..., (n-1)!, as running products."""
     return list(itertools.accumulate(range(1, n), operator.mul, initial=1))
@@ -313,7 +284,6 @@ _TAU = _LazyTable(_tau_code)
 _START = _LazyTable(_start_set)
 _INV = _LazyTable(_inversion_set)
 _LETTERS = _LazyTable(_letter_codes)
-_RUN_START = _LazyTable(_run_starts)
 # Index u holds (n-1-u)!, the weight of strand u's Lehmer digit: crossing
 # two side-by-side strands u < v raises the rank by it, uncrossing them
 # lowers it by it.
@@ -410,7 +380,7 @@ class BraidWord:
         if {*map(type, letters)} <= {int} and _LETTER_SET[self.n].issuperset(letters):
             return
         for e in letters:
-            if type(e) is not int or e == 0 or abs(e) > self.n - 1:  # not a bool either
+            if type(e) is not int or e not in _LETTER_SET[self.n]:  # not a bool either
                 raise InvalidParams(f"letter {e!r} out of range for {self.n} strands")
 
     def __len__(self) -> int:
@@ -458,6 +428,7 @@ def delta(n: int) -> SimpleElement:
 def generator_simple(n: int, i: int) -> SimpleElement:
     """The simple element of the single letter i."""
     check_int("strand count", n, 2)
+    check_int("generator index", i)
     if not 1 <= i <= n - 1:
         raise InvalidParams(f"generator index {i} out of range for {n} strands")
     return _SIMPLE[_LETTERS[n][i]]
@@ -533,23 +504,6 @@ def word_from_text(text: str, n: int) -> BraidWord:
 # ---------------------------------------------------------------------------
 
 
-def simple_from_positive_word(w: BraidWord) -> SimpleElement:
-    """Interpret a positive word as a permutation braid.
-
-    Raises NotSimple when some pair of strands crosses twice, i.e. when the
-    word is longer than the inversion count of its permutation.
-    """
-    p = _id_perm(w.n)
-    for e in w.letters:
-        if e < 0:
-            raise NegativeLetter(f"letter {e} in a positive word")
-        p = _braid_mul(p, _gen_perm(w.n, e))
-    s = _SIMPLE[_CODE[p]]
-    if s.length() != len(w.letters):
-        raise NotSimple(f"{w.letters!r} crosses some strand pair more than once")
-    return s
-
-
 def _code_letters(code: int) -> tuple[int, ...]:
     """Letters of the canonical reduced positive word of the permutation braid with this code.
 
@@ -578,10 +532,8 @@ def simple_to_word(s: SimpleElement) -> BraidWord:
     return BraidWord(s.n, _code_letters(s.code))
 
 
-def tau(x: BraidWord | SimpleElement, k: int = 1):
-    """Apply the flip (conjugation by the half twist) k times; involutive."""
-    if k % 2 == 0:
-        return x
+def tau(x: BraidWord | SimpleElement):
+    """Apply the flip, conjugation by the half twist; involutive."""
     if isinstance(x, BraidWord):
         return BraidWord(x.n, tuple((1 if e > 0 else -1) * (x.n - abs(e)) for e in x.letters))
     return _SIMPLE[_TAU[x.code]]

@@ -16,7 +16,7 @@ from . import harness, instance_io
 from .braid import integer, word_from_text, word_to_text
 from .errors import BraidError
 from .normal_form import nf_key, normalize
-from .solver import DEFAULT_NODE_CAP, Outcome, solve_mscp, tuple_from_words, verify_conjugator
+from .solver import DEFAULT_NODE_CAP, Outcome, solve_mscp, verify_conjugator
 
 EXIT_OK = 0
 EXIT_NOT_CONJUGATE = 1
@@ -31,6 +31,19 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # reject unknown flags with the input-error code
         raise CliError(message)
+
+
+def _add_gen_flags(p: argparse.ArgumentParser) -> None:
+    """The flags that gen and attack share: how long the words are and the seed."""
+    p.add_argument("--entry-len", type=integer, default=4)
+    p.add_argument("--conj-len", type=integer, default=4)
+    p.add_argument("--seed", type=integer, default=0)
+
+
+def _gen_params(args, r: int) -> harness.GenParams:
+    return harness.GenParams(
+        n=args.n, r=r, entry_length=args.entry_len, conjugator_length=args.conj_len, seed=args.seed
+    )
 
 
 @functools.cache
@@ -53,9 +66,7 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("out", type=Path, help="output instance path (key goes to <out>.key)")
     p_gen.add_argument("-n", type=integer, required=True)
     p_gen.add_argument("-r", type=integer, default=1)
-    p_gen.add_argument("--entry-len", type=integer, default=4)
-    p_gen.add_argument("--conj-len", type=integer, default=4)
-    p_gen.add_argument("--seed", type=integer, default=0)
+    _add_gen_flags(p_gen)
 
     p_verify = sub.add_parser("verify", help="check a conjugator against an instance")
     p_verify.add_argument("instance", type=Path)
@@ -64,9 +75,7 @@ def _build_parser() -> _Parser:
     p_attack = sub.add_parser("attack", help="run seeded attacks and report a table")
     p_attack.add_argument("-n", type=integer, default=3)
     p_attack.add_argument("-r", default="1", help="tuple length, or a comma list of them to sweep")
-    p_attack.add_argument("--entry-len", type=integer, default=4)
-    p_attack.add_argument("--conj-len", type=integer, default=4)
-    p_attack.add_argument("--seed", type=integer, default=0)
+    _add_gen_flags(p_attack)
     p_attack.add_argument("--trials", type=integer, default=1)
     p_attack.add_argument("--cap", type=integer, default=DEFAULT_NODE_CAP)
     p_attack.add_argument("--jobs", type=integer, default=1, help="parallel trials")
@@ -87,9 +96,7 @@ def _load_instance(path: Path) -> instance_io.InstanceFile:
 
 
 def _cmd_solve(args) -> int:
-    inst = _load_instance(args.instance)
-    alpha = tuple_from_words(inst.n, inst.alpha)
-    beta = tuple_from_words(inst.n, inst.beta)
+    alpha, beta = _load_instance(args.instance).tuples()
     result = solve_mscp(alpha, beta, node_cap=args.cap)
     if args.graph is not None:
         fmt = "dot" if args.graph.suffix == ".dot" else "edgelist"
@@ -107,14 +114,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    params = harness.GenParams(
-        n=args.n,
-        r=args.r,
-        entry_length=args.entry_len,
-        conjugator_length=args.conj_len,
-        seed=args.seed,
-    )
-    inst, planted = harness.gen_instance(params)
+    inst, planted = harness.gen_instance(_gen_params(args, args.r))
     args.out.write_text(instance_io.write_instance(inst))
     args.out.with_name(args.out.name + ".key").write_text(word_to_text(planted) + "\n")
     return EXIT_OK
@@ -123,8 +123,7 @@ def _cmd_gen(args) -> int:
 def _cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
     x = word_from_text(args.conjugator, inst.n)
-    alpha = tuple_from_words(inst.n, inst.alpha)
-    beta = tuple_from_words(inst.n, inst.beta)
+    alpha, beta = inst.tuples()
     if verify_conjugator(alpha, beta, x):
         print("valid")
         return EXIT_OK
@@ -139,16 +138,7 @@ def _cmd_attack(args) -> int:
         raise CliError(f"bad -r value {args.r!r}") from None
     if not r_values:
         raise CliError("-r lists no values")
-    points = [
-        harness.GenParams(
-            n=args.n,
-            r=r,
-            entry_length=args.entry_len,
-            conjugator_length=args.conj_len,
-            seed=args.seed,
-        )
-        for r in r_values
-    ]
+    points = [_gen_params(args, r) for r in r_values]
     rows = harness.batch_stats(points, args.trials, node_cap=args.cap, jobs=args.jobs)
     print(harness.format_report(rows, include_time=args.times), end="")
     return EXIT_OK

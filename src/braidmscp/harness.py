@@ -42,7 +42,6 @@ from .solver import (
     ConjugatorResult,
     Outcome,
     solve_mscp,
-    tuple_from_words,
     verify_conjugator,
 )
 
@@ -140,8 +139,7 @@ def run_attack(
     for x' that holds exactly when P^-1 alpha_i P = beta_i.  So the match
     is the verification of P itself, made only when x' was found.
     """
-    alpha = tuple_from_words(inst.n, inst.alpha)
-    beta = tuple_from_words(inst.n, inst.beta)
+    alpha, beta = inst.tuples()
     start = time.perf_counter()
     result = solve_mscp(alpha, beta, node_cap)
     wall = time.perf_counter() - start

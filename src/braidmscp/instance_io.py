@@ -38,7 +38,7 @@ from .errors import (
     InvalidParams,
 )
 from .normal_form import _WORD_TEXT
-from .solver import Entries, SummitGraph, _entries_key
+from .solver import BraidTuple, Entries, SummitGraph, _entries_key, tuple_from_words
 
 
 def _metadata_entry_ok(m) -> bool:
@@ -71,6 +71,10 @@ class InstanceFile:
     @property
     def r(self) -> int:
         return len(self.alpha)
+
+    def tuples(self) -> tuple[BraidTuple, BraidTuple]:
+        """alpha and beta as the solver takes them: tuples of normal forms."""
+        return tuple_from_words(self.n, self.alpha), tuple_from_words(self.n, self.beta)
 
 
 def _parse_word(body: str, n: int, lineno: int, offset: int) -> BraidWord:

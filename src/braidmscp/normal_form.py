@@ -53,7 +53,9 @@ reversed positive word.  A run's code is carried as it grows, by one
 addition of a factorial per letter to the code of its first letter, so no
 permutation is built or ranked.  The solver's conjugators are strings of
 canonical words of simples, so there a run is a whole simple the solver
-held as one code.
+held as one code.  simple_from_positive_word reads a positive word the
+same way, and the word is simple exactly when its normal form is the
+identity, one factor or D.
 
 A product D^j A D^k B is D^(j+k) tau^k(A) B: the factors of B are pushed
 onto the list tau^k(A), and conjugating D^k A by a simple s pushes
@@ -85,7 +87,6 @@ from .braid import (
     _PERM,
     _RANK_STEP,
     _RCOMP,
-    _RUN_START,
     _SIMPLE,
     _START,
     _TAU,
@@ -101,7 +102,7 @@ from .braid import (
     check_same_strands,
     word_inverse,
 )
-from .errors import InvalidParams, NotPositive, StrandMismatch
+from .errors import InvalidParams, NegativeLetter, NotPositive, NotSimple, StrandMismatch
 
 Codes = tuple[int, ...]
 
@@ -303,13 +304,22 @@ def _weight_seq(n: int, letters) -> tuple[int, Codes]:
         lcomp(P) to lcomp(s_i P) = lcomp(P) s_i^-1, a right division by s_i,
         possible when x > y, the two already crossed, and its rank falls.
 
-    A run starts from its first letter's code and arrangement, so a run of
-    one letter builds nothing.  A run equal to D, or an inverse run whose
-    complement is trivial, is left to _push.  At n = 2 every positive run
-    is D and every inverse run's complement trivial.
+    A run starts from its first letter's code, and its arrangement is built
+    only when a second letter extends it, so a run of one letter builds
+    nothing.  That arrangement is the one of the first letter's simple: s_j
+    crosses positions j-1 and j of the identity, and lcomp(s_j) = D s_j^-1
+    is the reversal with those two positions uncrossed again; both are
+    copied from a list made once per call.  A same-sign letter f extends
+    the one-letter run e exactly when f != e: for a positive run from s_j
+    every other index crosses a pair not yet crossed, and an inverse run is
+    the mirror case.  A run equal to D, or an inverse run whose complement
+    is trivial, is left to _push.  At n = 2 every positive run is D and
+    every inverse run's complement trivial.
     """
-    codes, starts, step = _LETTERS[n], _RUN_START[n], _RANK_STEP[n]
+    codes, step = _LETTERS[n], _RANK_STEP[n]
     ident, top = _IDENTITY[n], _DELTA[n]
+    increasing = list(range(n))
+    decreasing = increasing[::-1]
     factors: list[int] = []
     power = g = k = 0
     end = len(letters)
@@ -320,20 +330,22 @@ def _weight_seq(n: int, letters) -> tuple[int, Codes]:
         if not up:
             power -= 1
             g ^= 1
-        run, c = starts[e], codes[e]  # the run's arrangement, copied once it grows
-        while k < end:
-            e = letters[k]
-            if (e > 0) is not up:
-                break
-            i = e if up else -e
-            u, v = run[i - 1], run[i]
-            if (u < v) is not up:
-                break
-            if run.__class__ is tuple:
-                run = list(run)
-            run[i - 1], run[i] = v, u
-            c += step[u] if up else -step[v]
-            k += 1
+        c = codes[e]
+        if k < end and letters[k] != e and (letters[k] > 0) is up:
+            j = e if up else -e
+            run = (increasing if up else decreasing)[:]
+            run[j - 1], run[j] = run[j], run[j - 1]
+            while k < end:
+                e = letters[k]
+                if (e > 0) is not up:
+                    break
+                i = e if up else -e
+                u, v = run[i - 1], run[i]
+                if (u < v) is not up:
+                    break
+                run[i - 1], run[i] = v, u
+                c += step[u] if up else -step[v]
+                k += 1
         power, g, _ = _push(factors, power, g, c, ident, top)
     return power, _unframed(factors, g)
 
@@ -352,6 +364,23 @@ def normalize(w: BraidWord) -> NormalForm:
     left complement of its reversed positive word (_weight_seq).
     """
     return NormalForm(w.n, *_weight_seq(w.n, _cancel_pairs(w.n, w.letters)))
+
+
+def simple_from_positive_word(w: BraidWord) -> SimpleElement:
+    """Interpret a positive word as a permutation braid.
+
+    The word is read as normalize reads it.  All positive words of one braid
+    have the same length, so the word is simple exactly when its normal form
+    is the identity, one factor or D.  Raises NegativeLetter for the first
+    negative letter, and NotSimple when some pair of strands crosses twice.
+    """
+    for e in w.letters:
+        if e < 0:
+            raise NegativeLetter(f"letter {e} in a positive word")
+    power, codes = _weight_seq(w.n, w.letters)
+    if power + len(codes) > 1:
+        raise NotSimple(f"{w.letters!r} crosses some strand pair more than once")
+    return _SIMPLE[codes[0] if codes else _DELTA[w.n] if power else _IDENTITY[w.n]]
 
 
 def nf_of_simple(s: SimpleElement) -> NormalForm:

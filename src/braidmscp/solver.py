@@ -103,6 +103,7 @@ from .braid import (
     check_int,
     check_same_length,
     check_same_strands,
+    generator_simple,
 )
 from .errors import (
     InvalidParams,
@@ -180,11 +181,19 @@ def _meets(vector: InfFloor, floor: InfFloor) -> bool:
     return all(i >= j for i, j in zip(vector, floor))
 
 
+def _check_floor(floor, r: int, widths: tuple[int, ...]) -> InfFloor:
+    """The one check of a floor from outside: an allowed length, then an exact int per entry."""
+    floor = tuple(floor)
+    if len(floor) not in widths:
+        raise LengthMismatch(f"floor of length {len(floor)} against a {r}-tuple")
+    for j in floor:
+        check_int("floor entry", j)
+    return floor
+
+
 def meets_floor(t: BraidTuple, floor: InfFloor) -> bool:
     """Whether every entry has infimum at least the floor value."""
-    if len(floor) != t.r:
-        raise LengthMismatch(f"floor of length {len(floor)} against a {t.r}-tuple")
-    return _meets(inf_vector(t), floor)
+    return _meets(inf_vector(t), _check_floor(floor, t.r, (t.r,)))
 
 
 def conjugate_tuple(t: BraidTuple, s: SimpleElement) -> BraidTuple:
@@ -277,10 +286,8 @@ def minimal_conjugator(i: int, t: BraidTuple, floor: InfFloor) -> SimpleElement:
     also divides the true minimum, so the ascent converges to it from below;
     the half twist always passes, so it converges within its word length.
     """
-    if not 1 <= i <= t.n - 1:
-        raise InvalidParams(f"generator index {i} out of range for {t.n} strands")
-    active = _active_entries(t, floor)
-    return _SIMPLE[_minimal_conjugator_code(t.n, active, _LETTERS[t.n][i])]
+    start = generator_simple(t.n, i).code
+    return _SIMPLE[_minimal_conjugator_code(t.n, _active_entries(t, floor), start)]
 
 
 def _minimal_codes(n: int, active) -> list[int]:
@@ -472,34 +479,26 @@ def summit_search(
     beta: BraidTuple,
     floor: InfFloor,
     node_cap: int = DEFAULT_NODE_CAP,
-    chain: dict[Entries, SummitNode] | None = None,
 ) -> ConjugatorResult:
-    """Breadth-first search from alpha for beta, a tuple of beta's lift chain, or the flip of one.
+    """Breadth-first search from alpha for beta, or the flip of beta.
 
     The floor has 2r values, one per entry of the doubled tuple
     (a_1..a_r, a_1^-1..a_r^-1): the last r cap the suprema, since
     sup(a) = -inf(a^-1).  A floor of r values leaves the suprema free: every
     floor test zips the doubled entries with the floor, so the inverse
-    entries go untested.  chain is beta's lift chain, as _lift_chain builds
-    it; without one the chain is beta alone.  Every chain tuple that meets
-    the floor is a target, and alpha and at least one target must meet it.
-    A node whose flip tau is a target answers too, with D's code on the
-    path.  The checks are made here; the search is _search, and the module
-    docstring says why its verdicts are sound.
+    entries go untested.  alpha and beta must both meet the floor.  A node
+    whose flip tau is beta answers too, with D's code on the path.  The
+    checks are made here; the search is _search, with beta as its one-tuple
+    chain, and the module docstring says why its verdicts are sound.
     """
     _check_pair(alpha, beta)
     check_int("node_cap", node_cap, 1)
-    r = alpha.r
-    if len(floor) not in (r, 2 * r):
-        raise LengthMismatch(f"floor of length {len(floor)} against a {r}-tuple")
-    root = _code_key(alpha)
-    if chain is None:
-        chain = {_code_key(beta): SummitNode(None, None)}
-    elif next(iter(chain)) != _code_key(beta):
-        raise InvalidParams("the lift chain does not start at beta")
-    if not _meets(_vector(root), floor) or not any(_meets(_vector(key), floor) for key in chain):
-        raise NotInFloor("alpha and a tuple of beta's chain must satisfy the floor")
-    return _search(alpha.n, root, tuple(floor), node_cap, chain, SearchCounters(), [])
+    floor = _check_floor(floor, alpha.r, (alpha.r, 2 * alpha.r))
+    root, target = _code_key(alpha), _code_key(beta)
+    if not _meets(_vector(root), floor) or not _meets(_vector(target), floor):
+        raise NotInFloor("alpha and beta must satisfy the floor")
+    chain = {target: SummitNode(None, None)}
+    return _search(alpha.n, root, floor, node_cap, chain, SearchCounters(), [])
 
 
 def _search(
@@ -529,8 +528,9 @@ def _search(
     deterministic, and every minimal conjugator keeps the floor, so a child
     is conjugated entry by entry on codes and looked up among the nodes
     before anything else is built.
-    Normal forms are unique, so equal entries mean equal tuples and the
-    node dict is the only dedup structure.  The search builds no
+    Normal forms are unique, so equal entries mean equal tuples: a phase
+    dedups on its own visited set of raw entries, and the node dict keeps
+    each tuple's first parent across phases.  The search builds no
     NormalForm, BraidTuple, SimpleElement or key string.
 
     A chain tuple t is y^-1 beta y for the product y of the conjugators on

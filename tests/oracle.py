@@ -18,7 +18,9 @@ time, so none of them runs the package's comb.  Its pair moves peel with
 ref_peel, a copy of the letter-by-letter meet, so they share no meet with
 the package either; ref_meet and ref_left_complement are built on it too.
 ref_random_word draws a word's letters through random.Random's choice and
-randint, the reference for the generator's own draws.
+randint, the reference for the generator's own draws.  word_perm is the
+reference permutation product: a word's strand permutation built letter by
+letter, with no code table.
 """
 
 from __future__ import annotations
@@ -74,6 +76,19 @@ def _apply_letter(q: Perm, i: int) -> Perm:
         elif out[x] == i + 1:
             out[x] = i
     return tuple(out)
+
+
+def gen_perm(n: int, i: int) -> Perm:
+    """Permutation of the generator letter i (1-based): it crosses positions i-1 and i."""
+    return swap_positions(tuple(range(n)), i - 1)
+
+
+def word_perm(n: int, letters) -> Perm:
+    """The strand permutation of a word: each letter, of either sign, swaps the strands at its positions."""
+    p = tuple(range(n))
+    for e in letters:
+        p = _apply_letter(p, abs(e) - 1)
+    return p
 
 
 def brute_divides(a: Perm, b: Perm) -> bool:
@@ -420,11 +435,11 @@ def ref_lift_chain(t):
 def bfs_search(alpha, beta, floor, node_cap):
     """Breadth-first search from alpha for beta alone, with no lift-chain targets.
 
-    This is the one-sided search that summit_search runs when it is given no
-    lift chain.  It expands the same minimal conjugator sets in the same
-    order and builds the same graph, so a search with more targets visits a
-    prefix of these nodes, with the same parents and edges, and reaches a
-    verdict no later.  A floor of 2r values also bounds the inverse entries,
+    summit_search also stops at a node whose flip is beta, and the search
+    after solve_mscp's lift at every tuple of beta's lift chain.  Both
+    expand the same minimal conjugator sets in the same order and build the
+    same graph, so a search with more targets visits a prefix of these
+    nodes, with the same parents and edges, and reaches a verdict no later.  A floor of 2r values also bounds the inverse entries,
     as summit_search's does.  It expands and conjugates through the
     reference kernel above, not the package's, so a kernel change that
     alters a move or a child shows as a different graph.

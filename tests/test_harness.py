@@ -19,7 +19,11 @@ from braidmscp import (
     SimpleElement,
     batch_stats,
     gen_instance,
+    generator_simple,
     inf_vector,
+    meets_floor,
+    minimal_conjugator,
+    minimal_conjugator_set,
     parse_instance,
     run_attack,
     solve_mscp,
@@ -305,6 +309,11 @@ SCALAR_INTEGER_INPUTS = {
     },
     "solve_mscp node_cap": lambda v: solve_mscp(*_pair(), node_cap=v),
     "summit_search node_cap": lambda v: summit_search(*_pair(), inf_vector(_pair()[0]), node_cap=v),
+    "generator_simple index": lambda v: generator_simple(3, v),
+    "minimal_conjugator index": lambda v: minimal_conjugator(v, _pair()[0], (0,)),
+    "meets_floor floor entry": lambda v: meets_floor(_pair()[0], (v,)),
+    "summit_search floor entry": lambda v: summit_search(*_pair(), (v,)),
+    "minimal_conjugator_set floor entry": lambda v: minimal_conjugator_set(_pair()[0], (v,)),
     "batch_stats node_cap": lambda v: batch_stats([desk_params()], 1, node_cap=v),
     "batch_stats trials": lambda v: batch_stats([desk_params()], v),
     "batch_stats jobs": lambda v: batch_stats([desk_params()], 1, jobs=v),
@@ -316,3 +325,4 @@ SCALAR_INTEGER_INPUTS = {
 def test_scalar_integer_inputs_are_exact_ints(name, value):
     with pytest.raises(InvalidParams, match=f"must be an integer, got {re.escape(repr(value))}$"):
         SCALAR_INTEGER_INPUTS[name](value)
+

@@ -17,6 +17,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -52,12 +53,10 @@ from braidmscp.braid import (
     _PERM,
     _RANK_STEP,
     _RCOMP,
-    _RUN_START,
     _SIMPLE,
     _START,
     _TAU,
     _braid_mul,
-    _gen_perm,
     _left_complement,
     _letter_codes,
     _meet,
@@ -65,12 +64,11 @@ from braidmscp.braid import (
     _perm_inverse,
     _rank,
     _rcomp_perm,
-    _run_starts,
     _tau_perm,
 )
 from braidmscp.harness import GenParams
 from braidmscp.instance_io import write_instance
-from braidmscp.normal_form import _PAIR_MOVE, _WORD_TEXT
+from braidmscp.normal_form import _PAIR_MOVE, _WORD_TEXT, _weight_seq
 from test_acceptance import corpus_params
 
 
@@ -153,7 +151,7 @@ class TestRunCodes:
         for i in range(1, n):
             u, v = arrangement[i - 1], arrangement[i]
             # the permutation of p s_i and of p s_i^-1 alike
-            other = _CODE[_braid_mul(p, _gen_perm(n, i))]
+            other = _CODE[_braid_mul(p, oracle.gen_perm(n, i))]
             if u < v:
                 assert other == code + step[u]
                 assert _INV[other].bit_count() == length + 1
@@ -168,7 +166,7 @@ class TestRunCodes:
         comp = _LCOMP[_CODE[p]]
         arrangement, step = _perm_inverse(_PERM[comp]), _RANK_STEP[n]
         for j in range(1, n):
-            grown = _braid_mul(_gen_perm(n, j), p)  # s_j P
+            grown = _braid_mul(oracle.gen_perm(n, j), p)  # s_j P
             if _INV[_CODE[grown]].bit_count() == _INV[_CODE[p]].bit_count() + 1:
                 u, v = arrangement[j - 1], arrangement[j]
                 assert u > v
@@ -188,19 +186,49 @@ class TestRunCodes:
             self.check(p)
             self.check_complement(p)
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_run_starts(self, n):
-        # a run starts from its first letter's code and arrangement
-        for e in [*range(1, n), *range(1 - n, 0)]:
-            assert _RUN_START[n][e] == _perm_inverse(_PERM[_LETTERS[n][e]])
+        # a run grows from its first letter's code and the arrangement of
+        # that letter's simple: the identity, or the reversal, with
+        # positions j-1 and j swapped
+        letters = [*range(1, n), *range(1 - n, 0)]
+        for e in letters:
+            j = abs(e)
+            start = list(range(n)) if e > 0 else list(range(n))[::-1]
+            start[j - 1], start[j] = start[j], start[j - 1]
+            assert start == list(_perm_inverse(_PERM[_LETTERS[n][e]]))
+            # every other letter of the sign extends it by the rank step
+            # read off that arrangement, to the two letters' simple: s_e s_f,
+            # or for an inverse run D^-1 lcomp(s_|f| s_|e|)
+            for f in letters:
+                if f == e or (f > 0) is not (e > 0):
+                    continue
+                if e > 0:
+                    expected = (0, (_CODE[oracle.word_perm(n, (e, f))],))
+                else:
+                    expected = (-1, (_LCOMP[_CODE[oracle.word_perm(n, (-f, -e))]],))
+                assert _weight_seq(n, (e, f)) == expected
         assert _RANK_STEP[n] == tuple(math.factorial(n - 1 - u) for u in range(n))
+
+    def test_large_strand_count_builds_no_arrangement_table(self):
+        # no per-strand-count table of letter arrangements: one of 2(n-1)
+        # arrangements of n strands reads 63.8 MB traced at n = 1000
+        for cache in package_caches():
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            normalize(BraidWord(1000, (1, -2)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_letter_codes_match_ranked_codes(self, n):
         # ranked here, not looked up: a lookup of a letter's permutation
         # unranks the letter's own code and writes it back to _CODE
         for i in range(1, n):
-            gen = _gen_perm(n, i)
+            gen = oracle.gen_perm(n, i)
             assert _LETTERS[n][i] == _OFFSET[n] + _rank(gen)
             assert _LETTERS[n][-i] == _OFFSET[n] + _rank(_tau_perm(_rcomp_perm(gen)))
 
@@ -235,7 +263,7 @@ class TestRunCodes:
         codes = _letter_codes(1000)
         monkeypatch.undo()
         for i in (1, 500, 999):
-            gen = _gen_perm(1000, i)
+            gen = oracle.gen_perm(1000, i)
             assert codes[i] == _OFFSET[1000] + _rank(gen)
             assert codes[-i] == _OFFSET[1000] + _rank(_tau_perm(_rcomp_perm(gen)))
 
@@ -252,9 +280,6 @@ def built_entry_problems():
         (_START, descents),
     ):
         bad += [(c, v) for c, v in list(table.items()) if v != expect(_PERM[c])]
-    for n, starts in list(_RUN_START.items()):
-        if starts != _run_starts(n):
-            bad.append((n, starts))
     for n, steps in list(_RANK_STEP.items()):
         if steps != tuple(math.factorial(n - 1 - u) for u in range(n)):
             bad.append((n, steps))
@@ -290,7 +315,7 @@ class TestWrittenEntries:
         path.write_text(write_instance(inst))
         assert braidmscp.cli.main(["verify", str(path), word_to_text(planted)]) == 0
         assert capsys.readouterr().out == "valid\n"
-        assert all((_RCOMP, _LCOMP, _TAU, _INV, _START, _WORD_TEXT, _RUN_START, _RANK_STEP))
+        assert all((_RCOMP, _LCOMP, _TAU, _INV, _START, _WORD_TEXT, _RANK_STEP))
         assert built_entry_problems() == []
 
 
@@ -411,7 +436,7 @@ class TestColdStart:
         caches = package_caches()
         tables = [c for c in caches if isinstance(c, dict)]
         assert len(tables) >= 8
-        for filled in (_PAIR_MOVE, _RUN_START, _RANK_STEP):
+        for filled in (_PAIR_MOVE, _RANK_STEP):
             assert filled and any(t is filled for t in tables)
         for cache in caches:
             cache.cache_clear()

@@ -42,20 +42,13 @@ from braidmscp import (
     word_inverse,
 )
 from braidmscp import normal_form
-from braidmscp.braid import _CODE, _DELTA, _IDENTITY, _TAU, _braid_mul, _gen_perm, _id_perm, _LazyTable
+from braidmscp.braid import _CODE, _DELTA, _IDENTITY, _TAU, _LazyTable
 from braidmscp.solver import _conjugator
 
 
 def rand_word(rng, n, max_len, min_len=0):
     length = rng.randint(min_len, max_len)
     return BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)))
-
-
-def letter_perm_product(w):
-    p = _id_perm(w.n)
-    for e in w.letters:
-        p = _braid_mul(p, _gen_perm(w.n, abs(e)))
-    return p
 
 
 class TestNormalize:
@@ -117,7 +110,7 @@ class TestNormalize:
         for _ in range(200):
             n = rng.randint(2, 6)
             w = rand_word(rng, n, 16)
-            assert strand_permutation(normalize(w)) == letter_perm_product(w)
+            assert strand_permutation(normalize(w)) == oracle.word_perm(w.n, w.letters)
 
 
 def braid_rewrites(rng, w, moves):

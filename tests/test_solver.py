@@ -59,6 +59,7 @@ from braidmscp.solver import (
     _minimal_codes,
     _path,
     _raised_floor,
+    _search,
     _tuple,
 )
 from test_acceptance import corpus_params, non_conjugacy_instances
@@ -99,8 +100,18 @@ def chain_word(n, chain, key):
     return word_concat(BraidWord(n, ()), *(simple_to_word(_SIMPLE[s]) for s in _path(chain, key)))
 
 
+def chain_search(alpha, beta, floor, node_cap, chain):
+    """The search from alpha with every tuple of beta's lift chain, and its flip, as a target.
+
+    This is the search solve_mscp runs after the lift; summit_search runs it
+    with beta alone as the chain.
+    """
+    assert next(iter(chain)) == _code_key(beta)
+    return _search(alpha.n, _code_key(alpha), tuple(floor), node_cap, chain, SearchCounters(), [])
+
+
 def spied_search(*args):
-    """summit_search(*args), and the doubled entries and floor of each call to _active, in order.
+    """chain_search(*args), and the doubled entries and floor of each call to _active, in order.
 
     A search calls _active once per expansion, and once more for the node
     that raises the floor, at the raised floor.
@@ -114,7 +125,7 @@ def spied_search(*args):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver_module, "_active", spy)
-        res = summit_search(*args)
+        res = chain_search(*args)
     return res, calls
 
 
@@ -542,7 +553,7 @@ class TestLiftChain:
         # desk corpus instance 4: beta sits two below alpha (inf -3 against -1)
         alpha = words_tuple(3, (2, 2, -1, 1, 2, -1, 2))
         beta = words_tuple(3, (-2, 1, 2, 2, -1, 1, 2, -1, 2, -1, 2))
-        res = summit_search(alpha, beta, (-3,), chain=lift_chain(beta))
+        res = chain_search(alpha, beta, (-3,), DEFAULT_NODE_CAP, lift_chain(beta))
         ref = oracle.bfs_search(alpha, beta, (-3,), 1000)
         assert res.outcome is ref.outcome is Outcome.FOUND
         assert len(res.graph.nodes) < len(ref.graph.nodes)
@@ -610,8 +621,6 @@ class TestLiftChain:
 
     def test_chain_targets_need_the_floor(self):
         alpha, beta = words_tuple(3, (1,)), words_tuple(3, (2,))
-        with pytest.raises(InvalidParams):
-            summit_search(alpha, beta, (0,), chain=lift_chain(alpha))
         with pytest.raises(LengthMismatch):
             summit_search(alpha, beta, (0, -1, -1))
         # beta = sigma_2^3 has sup 3, above the ceiling of sigma_1's sup 1
@@ -713,7 +722,7 @@ class TestFloorRaise:
         raised = []
         for alpha, beta in self.pairs():
             floor = raw_floor(alpha, beta)
-            res = summit_search(alpha, beta, floor, 5_000, lift_chain(beta))
+            res = chain_search(alpha, beta, floor, 5_000, lift_chain(beta))
             if not res.counters.floor_raises:
                 continue
             ref = oracle.bfs_search(alpha, beta, floor, 5_000)
@@ -777,7 +786,7 @@ class TestFloorRaise:
     def test_graph_stays_one_tree(self):
         # nodes met again after a raise keep their first parent
         for alpha, beta in self.pairs():
-            res = summit_search(alpha, beta, raw_floor(alpha, beta), 5_000, lift_chain(beta))
+            res = chain_search(alpha, beta, raw_floor(alpha, beta), 5_000, lift_chain(beta))
             graph = res.graph
             order = {key: k for k, key in enumerate(graph.nodes)}
             assert next(iter(graph.nodes)) == graph.root
