@@ -42,13 +42,17 @@ D^p A_1 ... A_l to D^p tau(A_1) ... tau(A_l), a normal form again with
 the same infimum and supremum.  Summit sets and cycling are both closed
 under it, so when beta's chain runs through tau-images of alpha's, the
 two chains can pass each other without meeting.  The search (_search)
-then runs at the componentwise minimum F of the two final inf vectors,
-from the tuple of alpha's chain where the chains met, or else from lifted
-alpha, and every tuple of beta's chain that meets F is a target.  A
-node whose flip is a target answers as a target does.  Equal tuples,
-tau-images and chains that meet are answered at once, since the root or
-its flip is a target; every answer leaves the solver through that one
-search.
+then runs at the componentwise minimum F of the two final inf vectors.
+When the chains met, it runs from the tuple of alpha's chain where they
+met, and every tuple of beta's chain that meets F is a target.  Otherwise
+it runs from the lower summit: the lifted side whose final doubled inf
+vector has the smaller sum, alpha's on a tie.  Every tuple of the other
+side's chain that meets F is then a target.  A floor raise (below) fires
+only when a target lies above the floor, which a target on the higher
+summit can, and one on the lower cannot.  A node whose flip is a target
+answers as a target does.  Equal tuples, tau-images and chains that meet
+are answered at once, since the root or its flip is a target; every
+answer leaves the solver through that one search.
 
 Why this is sound and complete: each lift is a conjugation by a known
 element, so the answer is x = y_a P y_b^-1 for the lift y_a to the root,
@@ -81,6 +85,30 @@ minimal floor-keeping conjugators by the same meet closure.  So
 exhausting the last phase still proves NOT_CONJUGATE.  Each raise lifts a
 coordinate and lowers none, and F_t never exceeds a target's vector, so
 the phases are finite.
+
+Nothing in these arguments, the floor raises included, depends on which
+tuple is alpha.  With alpha and beta exchanged they say: a search from
+lifted beta, with alpha's chain as its targets, finds a word w with
+w^-1 beta w = alpha when the tuples are conjugate, since every tuple of
+alpha's chain that meets F lies in lifted beta's component, and exhausts
+otherwise.  Then x = w^-1, which solve_mscp verifies on the original
+tuples like any other answer.  So the side searched changes the cost
+only.
+
+Each phase also visits one tuple per tau-orbit.  tau keeps every infimum
+and supremum and is an automorphism of the lattice of simple elements, so
+the minimal conjugator set of tau(X) is tau of that of X, and the
+children of tau(X) are the flips of the children of X.  Conjugating by D
+is tau, which keeps every floor, so the component of the tuple a phase
+starts from holds that tuple's flip and is closed under tau.  A phase's
+visited set holds every node together with its flip, and a child that it
+holds is skipped.  By induction along any path from the start, each tuple
+on it has itself or its flip visited, so every orbit of the component has
+a visited representative.  A representative answers for its orbit: the
+target test accepts a node whose flip is a target, and a floor raise reads
+only the inf vector, which the flip shares.  So FOUND and NOT_CONJUGATE
+are sound as before, and an exhausted component costs about half as many
+nodes.
 """
 
 from __future__ import annotations
@@ -104,6 +132,7 @@ from .braid import (
     check_same_length,
     check_same_strands,
     generator_simple,
+    word_inverse,
 )
 from .errors import (
     InvalidParams,
@@ -489,7 +518,8 @@ def summit_search(
     entries go untested.  alpha and beta must both meet the floor.  A node
     whose flip tau is beta answers too, with D's code on the path.  The
     checks are made here; the search is _search, with beta as its one-tuple
-    chain, and the module docstring says why its verdicts are sound.
+    chain, so it too visits one tuple per tau-orbit, and the module
+    docstring says why its verdicts are sound.
     """
     _check_pair(alpha, beta)
     check_int("node_cap", node_cap, 1)
@@ -512,13 +542,16 @@ def _search(
 ) -> ConjugatorResult:
     """The search of summit_search on raw entries, its root reached from alpha along lead.
 
-    A root that chain holds, directly or up to the flip tau, is answered at
-    once, with a one-node graph.  Otherwise the targets are the chain
-    tuples that meet the floor; the caller has checked that the root and
-    some chain tuple meet it.  The chain itself is the stop set: every
-    child meets the floor, and so does its flip, which has the same inf
-    vector, so a child is a target, or the flip of one, exactly when chain
-    holds it or its flip, the tests _lockstep makes too.
+    solve_mscp runs it with alpha and beta exchanged when lifted beta is the
+    lower summit; below, alpha is the side searched from, and beta the side
+    whose chain is given.  A root that chain holds, directly or up to the
+    flip tau, is answered at once, with a one-node graph.  Otherwise the
+    targets are the chain tuples that meet the floor; the caller has
+    checked that the root and some chain tuple meet it.  The chain itself
+    is the stop set: every child meets the floor, and so does its flip,
+    which has the same inf vector, so a child is a target, or the flip of
+    one, exactly when chain holds it or its flip, the tests _lockstep makes
+    too.
     Only the targets' inf vectors are kept, in chain order, for
     _raised_floor.  Nodes are keyed and conjugated on their r raw entries,
     (power, factor codes) per entry, which fix the inverse entries; those
@@ -529,9 +562,15 @@ def _search(
     is conjugated entry by entry on codes and looked up among the nodes
     before anything else is built.
     Normal forms are unique, so equal entries mean equal tuples: a phase
-    dedups on its own visited set of raw entries, and the node dict keeps
-    each tuple's first parent across phases.  The search builds no
-    NormalForm, BraidTuple, SimpleElement or key string.
+    dedups on its own visited set of raw entries, which holds every node
+    together with its flip tau, so a child that is a visited node or the
+    flip of one is skipped, and a phase keeps one tuple per tau-orbit (the
+    module docstring says why that stays complete).  The flip added to the
+    visited set is the one the target test reads, so each new child is
+    flipped once.  The node dict is keyed by real tuples, not orbits, so
+    paths and the exported tree keep their shape, and it keeps each tuple's
+    first parent across phases.  The search builds no NormalForm,
+    BraidTuple, SimpleElement or key string.
 
     A chain tuple t is y^-1 beta y for the product y of the conjugators on
     its chain path, so when the search reaches t along the path P from the
@@ -561,9 +600,11 @@ def _search(
 
     The phases share the graph, which keeps the first parent of every node,
     so it stays one tree rooted at the root and found paths run through it.
-    A phase starts a new visited set, so nodes met in an earlier phase are
-    expanded again at the new floor.  Only a node new to the graph counts
-    against node_cap, and ABORTED happens exactly there.
+    A phase starts a new visited set, of its start and that tuple's flip, so
+    nodes met in an earlier phase are expanded again at the new floor, and a
+    child whose flip is a node of an earlier phase, but was not visited in
+    this one, joins the graph as a node of its own.  Only a node new to the
+    graph counts against node_cap, and ABORTED happens exactly there.
     """
     nodes = {root: SummitNode(None, None)}
     graph = SummitGraph(n, root, nodes, counters)
@@ -571,17 +612,16 @@ def _search(
     def result(outcome, conjugator=None, reason=None):
         return ConjugatorResult(outcome, conjugator, reason, graph)
 
-    def found(key):
-        """The FOUND result when chain holds key or its flip tau(key) = D^-1 key D, else None."""
+    def found(key, flipped):
+        """The FOUND result when chain holds key or its flip flipped = D^-1 key D, else None."""
         if key in chain:
             return result(Outcome.FOUND, _conjugator(n, lead + _path(nodes, key), _path(chain, key)))
-        flipped = _flip(key)
         if flipped in chain:
             forward = lead + _path(nodes, key) + [_DELTA[n]]
             return result(Outcome.FOUND, _conjugator(n, forward, _path(chain, flipped)))
         return None
 
-    answer = found(root)
+    answer = found(root, _flip(root))
     if answer is not None:
         return answer
     # the inf vectors, cut to the floor's length, of the chain tuples that meet the floor
@@ -590,7 +630,7 @@ def _search(
     entries = root
     while True:  # one phase per floor, from the node that raised it
         queue = deque([entries])
-        seen = {entries}
+        seen = {entries, _flip(entries)}  # every node with its flip: one tuple per tau-orbit
         while queue:
             entries = queue.popleft()
             doubled = _doubled(entries)
@@ -606,14 +646,16 @@ def _search(
             for s in moves:
                 counters.conjugations += 1
                 child = tuple(_conj_raw(n, power, codes, s) for power, codes in entries)
-                if child in seen:
+                if child in seen:  # the child or its flip was visited in this phase
                     continue
+                flipped = _flip(child)
                 seen.add(child)
+                seen.add(flipped)
                 if child not in nodes:  # a node met in an earlier phase keeps its first parent
                     if len(nodes) >= node_cap:
                         return result(Outcome.ABORTED, reason=f"node cap {node_cap} exceeded")
                     nodes[child] = SummitNode(entries, s)
-                    answer = found(child)
+                    answer = found(child, flipped)
                     if answer is not None:
                         return answer
                 queue.append(child)
@@ -646,15 +688,15 @@ def _conjugator(n: int, forward: list[int], backward: list[int]) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-def _lockstep(n: int, a_chain, b_chain, counters: SearchCounters) -> Entries:
+def _lockstep(n: int, a_chain, b_chain, counters: SearchCounters) -> Entries | None:
     """Lift both chains in turn, one move each per round, until one reaches a tuple the other holds.
 
     A move also stops the lift when the other chain holds the flip tau of
     its tuple.  Returns a tuple of alpha's chain that beta's chain holds,
     directly or up to tau: alpha's own move, or the flip of beta's move,
-    which alpha's chain holds.  Once both chains have ended it returns the
-    last tuple of alpha's chain.  alpha is returned before any move when
-    beta's chain already holds it or its flip.
+    which alpha's chain holds.  Returns None once both chains have ended
+    without meeting.  alpha is returned before any move when beta's chain
+    already holds it or its flip.
     """
     (a_key,) = a_chain
     if a_key in b_chain or _flip(a_key) in b_chain:
@@ -671,7 +713,7 @@ def _lockstep(n: int, a_chain, b_chain, counters: SearchCounters) -> Entries:
                     return step if other is b_chain else flipped
             sides.append((moves, other))
             break
-    return next(reversed(a_chain))
+    return None
 
 
 def solve_mscp(
@@ -683,12 +725,17 @@ def solve_mscp(
 
     The node cap is checked first, so that no input answers under a cap
     below 1.  Both doubled tuples are then lifted in lockstep (_lockstep),
-    and _search runs at the componentwise minimum of the two final inf
-    vectors, from where the chains met, or from lifted alpha, to the tuples
-    of beta's chain and their flips.  Equal tuples, tau-images and chains
-    that meet are answered by the search at its root.  The module
-    docstring says why the verdicts are sound.  A found conjugator is
-    re-verified on the original tuples before it is returned.
+    and _search runs once, at the componentwise minimum of the two final
+    inf vectors.  When the chains met, it runs from where they met to the
+    tuples of beta's chain and their flips.  Otherwise it runs from the
+    lower summit: from lifted beta to alpha's chain when beta's final
+    doubled inf vector has the smaller sum, so that its word w has
+    w^-1 beta w = alpha and x = w^-1, and from lifted alpha to beta's chain
+    when alpha's sum is smaller or the sums are equal.  Equal tuples,
+    tau-images and chains that meet are answered by the search at its root.
+    The module docstring says why the verdicts are sound, from either side.
+    A found conjugator is re-verified on the original tuples before it is
+    returned.
     """
     _check_pair(alpha, beta)
     check_int("node_cap", node_cap, 1)
@@ -696,11 +743,22 @@ def solve_mscp(
     counters = SearchCounters()
     a_chain = {_code_key(alpha): SummitNode(None, None)}
     b_chain = {_code_key(beta): SummitNode(None, None)}
-    root = _lockstep(n, a_chain, b_chain, counters)
-    floor = tuple(map(min, _vector(next(reversed(a_chain))), _vector(next(reversed(b_chain)))))
-    outcome = _search(n, root, floor, node_cap, b_chain, counters, _path(a_chain, root))
-    if outcome.outcome is Outcome.FOUND and not verify_conjugator(alpha, beta, outcome.conjugator):
-        raise VerificationFailed("search returned a conjugator that fails verification")
+    met = _lockstep(n, a_chain, b_chain, counters)
+    a_top, b_top = next(reversed(a_chain)), next(reversed(b_chain))
+    a_vector, b_vector = _vector(a_top), _vector(b_top)
+    floor = tuple(map(min, a_vector, b_vector))
+    inverted = met is None and sum(b_vector) < sum(a_vector)
+    if inverted:  # beta's summit is the lower: search for w with w^-1 beta w = alpha
+        root, chain, lead = b_top, a_chain, _path(b_chain, b_top)
+    else:
+        root = a_top if met is None else met
+        chain, lead = b_chain, _path(a_chain, root)
+    outcome = _search(n, root, floor, node_cap, chain, counters, lead)
+    if outcome.outcome is Outcome.FOUND:
+        if inverted:
+            outcome = dataclasses.replace(outcome, conjugator=word_inverse(outcome.conjugator))
+        if not verify_conjugator(alpha, beta, outcome.conjugator):
+            raise VerificationFailed("search returned a conjugator that fails verification")
     return outcome
 
 

@@ -435,11 +435,13 @@ def ref_lift_chain(t):
 def bfs_search(alpha, beta, floor, node_cap):
     """Breadth-first search from alpha for beta alone, with no lift-chain targets.
 
+    This is the search as it was before it kept one tuple per tau-orbit.
     summit_search also stops at a node whose flip is beta, and the search
     after solve_mscp's lift at every tuple of beta's lift chain.  Both
-    expand the same minimal conjugator sets in the same order and build the
-    same graph, so a search with more targets visits a prefix of these
-    nodes, with the same parents and edges, and reaches a verdict no later.  A floor of 2r values also bounds the inverse entries,
+    expand the same minimal conjugator sets, but skip a child whose flip
+    they have visited, so they visit a prefix of these nodes less those
+    whose flip came earlier, with the same parents and edges, and reach a
+    verdict no later.  A floor of 2r values also bounds the inverse entries,
     as summit_search's does.  It expands and conjugates through the
     reference kernel above, not the package's, so a kernel change that
     alters a move or a child shows as a different graph.

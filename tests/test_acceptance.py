@@ -311,6 +311,7 @@ def test_criterion_11_io_and_cli_contract(tmp_path, capsys):
         "n 3\nr 1\nalpha 1\nbeta 1 1 1\n",
         "# seed 5\n# rng mt19937\nn 4\nr 2\nalpha 1 -2 3\nalpha e\nbeta 3\nbeta -1\n",
         "n 2\nr 1\nalpha e\nbeta e\n",
+        "n 3\nr 1\nalpha 1\nbeta -1\n",
     ]
     ok = True
     for text in corpus:
@@ -322,12 +323,15 @@ def test_criterion_11_io_and_cli_contract(tmp_path, capsys):
     worked.write_text(corpus[0])
     nonconj = tmp_path / "nc.inst"
     nonconj.write_text(corpus[1])
+    # not conjugate, with 2 tau-orbits in lifted alpha's search set
+    capped = tmp_path / "cap.inst"
+    capped.write_text(corpus[4])
     malformed = tmp_path / "bad.inst"
     malformed.write_text("n 3\nr 2\nalpha 1\nbeta 2\n")
 
     seen_codes.add(cli_main(["solve", str(worked)]))
     seen_codes.add(cli_main(["solve", str(nonconj)]))
-    seen_codes.add(cli_main(["solve", str(nonconj), "--cap", "1"]))
+    seen_codes.add(cli_main(["solve", str(capped), "--cap", "1"]))
     seen_codes.add(cli_main(["solve", str(malformed)]))
     seen_codes.add(cli_main(["verify", str(worked), "2 1"]))
     seen_codes.add(cli_main(["verify", str(worked), "1"]))

@@ -3,6 +3,9 @@ from braidmscp.cli import main
 # beta = tau(alpha): solve answers at the root with the half twist
 WORKED = "n 3\nr 1\nalpha 1\nbeta 2\n"
 NONCONJ = "n 3\nr 1\nalpha 1\nbeta 1 1 1\n"
+# sigma_1 and sigma_1^-1 are not conjugate, and the search set of lifted
+# sigma_1 holds 2 tuples that are not tau-images of each other
+CAPPED = "n 3\nr 1\nalpha 1\nbeta -1\n"
 # the lift chains of this pair do not meet, not even up to tau, so its
 # solve searches
 SEARCHED = "n 4\nr 1\nalpha 2\nbeta 1\n"
@@ -54,13 +57,14 @@ class TestSolve:
         assert out == "NOT CONJUGATE\n"
 
     def test_cap(self, tmp_path, capsys):
-        # sigma_1 and sigma_1^3 are not conjugate, and the search set of
-        # lifted sigma_1 holds 2 tuples
-        path = tmp_path / "nc.inst"
-        path.write_text(NONCONJ)
+        path = tmp_path / "cap.inst"
+        path.write_text(CAPPED)
         code, out, _ = run_cli(capsys, "solve", str(path), "--cap", "1")
         assert code == 2
         assert out == "ABORTED: node cap 1 exceeded\n"
+        # the search set of lifted sigma_1 against sigma_1^3 is one tau-orbit
+        path.write_text(NONCONJ)
+        assert run_cli(capsys, "solve", str(path), "--cap", "1") == (1, "NOT CONJUGATE\n", "")
 
     def test_cap_below_one(self, tmp_path, capsys):
         # the lift chains of the generated pair meet, so only the cap check
@@ -243,14 +247,14 @@ class TestContract:
 
         path = tmp_path / "w.inst"
         path.write_text(WORKED)
-        nonconj = tmp_path / "nc.inst"
-        nonconj.write_text(NONCONJ)
+        capped = tmp_path / "cap.inst"
+        capped.write_text(CAPPED)
         sequence = [
             ["solve", str(path), "--stats"],
             ["nf", "-n", "3", "--bogus", "1"],
             ["verify", str(path), "2 1"],
             ["nf", "-n", "4", "1 -2 3"],
-            ["solve", str(nonconj), "--cap", "1"],
+            ["solve", str(capped), "--cap", "1"],
             ["attack", "-n", "3", "--trials", "1", "--seed", "2"],
             ["verify", str(path), "1"],
         ]

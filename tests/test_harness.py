@@ -180,8 +180,8 @@ class TestRunAttack:
         assert report.matches_planted is None
 
     def test_cap_abort(self):
-        # not conjugate, with 2 tuples in lifted alpha's search set
-        inst = parse_instance("n 3\nr 1\nalpha 1\nbeta 1 1 1\n")
+        # not conjugate, with 2 tau-orbits in lifted alpha's search set
+        inst = parse_instance("n 3\nr 1\nalpha 1\nbeta -1\n")
         report = run_attack(inst, node_cap=1)
         assert report.result.outcome is Outcome.ABORTED
         assert not report.recovered_ok
