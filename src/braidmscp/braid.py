@@ -49,11 +49,11 @@ returns permutations, so callers hand it the permutations they already
 hold.  Reversing a permutation is an order-reversing involution of the
 lattice, so it turns meets into joins: the join of a and b is b times the
 left complement that a peel of the reversed permutations leaves.  When a
-and b have no common ascent there is nothing to peel, the join is D, and
-the complement is rcomp(b).  Both are cross-checked in the test suite
-against a brute-force divisor enumeration built from reduced-word
-prefixes, and at larger n against the letter-by-letter peel of the test
-oracle.
+and b have no common ascent that peel moves nothing, and the complement
+it gives is rcomp(b), so the join D needs no case of its own.  Meets and
+joins are cross-checked in the test suite against a brute-force divisor
+enumeration built from reduced-word prefixes, and at larger n against
+the letter-by-letter peel of the test oracle.
 
 The flip tau is conjugation by the half twist, tau(x) = D^-1 x D.  Since D^2
 is central, tau is an involution; on generators it maps letter i to n-i.
@@ -350,13 +350,10 @@ def _left_complement(a: int, b: int) -> int:
     The join is the mirror of m = meet(mirror a, mirror b), where the mirror
     x[::-1] = D x reverses the lattice order, so peeling m off mirror(b)
     leaves a z with b = join * z: c is z^-1.  A common first letter of the
-    mirrors is a common ascent of a and b.  Without one m is trivial, the
-    join is D, and c is rcomp(b).
+    mirrors is a common ascent of a and b.  Without one the peel moves
+    nothing, m is trivial, the join is D, and c = mirror(b)^-1 is rcomp(b).
     """
-    pa = _PERM[a]
-    if (_START[a] | _START[b]).bit_count() == len(pa) - 1:
-        return _RCOMP[b]
-    _, z = _peel(pa[::-1], _PERM[b][::-1])
+    _, z = _peel(_PERM[a][::-1], _PERM[b][::-1])
     return _CODE[_perm_inverse(z)]
 
 

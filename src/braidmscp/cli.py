@@ -55,22 +55,26 @@ def _build_parser() -> _Parser:
     p_nf = sub.add_parser("nf", help="print the left normal form of a word")
     p_nf.add_argument("-n", type=integer, required=True, help="strand count")
     p_nf.add_argument("word", help="word text, e.g. '1 -2' or 'e'")
+    p_nf.set_defaults(run=_cmd_nf)
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("instance", type=Path)
     p_solve.add_argument("--cap", type=integer, default=DEFAULT_NODE_CAP, help="node cap")
     p_solve.add_argument("--graph", type=Path, help="write the explored graph here")
     p_solve.add_argument("--stats", action="store_true", help="print search counters")
+    p_solve.set_defaults(run=_cmd_solve)
 
     p_gen = sub.add_parser("gen", help="generate a seeded instance with a planted key")
     p_gen.add_argument("out", type=Path, help="output instance path (key goes to <out>.key)")
     p_gen.add_argument("-n", type=integer, required=True)
     p_gen.add_argument("-r", type=integer, default=1)
     _add_gen_flags(p_gen)
+    p_gen.set_defaults(run=_cmd_gen)
 
     p_verify = sub.add_parser("verify", help="check a conjugator against an instance")
     p_verify.add_argument("instance", type=Path)
     p_verify.add_argument("conjugator", help="word text")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_attack = sub.add_parser("attack", help="run seeded attacks and report a table")
     p_attack.add_argument("-n", type=integer, default=3)
@@ -80,6 +84,7 @@ def _build_parser() -> _Parser:
     p_attack.add_argument("--cap", type=integer, default=DEFAULT_NODE_CAP)
     p_attack.add_argument("--jobs", type=integer, default=1, help="parallel trials")
     p_attack.add_argument("--times", action="store_true", help="include wall-time column")
+    p_attack.set_defaults(run=_cmd_attack)
 
     return parser
 
@@ -144,20 +149,11 @@ def _cmd_attack(args) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "nf": _cmd_nf,
-    "solve": _cmd_solve,
-    "gen": _cmd_gen,
-    "verify": _cmd_verify,
-    "attack": _cmd_attack,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except (CliError, BraidError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_INPUT

@@ -342,8 +342,11 @@ def _minimal_codes(n: int, active) -> list[int]:
 def minimal_conjugator_set(t: BraidTuple, floor: InfFloor) -> list[SimpleElement]:
     """The distinct minimal floor-keeping conjugators, at most n-1 of them.
 
-    Deduplicates the per-generator minima and defensively drops any element
-    strictly divisible by another, preserving ascending generator order.
+    One ascent per generator, in ascending generator order, each stopping
+    once it lies above a minimum already found, so no minimum is found
+    twice.  A later generator's minimum can still lie strictly below an
+    earlier one, and then the earlier one is dropped: only the minima that
+    no other divides strictly are kept, in the order they were found.
     """
     return [_SIMPLE[s] for s in _minimal_codes(t.n, _active_entries(t, floor))]
 
@@ -429,7 +432,7 @@ def _check_pair(alpha: BraidTuple, beta: BraidTuple) -> None:
 
 
 def _lift_chain(n: int, chain: dict[Entries, SummitNode], counters: SearchCounters):
-    """Lift the one tuple in chain by cycling moves, one move per next().
+    """Lift the one tuple in chain by cycling moves: yield it, then one move per next().
 
     The moves act on the doubled tuple, the r entries followed by their
     inverses (see _doubled), and chain is keyed by the r entries, which fix
@@ -440,16 +443,18 @@ def _lift_chain(n: int, chain: dict[Entries, SummitNode], counters: SearchCounte
     vector, and the tuple is conjugated by that.  So no move lowers an
     infimum or, through the inverse entries, raises a supremum; cycling an
     inverse entry decycles the entry.  A move to the half twist or to a
-    tuple already in chain is skipped.  Each new tuple is added to chain as
-    the child of the previous one, labelled by its conjugator, and yielded;
-    a skipped move yields None.  The chain ends after n(n-1)/2 moves in a
-    row that raise no infimum, the number of cycles within which cycling
-    raises the infimum of a single braid below its summit infimum.  It also
-    ends once a turn has come to every entry of the doubled tuple since the
-    chain last grew: a move depends only on the tuple and the entry, so
-    every later move would be skipped too, and the chain is the one the
-    longer run would build.  A turn on a half-twist power makes no move, so
-    a tuple of half-twist powers ends the chain after one round of turns.
+    tuple already in chain is skipped.  The start is yielded first, before
+    any move, so that a caller tests it as it tests every later tuple.  Each
+    new tuple is added to chain as the child of the previous one, labelled
+    by its conjugator, and yielded; a skipped move yields None.  The chain
+    ends after n(n-1)/2 moves in a row that raise no infimum, the number of
+    cycles within which cycling raises the infimum of a single braid below
+    its summit infimum.  It also ends once a turn has come to every entry
+    of the doubled tuple since the chain last grew: a move depends only on
+    the tuple and the entry, so every later move would be skipped too, and
+    the chain is the one the longer run would build.  A turn on a
+    half-twist power makes no move, so a tuple of half-twist powers ends
+    the chain after one round of turns.
 
     The ascent tests the turn's entry and its partner (the same braid's
     inverse, or its original) last.  Both accept the start: cycling
@@ -460,6 +465,7 @@ def _lift_chain(n: int, chain: dict[Entries, SummitNode], counters: SearchCounte
     two tests whenever another entry rejects first.
     """
     (key,) = chain
+    yield key
     current = _doubled(key)
     width = len(current)
     turn = stale = idle = 0
@@ -689,22 +695,21 @@ def _conjugator(n: int, forward: list[int], backward: list[int]) -> BraidWord:
 
 
 def _lockstep(n: int, a_chain, b_chain, counters: SearchCounters) -> Entries | None:
-    """Lift both chains in turn, one move each per round, until one reaches a tuple the other holds.
+    """Lift both chains in turn, one step each per round, until one reaches a tuple the other holds.
 
-    A move also stops the lift when the other chain holds the flip tau of
-    its tuple.  Returns a tuple of alpha's chain that beta's chain holds,
-    directly or up to tau: alpha's own move, or the flip of beta's move,
-    which alpha's chain holds.  Returns None once both chains have ended
-    without meeting.  alpha is returned before any move when beta's chain
-    already holds it or its flip.
+    A step also stops the lift when the other chain holds the flip tau of
+    its tuple.  Each chain's first step is its start (see _lift_chain), so
+    alpha's start meets the same test as every later tuple, before any
+    move; beta's start, tested against alpha's start alone, cannot match
+    where alpha's did not, tau being an involution.  Returns a tuple of
+    alpha's chain that beta's chain holds, directly or up to tau: alpha's
+    own step, or the flip of beta's step, which alpha's chain holds.
+    Returns None once both chains have ended without meeting.
     """
-    (a_key,) = a_chain
-    if a_key in b_chain or _flip(a_key) in b_chain:
-        return a_key
     sides = deque([(_lift_chain(n, a_chain, counters), b_chain), (_lift_chain(n, b_chain, counters), a_chain)])
     while sides:
         moves, other = sides.popleft()
-        for step in moves:  # one move; a chain that has ended leaves the rotation
+        for step in moves:  # one step; a chain that has ended leaves the rotation
             if step is not None:
                 if step in other:
                     return step

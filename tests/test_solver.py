@@ -568,10 +568,11 @@ class TestLiftChain:
 
     @staticmethod
     def run_chain(beta):
-        """beta's chain run to its end, and what each move yielded."""
+        """beta's chain run to its end, and what each move yielded after the start."""
         chain = {_code_key(beta): SummitNode(None, None)}
         counters = SearchCounters()
-        steps = list(_lift_chain(beta.n, chain, counters))
+        start, *steps = _lift_chain(beta.n, chain, counters)
+        assert start == _code_key(beta)
         assert counters.lift_moves == len(steps)
         return chain, steps
 
@@ -977,6 +978,32 @@ class TestNegativeSet:
         assert [searched_from_beta(res, alpha) for alpha, res in results] == [True, True, False] + [True] * 9
 
 
+class TestBeyondHardSet:
+    """The beyond-hard set: twelve planted instances at n = 8..10 and r = 3..5, at cap 2,000.
+
+    GenParams (8,3,16,24), (9,3,18,20), (10,3,20,20) and (8,5,16,12), seeds
+    0-2.  Eleven are FOUND; (10,3,20,20) seed 0 aborts on the cap.
+    """
+
+    POINTS = [(8, 3, 16, 24), (9, 3, 18, 20), (10, 3, 20, 20), (8, 5, 16, 12)]
+    NODES = [1, 11, 6, 527, 1, 1, 2000, 1, 1, 31, 43, 1]
+
+    def test_outcomes_nodes_and_lift_moves(self):
+        results = []
+        for point in self.POINTS:
+            for seed in range(3):
+                inst, _ = gen_instance(GenParams(*point, seed=seed))
+                alpha, beta = inst.tuples()
+                results.append((alpha, beta, solve_mscp(alpha, beta, node_cap=2_000)))
+        outcomes = [res.outcome for _, _, res in results]
+        assert outcomes == [Outcome.FOUND] * 6 + [Outcome.ABORTED] + [Outcome.FOUND] * 5
+        found = [(alpha, beta, res.conjugator) for alpha, beta, res in results if res.outcome is Outcome.FOUND]
+        assert all(verify_conjugator(*answer) for answer in found)
+        assert [len(res.graph.nodes) for _, _, res in results] == self.NODES
+        assert sum(self.NODES) == 2_624
+        assert sum(res.counters.lift_moves for _, _, res in results) == 436
+
+
 class TestSolve:
     def test_basic(self):
         alpha, beta = words_tuple(3, (1,)), words_tuple(3, (2,))
@@ -1171,16 +1198,29 @@ class TestFlipMeeting:
         monkeypatch.undo()
         return root, a_chain, b_chain, counters.lift_moves, flips[-1]
 
-    def test_beta_is_the_flip_of_alpha(self):
+    @staticmethod
+    def flip_pairs():
         inst, _ = gen_instance(GenParams(8, 3, 16, 12, seed=1))
         pairs = [(words_tuple(3, (1,)), words_tuple(3, (2,)))]
         pairs.append((tuple_from_words(8, inst.alpha), tuple_from_words(8, [tau(w) for w in inst.alpha])))
-        for alpha, beta in pairs:
-            res = solve_mscp(alpha, beta)
-            assert res.outcome is Outcome.FOUND
-            assert list(res.graph.nodes) == [_code_key(alpha)]
-            assert res.counters.lift_moves == 0 and res.counters.nodes_expanded == 0
-            assert res.conjugator == simple_to_word(delta(alpha.n))
+        return pairs
+
+    @staticmethod
+    def check_answered_at_the_start(alpha, beta, conjugator):
+        res = solve_mscp(alpha, beta)
+        assert res.outcome is Outcome.FOUND
+        assert list(res.graph.nodes) == [_code_key(alpha)]
+        assert res.counters.lift_moves == 0 and res.counters.nodes_expanded == 0
+        assert res.conjugator == conjugator
+
+    def test_beta_is_the_flip_of_alpha(self):
+        for alpha, beta in self.flip_pairs():
+            self.check_answered_at_the_start(alpha, beta, simple_to_word(delta(alpha.n)))
+
+    def test_beta_equals_alpha(self):
+        # alpha's start meets beta's start before either chain makes a move
+        for alpha, _ in self.flip_pairs():
+            self.check_answered_at_the_start(alpha, alpha, BraidWord(alpha.n, ()))
 
     def test_alpha_side_of_the_lockstep(self, monkeypatch):
         # desk corpus instance 38: alpha's first move reaches tau(beta)
