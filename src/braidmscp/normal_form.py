@@ -20,7 +20,10 @@ the comb sees them.
 
 All of the machinery runs on the integer codes of braid.py: a normal form
 is its strand count, its power and the tuple of its factors' codes, and the
-raw layer below takes and returns (power, code tuple) pairs.  The codes are
+raw layer below takes and returns (power, code tuple) pairs.  The public
+normalize, multiply, invert and conjugate are thin wrappers that build a
+NormalForm around _normalize_raw, _multiply_raw, _invert_raw and _conj_raw,
+which the solver's search and its verifier call directly.  The codes are
 the only stored form of the factors; the factors property builds their
 SimpleElement values on request.  A pair (a, b)
 is already left-weighted exactly when no letter starts both rcomp(a) and b,
@@ -363,7 +366,12 @@ def normalize(w: BraidWord) -> NormalForm:
     positive run contributes its simple and an inverse run D^-1 times the
     left complement of its reversed positive word (_weight_seq).
     """
-    return NormalForm(w.n, *_weight_seq(w.n, _cancel_pairs(w.n, w.letters)))
+    return NormalForm(w.n, *_normalize_raw(w.n, w.letters))
+
+
+def _normalize_raw(n: int, letters) -> tuple[int, Codes]:
+    """Left normal form of a word's letters as raw data, by normalize's composition."""
+    return _weight_seq(n, _cancel_pairs(n, letters))
 
 
 def simple_from_positive_word(w: BraidWord) -> SimpleElement:
@@ -410,9 +418,14 @@ def multiply(f: NormalForm, g: NormalForm) -> NormalForm:
     the way counts into the power.
     """
     check_same_strands(f, g)
-    factors = [_TAU[a] for a in f.codes] if g.power % 2 else list(f.codes)
-    power, frame = _push_weighted(factors, f.power + g.power, 0, g.codes, _IDENTITY[f.n], _DELTA[f.n])
-    return NormalForm(f.n, power, _unframed(factors, frame))
+    return NormalForm(f.n, *_multiply_raw(f.n, f.power, f.codes, g.power, g.codes))
+
+
+def _multiply_raw(n: int, power1: int, codes1: Codes, power2: int, codes2: Codes) -> tuple[int, Codes]:
+    """The product of D^power1 A_1..A_l and D^power2 B_1..B_m as raw data, by multiply's formula."""
+    factors = [_TAU[a] for a in codes1] if power2 % 2 else list(codes1)
+    power, frame = _push_weighted(factors, power1 + power2, 0, codes2, _IDENTITY[n], _DELTA[n])
+    return power, _unframed(factors, frame)
 
 
 def invert(f: NormalForm) -> NormalForm:

@@ -146,10 +146,10 @@ from .normal_form import (
     _conj_raw,
     _invert_raw,
     _lcm_sweep,
+    _multiply_raw,
+    _normalize_raw,
     _raw_key,
     conjugate,
-    invert,
-    multiply,
     normalize,
 )
 
@@ -768,12 +768,19 @@ def solve_mscp(
 
 
 def verify_conjugator(alpha: BraidTuple, beta: BraidTuple, x: BraidWord) -> bool:
-    """Whether x^-1 a_i x = b_i holds for every entry, by normal forms."""
+    """Whether x^-1 a_i x = b_i holds for every entry, comparing raw entries.
+
+    x's normal form, its inverse and each product x^-1 a_i x are computed
+    as (power, codes) pairs and compared with b_i's, so no NormalForm is
+    built; the first entry that differs ends the check.
+    """
     _check_pair(alpha, beta)
     check_same_strands(alpha, x)
-    xf = normalize(x)
-    xinv = invert(xf)
+    n = x.n
+    power, codes = _normalize_raw(n, x.letters)
+    inv_power, inv_codes = _invert_raw(power, codes)
     return all(
-        multiply(multiply(xinv, a), xf) == b
+        _multiply_raw(n, *_multiply_raw(n, inv_power, inv_codes, a.power, a.codes), power, codes)
+        == (b.power, b.codes)
         for a, b in zip(alpha.entries, beta.entries)
     )

@@ -19,6 +19,7 @@ from braidmscp import (
     SummitGraph,
     SummitNode,
     GenParams,
+    NormalForm,
     conjugate_tuple,
     conjugation_keeps_floor,
     delta,
@@ -27,9 +28,11 @@ from braidmscp import (
     gen_instance,
     generator_simple,
     inf_vector,
+    invert,
     meets_floor,
     minimal_conjugator,
     minimal_conjugator_set,
+    multiply,
     nf_to_word,
     normalize,
     simple_divides,
@@ -1337,3 +1340,59 @@ class TestVerify:
             # and by a nonempty word equal to the identity
             assert verify_conjugator(alpha, beta, BraidWord(alpha.n, (1, -1))) is want
         assert [alpha == beta for alpha, beta in pairs] == [True, False, False, False, True]
+
+    @staticmethod
+    def tampered(inst):
+        """beta with one extra letter on its last entry, as the verify workload tampers it."""
+        last = word_concat(inst.beta[-1], BraidWord(inst.n, (1,)))
+        return tuple_from_words(inst.n, inst.beta[:-1] + (last,))
+
+    def test_matches_public_operations(self):
+        # the verifier works on raw entries; the public operations are its
+        # reference, on the desk corpus and four verify-sized instances
+        def by_public_operations(alpha, beta, x):
+            xf = normalize(x)
+            xinv = invert(xf)
+            return all(multiply(multiply(xinv, a), xf) == b for a, b in zip(alpha.entries, beta.entries))
+
+        verdicts = collections.Counter()
+        for params in corpus_params() + [GenParams(8, 3, 128, 64, k) for k in range(4)]:
+            inst, planted = gen_instance(params)
+            alpha, beta = inst.tuples()
+            keys = [
+                (beta, planted),
+                (beta, word_concat(planted, BraidWord(inst.n, (1,)))),
+                (self.tampered(inst), planted),
+            ]
+            if params.n < 8:
+                res = solve_mscp(alpha, beta, node_cap=1000)
+                assert res.outcome is Outcome.FOUND
+                keys.append((beta, res.conjugator))
+            for target, x in keys:
+                want = by_public_operations(alpha, target, x)
+                assert verify_conjugator(alpha, target, x) is want
+                verdicts[want] += 1
+        assert verdicts[True] > 400 and verdicts[False] > 200
+
+    def test_builds_no_normal_form(self, monkeypatch):
+        # every operand is built first; then a NormalForm built by the
+        # check itself raises
+        inst, planted = gen_instance(GenParams(8, 3, 128, 64, 0))
+        alpha, beta = inst.tuples()
+        equal = words_tuple(3, (1, 2, 1), (2,)), words_tuple(3, (2, 1, 2), (2,))
+        conj = words_tuple(3, (1,)), words_tuple(3, (2,))
+        cases = [
+            (*equal, BraidWord(3, ()), True),
+            (*equal, BraidWord(3, (1,)), False),
+            (*conj, BraidWord(3, (2, 1)), True),
+            (*conj, BraidWord(3, (1,)), False),
+            (alpha, beta, planted, True),
+            (alpha, self.tampered(inst), planted, False),
+        ]
+
+        def refuse(self):
+            raise AssertionError("verification built a NormalForm")
+
+        monkeypatch.setattr(NormalForm, "__post_init__", refuse)
+        for alpha, beta, x, want in cases:
+            assert verify_conjugator(alpha, beta, x) is want
