@@ -31,15 +31,19 @@ supremum.  sup(a) = -inf(a^-1), and (s^-1 a s)^-1 = s^-1 a^-1 s, so a
 ceiling on the supremum of a_i is a floor on the infimum of a_i^-1: the
 solver works on the doubled tuple (a_1..a_r, a_1^-1..a_r^-1), and the floor
 test, the minimal conjugators and their meet closure apply to its 2r
-entries unchanged.  Cycling a braid D^p A_1 ... A_l conjugates it by
-tau^p(A_1), and repeated cycling raises the infimum of a braid that is
-below its summit infimum (Elrifai-Morton); cycling an inverse entry
-decycles the entry, which lowers its supremum.  solve_mscp lifts both
-doubled tuples this way (see _lift_chain), one move per side per round,
-and stops as soon as one side reaches a tuple the other already holds, or
-the flip of one.  The flip tau(X) = D^-1 X D maps each entry
-D^p A_1 ... A_l to D^p tau(A_1) ... tau(A_l), a normal form again with
-the same infimum and supremum.  Summit sets and cycling are both closed
+entries unchanged.  This doubled tuple is the one floor model: every floor
+function (meets_floor, conjugation_keeps_floor, minimal_conjugator,
+minimal_conjugator_set, summit_search) takes a floor of r or 2r values on
+it, read once by _check_floor, and r values leave the suprema free.
+Cycling a braid D^p A_1 ... A_l conjugates it by tau^p(A_1), and
+repeated cycling raises the infimum of a braid that is below its summit
+infimum (Elrifai-Morton); cycling an inverse entry decycles the entry,
+which lowers its supremum.  solve_mscp lifts both doubled tuples this
+way (see _lift_chain), one move per side per round, and stops as soon
+as one side reaches a tuple the other already holds, or the flip of one.
+The flip tau(X) = D^-1 X D maps each entry D^p A_1 ... A_l to
+D^p tau(A_1) ... tau(A_l), a normal form again with the same infimum and
+supremum.  Summit sets and cycling are both closed
 under it, so when beta's chain runs through tau-images of alpha's, the
 two chains can pass each other without meeting.  The search (_search)
 then runs at the componentwise minimum F of the two final inf vectors.
@@ -205,24 +209,54 @@ def _code_key(t: BraidTuple) -> Entries:
     return tuple((e.power, e.codes) for e in t.entries)
 
 
+def _doubled(entries: Entries) -> Entries:
+    """The raw entries followed by their inverses: a floor on both is a floor and a ceiling."""
+    return entries + tuple(_invert_raw(power, codes) for power, codes in entries)
+
+
+def _vector(entries: Entries) -> InfFloor:
+    """The inf vector of the doubled tuple, read off without inverting: inf(a^-1) = -sup(a)."""
+    return tuple(power for power, _ in entries) + tuple(-power - len(codes) for power, codes in entries)
+
+
 def _meets(vector: InfFloor, floor: InfFloor) -> bool:
     """Whether the inf vector is at least the floor in every coordinate."""
     return all(i >= j for i, j in zip(vector, floor))
 
 
-def _check_floor(floor, r: int, widths: tuple[int, ...]) -> InfFloor:
-    """The one check of a floor from outside: an allowed length, then an exact int per entry."""
+def _check_floor(floor, r: int) -> InfFloor:
+    """The one check of a floor from outside, and the only floor a solver function reads.
+
+    A floor lies on the doubled tuple (a_1..a_r, a_1^-1..a_r^-1) and has
+    r or 2r values: the last r cap the suprema, since
+    sup(a) = -inf(a^-1).  A floor of r values leaves the suprema free: every
+    floor test zips the doubled entries with the floor, so the inverse
+    entries go untested.  The argument is read once, so any iterable will
+    do; then its length is checked, then each value is an exact int.
+    """
     floor = tuple(floor)
-    if len(floor) not in widths:
+    if len(floor) not in (r, 2 * r):
         raise LengthMismatch(f"floor of length {len(floor)} against a {r}-tuple")
     for j in floor:
         check_int("floor entry", j)
     return floor
 
 
+def _floored(t: BraidTuple, floor) -> InfFloor:
+    """The checked floor, which t must meet: the one place NotInFloor is raised."""
+    floor = _check_floor(floor, t.r)
+    if not _meets(_vector(_code_key(t)), floor):
+        raise NotInFloor("tuple does not satisfy the required floor")
+    return floor
+
+
 def meets_floor(t: BraidTuple, floor: InfFloor) -> bool:
-    """Whether every entry has infimum at least the floor value."""
-    return _meets(inf_vector(t), _check_floor(floor, t.r, (t.r,)))
+    """Whether t's doubled tuple meets the floor of r or 2r values (see _check_floor).
+
+    Every infimum is at least its floor value, and with 2r values every
+    supremum is at most the negated value of its inverse entry.
+    """
+    return _meets(_vector(_code_key(t)), _check_floor(floor, t.r))
 
 
 def conjugate_tuple(t: BraidTuple, s: SimpleElement) -> BraidTuple:
@@ -243,9 +277,7 @@ def _active(entries: Entries, floor: InfFloor) -> list[tuple[int, Codes]]:
 
 
 def _active_entries(t: BraidTuple, floor: InfFloor) -> list[tuple[int, Codes]]:
-    if not meets_floor(t, floor):
-        raise NotInFloor("tuple does not satisfy the required infimum floor")
-    return _active(_code_key(t), floor)
+    return _active(_doubled(_code_key(t)), _floored(t, floor))
 
 
 def _floor_step(n: int, parity: int, pcodes: Codes, s: int) -> int | None:
@@ -268,7 +300,11 @@ def _floor_step(n: int, parity: int, pcodes: Codes, s: int) -> int | None:
 
 
 def conjugation_keeps_floor(s: SimpleElement, t: BraidTuple, floor: InfFloor) -> bool:
-    """Whether conjugating every entry by s keeps all infima at the floor or above."""
+    """Whether the conjugate of t by s still meets the floor of r or 2r values that t meets.
+
+    The floor is on the doubled tuple (see _check_floor), so with 2r values
+    the test also keeps every supremum at its ceiling.
+    """
     check_same_strands(t, s)
     return all(
         _floor_step(t.n, parity, pcodes, s.code) is None
@@ -309,11 +345,13 @@ def _minimal_conjugator_code(n: int, active, s: int, found=()) -> int | None:
 def minimal_conjugator(i: int, t: BraidTuple, floor: InfFloor) -> SimpleElement:
     """Minimal simple element divisible by letter i whose conjugation keeps the floor.
 
-    Ascends from the bare generator: while some on-floor entry D^j p rejects
-    the candidate s (tau^j(s) does not divide p*s), absorb the complement
-    that makes the rejecting entry's lcm go through.  Every absorbed factor
-    also divides the true minimum, so the ascent converges to it from below;
-    the half twist always passes, so it converges within its word length.
+    The floor has r or 2r values, on the doubled tuple (see _check_floor),
+    and t must meet it.  Ascends from the bare generator: while some
+    on-floor entry D^j p rejects the candidate s (tau^j(s) does not divide
+    p*s), absorb the complement that makes the rejecting entry's lcm go
+    through.  Every absorbed factor also divides the true minimum, so the
+    ascent converges to it from below; the half twist always passes, so it
+    converges within its word length.
     """
     start = generator_simple(t.n, i).code
     return _SIMPLE[_minimal_conjugator_code(t.n, _active_entries(t, floor), start)]
@@ -342,11 +380,13 @@ def _minimal_codes(n: int, active) -> list[int]:
 def minimal_conjugator_set(t: BraidTuple, floor: InfFloor) -> list[SimpleElement]:
     """The distinct minimal floor-keeping conjugators, at most n-1 of them.
 
-    One ascent per generator, in ascending generator order, each stopping
-    once it lies above a minimum already found, so no minimum is found
-    twice.  A later generator's minimum can still lie strictly below an
-    earlier one, and then the earlier one is dropped: only the minima that
-    no other divides strictly are kept, in the order they were found.
+    The floor has r or 2r values, on the doubled tuple (see _check_floor),
+    and t must meet it.  One ascent per generator, in ascending generator
+    order, each stopping once it lies above a minimum already found, so no
+    minimum is found twice.  A later generator's minimum can still lie
+    strictly below an earlier one, and then the earlier one is dropped:
+    only the minima that no other divides strictly are kept, in the order
+    they were found.
     """
     return [_SIMPLE[s] for s in _minimal_codes(t.n, _active_entries(t, floor))]
 
@@ -499,16 +539,6 @@ def _flip(entries: Entries) -> Entries:
     return tuple((power, tuple(_TAU[c] for c in codes)) for power, codes in entries)
 
 
-def _doubled(entries: Entries) -> Entries:
-    """The raw entries followed by their inverses: a floor on both is a floor and a ceiling."""
-    return entries + tuple(_invert_raw(power, codes) for power, codes in entries)
-
-
-def _vector(entries: Entries) -> InfFloor:
-    """The inf vector of the doubled tuple, read off without inverting: inf(a^-1) = -sup(a)."""
-    return tuple(power for power, _ in entries) + tuple(-power - len(codes) for power, codes in entries)
-
-
 def summit_search(
     alpha: BraidTuple,
     beta: BraidTuple,
@@ -517,24 +547,18 @@ def summit_search(
 ) -> ConjugatorResult:
     """Breadth-first search from alpha for beta, or the flip of beta.
 
-    The floor has 2r values, one per entry of the doubled tuple
-    (a_1..a_r, a_1^-1..a_r^-1): the last r cap the suprema, since
-    sup(a) = -inf(a^-1).  A floor of r values leaves the suprema free: every
-    floor test zips the doubled entries with the floor, so the inverse
-    entries go untested.  alpha and beta must both meet the floor.  A node
-    whose flip tau is beta answers too, with D's code on the path.  The
-    checks are made here; the search is _search, with beta as its one-tuple
-    chain, so it too visits one tuple per tau-orbit, and the module
-    docstring says why its verdicts are sound.
+    The floor has r or 2r values, on the doubled tuple (see _check_floor),
+    and alpha and beta must both meet it.  A node whose flip tau is beta
+    answers too, with D's code on the path.  The checks are made here; the
+    search is _search, with beta as its one-tuple chain, so it too visits
+    one tuple per tau-orbit, and the module docstring says why its verdicts
+    are sound.
     """
     _check_pair(alpha, beta)
     check_int("node_cap", node_cap, 1)
-    floor = _check_floor(floor, alpha.r, (alpha.r, 2 * alpha.r))
-    root, target = _code_key(alpha), _code_key(beta)
-    if not _meets(_vector(root), floor) or not _meets(_vector(target), floor):
-        raise NotInFloor("alpha and beta must satisfy the floor")
-    chain = {target: SummitNode(None, None)}
-    return _search(alpha.n, root, floor, node_cap, chain, SearchCounters(), [])
+    floor = _floored(beta, _floored(alpha, floor))
+    chain = {_code_key(beta): SummitNode(None, None)}
+    return _search(alpha.n, _code_key(alpha), floor, node_cap, chain, SearchCounters(), [])
 
 
 def _search(

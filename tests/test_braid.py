@@ -48,6 +48,7 @@ class TestWords:
 
     def test_concat(self):
         a, b = BraidWord(4, (1, -2)), BraidWord(4, (3,))
+        assert len(a) == 2 and len(BraidWord(4, ())) == 0
         assert word_concat(a).letters == (1, -2)
         assert word_concat(a, BraidWord(4, ()), b, a).letters == (1, -2, 3, 1, -2)
         with pytest.raises(StrandMismatch):

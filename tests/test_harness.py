@@ -83,6 +83,9 @@ class TestGenInstance:
             GenParams(n=3, r=1, entry_length=0, conjugator_length=0, seed=0)
         with pytest.raises(InvalidParams):
             GenParams(n=3, r=1, entry_length=1, conjugator_length=-1, seed=0)
+        with pytest.raises(InvalidParams):
+            GenParams(3, 1, 1, 0, 2**64)
+        assert GenParams(3, 1, 1, 0, 2**64 - 1).seed == 2**64 - 1
         # every parameter is an int and not a bool: True would reach the metadata
         with pytest.raises(InvalidParams, match="r must be an integer, got True"):
             GenParams(4, True, 3, 2, 0)

@@ -98,6 +98,9 @@ class TestParse:
             parse_instance("n 3\nr 1\nalpha 1 zz\nbeta 1\n")
         assert exc.value.line == 3
         assert exc.value.col == 9
+        with pytest.raises(InstanceSyntaxError) as exc:
+            parse_instance("n 3\nr 0\n")
+        assert str(exc.value) == "line 2, col 3: tuple length must be at least 1, got 0"
 
     @pytest.mark.parametrize(
         "line, error, message, col",
@@ -199,6 +202,10 @@ class TestRoundTrip:
             BraidTuple(3, (w,))
         with pytest.raises(InvalidParams):
             BraidTuple(3.0, (f,))
+        with pytest.raises(InvalidParams):
+            BraidTuple(3, ())
+        with pytest.raises(InvalidParams):
+            InstanceFile(3, (), ())
 
 
 def solved_searched_pair():
@@ -274,6 +281,8 @@ class TestGraphExport:
         dot = export_graph(res.graph, "dot")
         assert dot.startswith("digraph") and dot.rstrip().endswith("}")
         assert "->" not in dot
+        with pytest.raises(InvalidParams):
+            export_graph(res.graph, "svg")
 
     def test_worked_example_edge(self):
         res = solved_searched_pair()

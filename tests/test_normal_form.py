@@ -104,6 +104,9 @@ class TestNormalize:
             n = rng.randint(2, 6)
             f = normalize(rand_word(rng, n, 20))
             validate_normal_form(f)
+        # sigma_1 | sigma_2 is not left-weighted: their product is one simple
+        with pytest.raises(AssertionError):
+            validate_normal_form(NormalForm(3, 0, (generator_simple(3, 1).code, generator_simple(3, 2).code)))
 
     def test_underlying_permutation_matches_letters(self):
         rng = random.Random(12)

@@ -393,6 +393,52 @@ class TestMinimalConjugators:
                         assert not conjugation_keeps_floor(prefix, t, floor)
 
 
+class TestFloorModel:
+    """Every floor function takes r or 2r values on the doubled tuple, read once."""
+
+    @pytest.mark.parametrize("kind", [tuple, list, iter], ids=["tuple", "list", "iterator"])
+    def test_floor_is_read_once(self, kind):
+        t = words_tuple(3, (1,))
+        s21 = simple_from_positive_word(BraidWord(3, (2, 1)))
+        assert meets_floor(t, kind((0,)))
+        assert not meets_floor(t, kind((1,)))
+        # sigma_2^-1 sigma_1 sigma_2 has infimum -1
+        assert not conjugation_keeps_floor(generator_simple(3, 2), t, kind((0,)))
+        assert conjugation_keeps_floor(s21, t, kind((0, -1)))
+        assert minimal_conjugator(2, t, kind((0,))) == s21
+        t4 = words_tuple(4, (1, 2), (3, -1))
+        assert minimal_conjugator_set(t4, kind(inf_vector(t4))) == [
+            generator_simple(4, 1),
+            simple_from_positive_word(BraidWord(4, (3, 2, 1))),
+        ]
+        with pytest.raises(NotInFloor):
+            minimal_conjugator_set(t4, kind((0, 0)))
+        res = summit_search(words_tuple(4, (2,)), words_tuple(4, (1,)), kind((0, -1)))
+        assert res.conjugator.letters == (1, 2)
+
+    def test_2r_floor_matches_the_doubled_tuple(self):
+        # a floor of 2r values on t is an r-value floor on the 2r-tuple of t's
+        # entries and their inverses, which oracle.doubled builds by the
+        # reference product; floors sit at or one below the doubled vector
+        rng = random.Random(31)
+        ceilings = 0
+        for _ in range(60):
+            n = rng.randint(2, 4)
+            t = tuple_from_words(n, [rand_word(rng, n, 8) for _ in range(rng.randint(1, 3))])
+            d = oracle.doubled(t)
+            assert inf_vector(d) == _vector(_code_key(t))
+            floor = tuple(j - rng.randint(0, 1) for j in inf_vector(d))
+            assert meets_floor(t, floor) and meets_floor(d, floor)
+            for s in enumerate_simples(n):
+                assert conjugation_keeps_floor(s, t, floor) == conjugation_keeps_floor(s, d, floor)
+            for i in range(1, n):
+                assert minimal_conjugator(i, t, floor) == minimal_conjugator(i, d, floor)
+            minima = minimal_conjugator_set(t, floor)
+            assert minima == minimal_conjugator_set(d, floor)
+            ceilings += minima != minimal_conjugator_set(t, floor[: t.r])
+        assert ceilings > 0  # the suprema's floor values bind on some tuples
+
+
 class TestSummitSearch:
     def test_worked_example(self):
         # on 4 strands tau(sigma_2) is sigma_2 itself, not sigma_1, so the
