@@ -3,6 +3,10 @@
 A braid on n strands is written as a word in the Artin generators: a sequence
 of signed integers e with 1 <= |e| <= n-1, where e = i encodes the positive
 crossing of the strands at positions i and i+1, and e = -i its inverse.
+Its text is the letters separated by single spaces, or "e" for the empty
+word.  Word text is joined from one shared string per signed letter, so no
+string is made per letter, and the canonical word of a simple element is
+streamed from its strand walk into its text without a sequence of letters.
 
 A permutation braid (a positive braid in which any two strands cross at most
 once, equivalently a left divisor of the half twist D) is determined by the
@@ -67,6 +71,7 @@ import itertools
 import math
 import operator
 import re
+from collections.abc import Iterator
 
 from .errors import (
     BadToken,
@@ -291,6 +296,8 @@ _RANK_STEP = _LazyTable(lambda n: tuple(reversed(_factorials(n))))
 # The valid letters of a word on n strands: 1 <= |e| <= n - 1.
 _LETTER_SET = _LazyTable(lambda n: frozenset(range(1 - n, n)) - {0})
 _SIMPLE = _LazyTable(lambda c: SimpleElement(len(_PERM[c]), _PERM[c]))
+# The text of each signed letter, shared by every word text that holds it.
+_LETTER_TEXT = _LazyTable(str)
 # Codes of the identity and the half twist per strand count: the identity has
 # the first rank, so its code is the offset, and the half twist, which
 # reverses the order, the last, n! - 1.
@@ -456,12 +463,17 @@ def exponent_sum(w: BraidWord) -> int:
 
 
 def word_to_text(w: BraidWord) -> str:
-    """Serialize as space-separated signed integers; the empty word is "e"."""
+    """Serialize as space-separated signed integers; the empty word is "e".
+
+    The text is joined from one shared string per signed letter, so no
+    string is made per letter.
+    """
     return _letters_text(w.letters)
 
 
 def _letters_text(letters) -> str:
-    return " ".join(map(str, letters)) or "e"
+    """Join the shared strings of an iterable of letters; no letters give "e"."""
+    return " ".join(map(_LETTER_TEXT.__getitem__, letters)) or "e"
 
 
 def word_from_text(text: str, n: int) -> BraidWord:
@@ -501,32 +513,32 @@ def word_from_text(text: str, n: int) -> BraidWord:
 # ---------------------------------------------------------------------------
 
 
-def _code_letters(code: int) -> tuple[int, ...]:
-    """Letters of the canonical reduced positive word of the permutation braid with this code.
+def _code_letters(code: int) -> Iterator[int]:
+    """Yield the letters of the canonical reduced positive word of the permutation braid with this code.
 
     Walks the target positions from rightmost to leftmost and slides the
     strand destined for each into place; deterministic, and of length equal
-    to the inversion count.
+    to the inversion count.  The letters are yielded as the walk makes them,
+    so a word's text is built without a sequence of its letters; callers
+    that need one take tuple() of the walk.
     """
     dest = _PERM[code]
     n = len(dest)
     arrangement = list(range(n))  # strand occupying each position
     pos = list(range(n))  # position of each strand
     source = _perm_inverse(dest)
-    letters = []
     for target in range(n - 1, 0, -1):
         strand = source[target]
         for q in range(pos[strand], target):
             other = arrangement[q + 1]
             arrangement[q], arrangement[q + 1] = other, strand
             pos[strand], pos[other] = q + 1, q
-            letters.append(q + 1)
-    return tuple(letters)
+            yield q + 1
 
 
 def simple_to_word(s: SimpleElement) -> BraidWord:
     """Canonical reduced positive word for a permutation braid."""
-    return BraidWord(s.n, _code_letters(s.code))
+    return BraidWord(s.n, tuple(_code_letters(s.code)))
 
 
 def tau(x: BraidWord | SimpleElement):

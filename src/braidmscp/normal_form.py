@@ -400,7 +400,7 @@ def nf_of_simple(s: SimpleElement) -> NormalForm:
 
 def nf_to_word(f: NormalForm) -> BraidWord:
     """A word representing the normal form: half-twist letters, then factors."""
-    dword = BraidWord(f.n, _code_letters(_DELTA[f.n]))
+    dword = BraidWord(f.n, tuple(_code_letters(_DELTA[f.n])))
     if f.power < 0:
         dword = word_inverse(dword)
     letters = list(dword.letters) * abs(f.power)
@@ -533,7 +533,8 @@ def strand_permutation(f: NormalForm) -> tuple[int, ...]:
     return p
 
 
-# The word text of each simple element's canonical word, by code.
+# The word text of each simple element's canonical word, by code, streamed
+# from the strand walk into the text.
 _WORD_TEXT = _LazyTable(lambda c: _letters_text(_code_letters(c)))
 
 

@@ -714,7 +714,7 @@ def _raised_floor(floor: InfFloor, doubled: Entries, vectors) -> InfFloor | None
 def _conjugator(n: int, forward: list[int], backward: list[int]) -> BraidWord:
     """The word of the product of the simples in forward times the inverse of that of backward."""
     letters = [e for s in forward for e in _code_letters(s)]
-    letters += [-e for s in reversed(backward) for e in reversed(_code_letters(s))]
+    letters += [-e for s in reversed(backward) for e in reversed(tuple(_code_letters(s)))]
     return BraidWord(n, tuple(letters))
 
 

@@ -33,7 +33,8 @@ from braidmscp import (
     word_inverse,
     word_to_text,
 )
-from braidmscp.braid import _PERM
+from braidmscp.braid import _DELTA, _IDENTITY, _PERM, _code_letters
+from braidmscp.normal_form import _WORD_TEXT
 
 
 def s_word(n, *letters):
@@ -83,6 +84,18 @@ class TestWords:
         assert word_from_text("1 -2 3", 4).letters == (1, -2, 3)
         with pytest.raises(InvalidParams):
             word_from_text("x", 3)
+
+    @pytest.mark.parametrize("n", [2, 8, 12, 1000])
+    def test_text_is_the_letters_joined(self, n):
+        # the text is joined from shared per-letter strings; at n = 1000 a
+        # letter is one to four characters, sign included
+        rng = random.Random(n)
+        words = [()] + [
+            tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 300)))
+            for _ in range(20)
+        ]
+        for letters in words:
+            assert word_to_text(BraidWord(n, letters)) == (" ".join(map(str, letters)) or "e")
 
     def test_letters_are_ascii_integer_tokens(self):
         # a sign and leading zeros are decimal; any whitespace separates
@@ -142,6 +155,18 @@ class TestSimpleConstruction:
         assert simple_to_word(identity_simple(3)).letters == ()
         assert simple_to_word(s_word(3, 1)).letters == (1,)
         assert simple_to_word(delta(3)).letters == (1, 2, 1)
+
+    def test_word_text_streams_the_canonical_word(self):
+        # a code's text is streamed from the strand walk, which yields the
+        # same letters as the canonical word; every code at n <= 5, then a
+        # seeded sample of codes at n = 9 and 40
+        codes = [c for n in (2, 3, 4, 5) for c in range(_IDENTITY[n], _DELTA[n] + 1)]
+        rng = random.Random(9)
+        codes += [rng.randint(_IDENTITY[n], _DELTA[n]) for n in (9, 40) for _ in range(50)]
+        for c in codes:
+            walk = _code_letters(c)
+            assert iter(walk) is walk
+            assert _WORD_TEXT[c] == (" ".join(map(str, tuple(walk))) or "e")
 
     def test_to_word_round_trip_exhaustive(self):
         for n in (2, 3, 4, 5):

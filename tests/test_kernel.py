@@ -48,6 +48,7 @@ from braidmscp.braid import (
     _DELTA,
     _INV,
     _LCOMP,
+    _LETTER_TEXT,
     _LETTERS,
     _OFFSET,
     _PERM,
@@ -269,7 +270,10 @@ class TestRunCodes:
 
 
 def built_entry_problems():
-    """Every entry of the filled tables that differs from its value recomputed from _PERM alone."""
+    """Every entry of the filled tables that differs from its value recomputed from _PERM alone.
+
+    A letter's text is recomputed from the letter.
+    """
     bad = []
     for table, expect in (
         # a^-1 D, D a^-1 and D^-1 a D, with D the reversal x -> n-1-x
@@ -283,6 +287,7 @@ def built_entry_problems():
     for n, steps in list(_RANK_STEP.items()):
         if steps != tuple(math.factorial(n - 1 - u) for u in range(n)):
             bad.append((n, steps))
+    bad += [(e, text) for e, text in list(_LETTER_TEXT.items()) if text != str(e)]
     for c, text in list(_WORD_TEXT.items()):
         p = _PERM[c]
         # the text is a reduced positive word of the code's permutation
@@ -315,7 +320,7 @@ class TestWrittenEntries:
         path.write_text(write_instance(inst))
         assert braidmscp.cli.main(["verify", str(path), word_to_text(planted)]) == 0
         assert capsys.readouterr().out == "valid\n"
-        assert all((_RCOMP, _LCOMP, _TAU, _INV, _START, _WORD_TEXT, _RANK_STEP))
+        assert all((_RCOMP, _LCOMP, _TAU, _INV, _START, _WORD_TEXT, _LETTER_TEXT, _RANK_STEP))
         assert built_entry_problems() == []
 
 
